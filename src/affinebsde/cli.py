@@ -451,6 +451,8 @@ def _build_preset(cfg: dict, args, steps_override=None):
     except (RiccatiBlowUpError, BlowUpError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         raise
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from exc
     return preset, cfg
 
 
@@ -515,8 +517,11 @@ def cmd_price(cfg: dict, args) -> int:
         x = float(cfg.get("x_values", [1.0])[0])
         solver = _solver_opts(cfg, args)
         _finish_parse(p)
-        value = heston_power_numeraire_value(model, gamma, o1, o2, o3, horizon, x,
-                                             steps=int(solver["steps"]))
+        try:
+            value = heston_power_numeraire_value(model, gamma, o1, o2, o3, horizon, x,
+                                                 steps=int(solver["steps"]))
+        except ValueError as exc:
+            raise ConfigError([str(exc)]) from exc
         write_json(os.path.join(args.out, "price.json"),
                    {"kind": "numeraire", "x": x, "price": value})
         print(f"price: numeraire value p({x:g}) = {value:.10g}")

@@ -51,6 +51,9 @@ from .symcone import (
 )
 
 
+DEFAULT_BLOWUP_NORM = 1e8
+
+
 class RiccatiBlowUpError(BlowUpError):
     """The Riccati trajectory exploded before reaching t = 0."""
 
@@ -409,7 +412,7 @@ def solve_rk(
     steps: int = 2000,
     method: str = "rk4",
     adaptive_tol: float = 1e-10,
-    blowup_norm: float = 1e8,
+    blowup_norm: float = DEFAULT_BLOWUP_NORM,
 ) -> RiccatiSolution:
     """Integrate the backward Riccati system by Runge-Kutta.
 
@@ -608,6 +611,24 @@ def simpson_cumulative_backward(fvals: np.ndarray, h: float, vT: float) -> np.nd
     return out
 
 
+def _check_no_pole(grid: np.ndarray, a22s: np.ndarray, gammas: np.ndarray) -> None:
+    """Raise RiccatiBlowUpError if Gamma = A_22^{-1} A_21 has a pole on the grid.
+
+    det A_22 is 1 at T; a sign change between two knots means A_22 is singular
+    in between, where Gamma is infinite and every knot below belongs to no
+    solution of the Riccati equation.  Non-finite knots count as blow-up too.
+    The time reported is the knot on the T side of the first pole met going
+    backward, with norm inf (the trajectory passes through infinity).
+    """
+    dets = np.linalg.det(a22s)
+    bad = np.signbit(dets[:-1]) != np.signbit(dets[1:])
+    bad |= ~np.isfinite(dets[:-1]) | ~np.all(np.isfinite(gammas[:-1]), axis=(1, 2))
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        k = int(hits[-1])
+        raise RiccatiBlowUpError(time=float(grid[k + 1]), norm=float("inf"), bound=DEFAULT_BLOWUP_NORM)
+
+
 def solve_block_exp(
     params: AffineParams,
     coeffs: GeneratorCoeffs,
@@ -662,11 +683,13 @@ def solve_block_exp(
     step_exp = mat_exp(h * m_block)
     grid = np.linspace(0.0, T, steps + 1)
     gammas = np.empty((steps + 1, d, d))
+    a22s = np.empty((steps + 1, d, d))
     a22_norms = np.empty(steps + 1)
     acc = np.eye(2 * d)
     for k in range(steps, -1, -1):
         a21 = acc[d:, :d]
         a22 = acc[d:, d:]
+        a22s[k] = a22
         a22_norms[k] = float(np.linalg.norm(a22))
         svals = np.linalg.svd(a22, compute_uv=False)
         if svals[-1] <= 1e-13 * max(1.0, svals[0]):
@@ -675,6 +698,7 @@ def solve_block_exp(
         if k:
             acc = acc @ step_exp
     gammas[-1] = 0.0
+    _check_no_pole(grid, a22s, gammas)
 
     # w by quadrature of the v-independent part of varpi, integrating factor for c_y
     cy = float(coeffs.c_y(0.0))

@@ -19,8 +19,9 @@ Engines
 
 Randomness: Philox4x64-10 counter-based bit generator, one stream per fixed
 block of ``STREAM_BLOCK`` path indices with key (seed, block start).  Partial
-final blocks simulate the whole block and truncate, so increasing the path
-count never changes earlier paths.  Path generation parallelizes over blocks
+final blocks draw the whole block, step only the used paths, so increasing the
+path count never changes earlier paths (the weak-error study steps whole blocks
+and truncates).  Path generation parallelizes over blocks
 (``threads``); per-block results are reduced in block order, which keeps every
 output bit-identical regardless of the thread count.
 """
@@ -81,6 +82,21 @@ def _drift_apply_batch(drift: LinearDrift, r: np.ndarray) -> np.ndarray:
     if isinstance(drift, HFormDrift):
         return np.matmul(drift.h, r) + np.matmul(r, drift.h.T)
     return np.einsum("ijkl,bij->bkl", drift.betas, r)
+
+
+def _euler_update(r: np.ndarray, params: AffineParams, dt: float, m: np.ndarray) -> np.ndarray:
+    """Euler step r + (b + B(r)) dt + M + M^T of the square-root diffusion, in place.
+
+    ``m`` is the noise term sqrt(R) dW Sigma; the sum is formed left to right,
+    so the result is bitwise that of the written-out expression.  Returns ``r``.
+    """
+    inc = _drift_apply_batch(params.drift, r)
+    inc += params.b
+    inc *= dt
+    r += inc
+    r += m
+    r += m.transpose(0, 2, 1)
+    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +207,7 @@ def simulate_wishart(
             n_log = n_log + (r @ eta) * dt + np.einsum("bij,bj->bi", sr, dq)
             o = o + np.matmul(sig_o, np.matmul(sr, dqh)) + (o1 + np.matmul(o2, r)) * dt
             m = np.matmul(np.matmul(sr, dw), sg)
-            r = r + (params.b + _drift_apply_batch(params.drift, r)) * dt + m + m.transpose(0, 2, 1)
+            r = _euler_update(r, params, dt, m)
             r, sr, shift = project_and_sqrt_psd_batch(r)
             dws[:, k], dds[:, k], dqs[:, k] = dw, dd, dqh
             shifts[:, k] = shift
@@ -390,6 +406,9 @@ class PathFunctionals:
     ``int_pi_r_pi[p, k]`` the accumulated quadratic variation pi' R pi dt,
     ``o_terminal`` the auxiliary state at T, ``r_terminal`` the covariance
     state at T; all evaluated on the simulation grid with left endpoints.
+    ``projection_fraction`` is the share of used path-steps (n_paths x n_steps)
+    whose PSD clamp removed a negative part above 1e-13 (Frobenius); the
+    jump-OU engine stays in the cone and reports 0.
     """
 
     int_pi_dn: np.ndarray
@@ -443,28 +462,28 @@ def heston_functionals(
 
     def worker(start, count):
         g = _block_rng(seed, start)
-        b = STREAM_BLOCK
+        b = STREAM_BLOCK  # draws always consume full blocks; only the used paths are stepped
         half = b // 2
-        r = np.broadcast_to(r0, (b, d, d)).copy()
+        r = np.broadcast_to(r0, (count, d, d)).copy()
         r, sr, _ = project_and_sqrt_psd_batch(r)
-        i_dn = np.zeros((b, n_strat))
-        i_quad = np.zeros((b, n_strat))
-        o = np.zeros((b, d, d))
+        i_dn = np.zeros((count, n_strat))
+        i_quad = np.zeros((count, n_strat))
+        o = np.zeros((count, d, d))
         n_proj = 0
         for k in range(n_steps):
             if antithetic:
                 zw = g.standard_normal((half, d, d))
                 zd = g.standard_normal((half, d))
-                dw = np.concatenate([zw, -zw]) * sdt
-                dd = np.concatenate([zd, -zd]) * sdt
+                dw = np.concatenate([zw, -zw])[:count] * sdt
+                dd = np.concatenate([zd, -zd])[:count] * sdt
                 if need_qhat:
                     zq = g.standard_normal((half, d, d))
-                    dqh = np.concatenate([zq, -zq]) * sdt
+                    dqh = np.concatenate([zq, -zq])[:count] * sdt
             else:
-                dw = g.standard_normal((b, d, d)) * sdt
-                dd = g.standard_normal((b, d)) * sdt
+                dw = g.standard_normal((b, d, d))[:count] * sdt
+                dd = g.standard_normal((b, d))[:count] * sdt
                 if need_qhat:
-                    dqh = g.standard_normal((b, d, d)) * sdt
+                    dqh = g.standard_normal((b, d, d))[:count] * sdt
             dq = dw @ corr.rho + corr.orth * dd
             dn = (r @ eta) * dt + np.einsum("bij,bj->bi", sr, dq)
             pk = pis[:, k, :]
@@ -475,19 +494,18 @@ def heston_functionals(
                 if need_qhat:
                     o += np.matmul(sig_o, np.matmul(sr, dqh))
             m = np.matmul(np.matmul(sr, dw), sg)
-            r = r + (params.b + _drift_apply_batch(params.drift, r)) * dt + m + m.transpose(0, 2, 1)
+            r = _euler_update(r, params, dt, m)
             r, sr, shift = project_and_sqrt_psd_batch(r)
             n_proj += int(np.count_nonzero(shift > 1e-13))
-        return (i_dn[:count], i_quad[:count], o[:count], r[:count], n_proj, b * n_steps)
+        return (i_dn, i_quad, o, r, n_proj)
 
     results = _run_blocks(worker, n_paths, threads)
-    i_dn = np.concatenate([r[0] for r in results])[:n_paths]
-    i_quad = np.concatenate([r[1] for r in results])[:n_paths]
-    o_t = np.concatenate([r[2] for r in results])[:n_paths]
-    r_t = np.concatenate([r[3] for r in results])[:n_paths]
+    i_dn = np.concatenate([r[0] for r in results])
+    i_quad = np.concatenate([r[1] for r in results])
+    o_t = np.concatenate([r[2] for r in results])
+    r_t = np.concatenate([r[3] for r in results])
     n_proj = sum(r[4] for r in results)
-    n_tot = sum(r[5] for r in results)
-    return PathFunctionals(i_dn, i_quad, o_t, r_t, projection_fraction=n_proj / n_tot)
+    return PathFunctionals(i_dn, i_quad, o_t, r_t, projection_fraction=n_proj / (n_paths * n_steps))
 
 
 def bns_functionals(
@@ -595,24 +613,24 @@ def stochastic_exponential_check(
 
     def worker(start, count):
         g = _block_rng(seed, start)
-        b = STREAM_BLOCK
-        r = np.broadcast_to(r0, (b, d, d)).copy()
+        b = STREAM_BLOCK  # draws always consume full blocks; only the used paths are stepped
+        r = np.broadcast_to(r0, (count, d, d)).copy()
         r, sr, _ = project_and_sqrt_psd_batch(r)
-        logp = np.zeros(b)
+        logp = np.zeros(count)
         for k in range(n_steps):
             t = k * dt
             sq = np.atleast_1d(np.asarray(s_q(t), dtype=float))
             sw = np.asarray(s_w(t), dtype=float)
             sqh = np.asarray(s_qh(t), dtype=float)
             smu = np.asarray(s_mu(t), dtype=float)
-            dw = g.standard_normal((b, d, d)) * sdt
-            dd = g.standard_normal((b, d)) * sdt
+            dw = g.standard_normal((b, d, d))[:count] * sdt
+            dd = g.standard_normal((b, d))[:count] * sdt
             dq = dw @ corr.rho + corr.orth * dd
             logp += np.einsum("i,bij,bj->b", sq, sr, dq)
             if np.any(sw):
                 logp += np.einsum("ij,bjk,bki->b", sw, sr, dw)
             if np.any(sqh):
-                dqh = g.standard_normal((b, d, d)) * sdt
+                dqh = g.standard_normal((b, d, d))[:count] * sdt
                 logp += np.einsum("ij,bjk,bki->b", sqh, sr, dqh)
             xi_mat = (
                 2.0 * np.outer(sq, corr.rho) @ sw + sw.T @ sw + sqh.T @ sqh + np.outer(sq, sq)
@@ -622,19 +640,21 @@ def stochastic_exponential_check(
                 tr = np.einsum("ij,nij->n", smu, params.m.xis)
                 logp += float(np.dot(params.m.weights, 1.0 - np.exp(tr))) * dt
             m = np.matmul(np.matmul(sr, dw), sg)
-            r = r + (params.b + _drift_apply_batch(params.drift, r)) * dt + m + m.transpose(0, 2, 1)
+            r = _euler_update(r, params, dt, m)
             if lam_tot > 0:
                 counts = g.poisson(lam_tot * dt, size=b)
                 total = int(counts.sum())
                 if total:
                     ids = np.repeat(np.arange(b), counts)
                     marks = np.searchsorted(cdf, g.uniform(size=total), side="left")
+                    keep = ids < count
+                    ids, marks = ids[keep], marks[keep]
                     np.add.at(r, ids, params.m.xis[marks])
                     np.add.at(logp, ids, np.einsum("ij,nij->n", smu, params.m.xis[marks]))
             r, sr, _ = project_and_sqrt_psd_batch(r)
-        return np.exp(logp[:count])
+        return np.exp(logp)
 
-    vals = np.concatenate(_run_blocks(worker, n_paths, threads))[:n_paths]
+    vals = np.concatenate(_run_blocks(worker, n_paths, threads))
     m, se = mean_stderr(vals)
     return StochExpResult(mean=float(m), stderr=float(se), exp_jump_mass=mass)
 
@@ -727,7 +747,7 @@ def wishart_weak_errors(
                     r, sr = states[s]
                     dt = T / s
                     m = np.matmul(np.matmul(sr, acc[s]), sg)
-                    r = r + (params.b + _drift_apply_batch(params.drift, r)) * dt + m + m.transpose(0, 2, 1)
+                    r = _euler_update(r, params, dt, m)
                     states[s] = project_and_sqrt_psd_batch(r)[:2]
                     acc[s][:] = 0.0
         return {s: np.exp(-np.einsum("ij,bij->b", ua, states[s][0]))[:count] for s in steps_list}

@@ -172,8 +172,31 @@ def mat_exp(a) -> np.ndarray:
 # -- batched kernels used by the Monte Carlo engines ---------------------------
 
 
+def _spectral_combine_2x2(f1, f2, p00, p01, p11, degen, f_degen) -> np.ndarray:
+    """f1 P1 + f2 (I - P1) from the components of P1; f_degen I where degenerate."""
+    out = np.empty(p00.shape + (2, 2))
+    out[..., 0, 0] = f1 * p00 + f2 * (1.0 - p00)
+    off = f1 * p01 - f2 * p01
+    out[..., 0, 1] = off
+    out[..., 1, 0] = off
+    out[..., 1, 1] = f1 * p11 + f2 * (1.0 - p11)
+    if degen.any():
+        fd = f_degen[degen]
+        out[degen, 0, 0] = fd
+        out[degen, 0, 1] = fd * 0.0
+        out[degen, 1, 0] = fd * 0.0
+        out[degen, 1, 1] = fd
+    return out
+
+
 def _clamp_spectrum_2x2(mats: np.ndarray, want_sqrt: bool):
-    """Closed-form eigenvalue clamp (and sqrt) for stacked symmetric 2x2 matrices."""
+    """Closed-form eigenvalue clamp (and sqrt) for stacked 2x2 matrices.
+
+    Works on the components a = x00, b = (x01 + x10)/2, c = x11 of the
+    symmetric part, so the input need not be symmetrized first; both outputs
+    are exactly symmetric.  Each entry is bitwise the one the matrix expression
+    f1 P1 + f2 (I - P1) gives, signs of zero included.
+    """
     a = mats[..., 0, 0]
     c = mats[..., 1, 1]
     b = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
@@ -189,24 +212,17 @@ def _clamp_spectrum_2x2(mats: np.ndarray, want_sqrt: bool):
     degen = disc <= 1e-14 * (1.0 + scale)
     safe = np.where(degen, 1.0, 2.0 * disc)
 
-    eye = np.eye(2)
-    # spectral projector onto the top eigenvalue; arbitrary when degenerate
-    p1 = (mats - l2[..., None, None] * eye) / safe[..., None, None]
-    p2 = eye - p1
-
-    proj = l1c[..., None, None] * p1 + l2c[..., None, None] * p2
-    proj_degen = np.maximum(mean, 0.0)[..., None, None] * eye
-    proj = np.where(degen[..., None, None], proj_degen, proj)
-
+    # spectral projector P1 = (R - l2 I)/(2 disc) onto the top eigenvalue;
+    # arbitrary when degenerate, where the result is overwritten by a multiple of I
+    p00 = (a - l2) / safe
+    p01 = b / safe
+    p11 = (c - l2) / safe
+    md = np.maximum(mean, 0.0)
+    proj = _spectral_combine_2x2(l1c, l2c, p00, p01, p11, degen, md)
     if not want_sqrt:
-        return symmetrize(proj), None, shift
-
-    s1 = np.sqrt(l1c)
-    s2 = np.sqrt(l2c)
-    root = s1[..., None, None] * p1 + s2[..., None, None] * p2
-    root_degen = np.sqrt(np.maximum(mean, 0.0))[..., None, None] * eye
-    root = np.where(degen[..., None, None], root_degen, root)
-    return symmetrize(proj), symmetrize(root), shift
+        return proj, None, shift
+    root = _spectral_combine_2x2(np.sqrt(l1c), np.sqrt(l2c), p00, p01, p11, degen, np.sqrt(md))
+    return proj, root, shift
 
 
 def _clamp_spectrum_eigh(mats: np.ndarray, want_sqrt: bool):
@@ -227,11 +243,11 @@ def project_psd_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (projected, shift) where shift is the Frobenius norm of the
     clamped negative part, per matrix.
     """
-    mats = symmetrize(mats)
+    mats = np.asarray(mats, dtype=float)
     if mats.shape[-1] == 2:
         proj, _, shift = _clamp_spectrum_2x2(mats, want_sqrt=False)
     else:
-        proj, _, shift = _clamp_spectrum_eigh(mats, want_sqrt=False)
+        proj, _, shift = _clamp_spectrum_eigh(symmetrize(mats), want_sqrt=False)
     return proj, shift
 
 
@@ -241,8 +257,7 @@ def project_and_sqrt_psd_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Returns (projected, sqrt, shift); a closed-form spectral path handles
     d = 2, batched LAPACK eigh handles general d.
     """
-    mats = symmetrize(mats)
+    mats = np.asarray(mats, dtype=float)
     if mats.shape[-1] == 2:
         return _clamp_spectrum_2x2(mats, want_sqrt=True)
-    proj, root, shift = _clamp_spectrum_eigh(mats, want_sqrt=True)
-    return proj, root, shift
+    return _clamp_spectrum_eigh(symmetrize(mats), want_sqrt=True)

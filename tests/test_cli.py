@@ -108,6 +108,20 @@ class TestRiccatiSolveCommand:
         assert summary["blow_up"] is not None
         assert 0.0 <= summary["blow_up"]["time"] <= 1.0
 
+    def test_block_exp_pole_exit_code(self, tmp_path, capsys):
+        base = riccati_1d_degenerate_config()
+        base["horizon"] = 2.0
+        base["generator"] = {"c_zz": [[5.0]], "c_zsqrtx": [[0.0]], "c_x": [[5.0]]}
+        times = {}
+        for method in ("rk4", "block-exp"):
+            base["solver"] = {"steps": 2000, "method": method}
+            out = tmp_path / method
+            rc = main(["riccati-solve", "--config", write_config(tmp_path, base), "--out", str(out)])
+            assert rc == EXIT_NUMERICAL
+            assert "Traceback" not in capsys.readouterr().err
+            times[method] = json.loads((out / "riccati_summary.json").read_text())["blow_up"]["time"]
+        assert times["block-exp"] == pytest.approx(times["rk4"], abs=0.01)
+
     def test_invalid_config_lists_all_errors(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema_version": 99, "model": {"kind": "nope"}})
         rc = main(["riccati-solve", "--config", cfg, "--out", str(tmp_path)])
@@ -125,6 +139,19 @@ class TestPortfolioCommand:
         assert main(["portfolio", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         out = json.loads((tmp_path / "portfolio.json").read_text())
         assert out["value_at"]["1"] == pytest.approx(1.0 / 0.35, rel=1e-12)
+
+    def test_singular_alpha_is_config_error(self, tmp_path, capsys):
+        # PSD but singular alpha: the power-utility closed form needs alpha > 0
+        cfg_dict = heston_config()
+        cfg_dict["model"]["alpha"] = [[0.04, 0.0], [0.0, 0.0]]
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["portfolio", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [
+            "configuration error: the closed-form route requires alpha positive definite"
+        ]
+        assert not (tmp_path / "portfolio.json").exists()
 
     def test_strategy_csv_rows_match_grid(self, tmp_path):
         cfg = write_config(tmp_path, heston_config())
@@ -177,6 +204,16 @@ class TestPriceCommand:
         assert main(["price", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         out = json.loads((tmp_path / "price.json").read_text())
         assert out["price"] == 0.0
+
+    def test_singular_alpha_numeraire_price_is_config_error(self, tmp_path, capsys):
+        cfg_dict = heston_config()
+        cfg_dict["model"]["alpha"] = [[0.04, 0.0], [0.0, 0.0]]
+        cfg_dict["numeraire"] = {"o1": [[0.0, 0.0], [0.0, 0.0]], "o2": [[0.0, 0.0], [0.0, 0.0]],
+                                 "o3": [[0.0, 0.0], [0.0, 0.0]]}
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["price", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("configuration error:")
 
     def test_numeraire_price(self, tmp_path):
         cfg_dict = heston_config()

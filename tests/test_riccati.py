@@ -287,6 +287,23 @@ class TestBlockExp:
             solve_block_exp(params, coeffs, 1.0, steps=2000)
         assert 0.0 <= exc.value.time <= 1.0
 
+    def test_pole_inside_horizon_raises_blow_up(self):
+        # c_x = c_zz = 5, sigma = 1/2: going backward from T = 2, Gamma reaches a
+        # pole near t = 1.704, where det A_22 changes sign between two knots
+        params = AffineParams(alpha=np.array([[0.25]]), b=np.zeros((1, 1)),
+                              drift=HFormDrift(np.array([[0.5]])))
+        coeffs = GeneratorCoeffs.build(1, c_zz=np.array([[5.0]]), c_x=np.array([[5.0]]))
+        with pytest.raises(RiccatiBlowUpError) as be:
+            solve_block_exp(params, coeffs, 2.0, steps=2000)
+        with pytest.raises(RiccatiBlowUpError) as rk:
+            solve_rk(params, coeffs, np.zeros((1, 1)), 0.0, 2.0, steps=2000)
+        assert be.value.time == pytest.approx(rk.value.time, abs=0.01)
+        assert be.value.norm == np.inf
+        # a horizon that stops short of the pole still solves, and matches rk4
+        short = solve_block_exp(params, coeffs, 0.25, steps=500)
+        ref = solve_rk(params, coeffs, np.zeros((1, 1)), 0.0, 0.25, steps=500)
+        assert np.max(np.abs(short.gammas - ref.gammas)) <= 1e-8
+
     def test_y_shortcut_reported_not_reconciled(self):
         model = _heston_model_d2()
         coeffs = heston_power_coeffs(

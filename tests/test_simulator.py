@@ -9,6 +9,7 @@ from affinebsde.affine_model import (
     wishart_params,
 )
 from affinebsde.simulator import (
+    STREAM_BLOCK,
     BnsJumpSpec,
     CorrelationSpec,
     bns_functionals,
@@ -63,6 +64,51 @@ class TestReplay:
         small = next(simulate_wishart(params, R0, corr, eta, 1.0, 20, 8, seed=5))
         big = next(simulate_wishart(params, R0, corr, eta, 1.0, 20, 64, seed=5))
         assert np.array_equal(small.r, big.r[:8])
+
+    @staticmethod
+    def assert_functionals_prefix_invariant(runs):
+        """Each run's per-path functionals are bitwise a prefix of the next, larger run's."""
+        fields = ("int_pi_dn", "int_pi_r_pi", "o_terminal", "r_terminal")
+        for small, big in zip(runs[:-1], runs[1:]):
+            n = small.int_pi_dn.shape[0]
+            for f in fields:
+                a, b = getattr(small, f), getattr(big, f)[:n]
+                assert a.shape == b.shape
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)), f
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_heston_functionals_prefix_across_stream_blocks(self, antithetic):
+        params = small_wishart()
+        corr = CorrelationSpec(np.array([-0.4, -0.2]))
+        pis = np.array([[0.5, 0.2], [-0.3, 0.4], [1.5, -1.0]])
+        counts = (100, STREAM_BLOCK, STREAM_BLOCK + 100)
+        runs = [
+            heston_functionals(params, R0, corr, np.array([0.6, 0.3]), 1.0, 4, pis, n, seed=13,
+                               o_sigma=0.3 * np.eye(2), o1=0.02 * np.eye(2), o2=0.05 * np.eye(2),
+                               antithetic=antithetic)
+            for n in counts
+        ]
+        self.assert_functionals_prefix_invariant(runs)
+        for n, fn in zip(counts, runs):
+            # the clamp count is over the used path-steps only
+            clamped = fn.projection_fraction * n * 4
+            assert clamped == pytest.approx(round(clamped), abs=1e-9)
+
+    def test_bns_functionals_prefix_across_stream_blocks(self):
+        d = 2
+        xi = np.array([[0.2, 0.05], [0.05, 0.15]])
+        spec = BnsJumpSpec(
+            lam=np.array([[0.05, 0.0], [0.0, 0.04]]),
+            lam_op=HFormDrift(np.array([[-0.6, 0.05], [0.02, -0.4]])),
+            b_j=np.array([[0.03, 0.0], [0.0, 0.02]]),
+            m_j=ConstantJumps.from_atoms([(xi, 2.0), (0.5 * np.eye(d), 1.0)]),
+        )
+        pis = np.array([[0.5, 0.2], [-0.3, 0.4]])
+        runs = [
+            bns_functionals(spec, R0, np.array([0.6, 0.3]), 1.0, 4, pis, n, seed=17)
+            for n in (100, STREAM_BLOCK, STREAM_BLOCK + 100)
+        ]
+        self.assert_functionals_prefix_invariant(runs)
 
     def test_n_o_reconstructible_from_increments(self):
         params = small_wishart()

@@ -188,3 +188,83 @@ class TestBatchedKernels:
         proj, shift = project_psd_batch(mats)
         assert np.all(np.linalg.eigvalsh(proj) >= -1e-12)
         assert np.all(shift >= 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=4, max_size=4 * 40),
+        st.data(),
+    )
+    def test_slice_rows_bitwise_equal_whole_batch(self, vals, data):
+        n = len(vals) // 4
+        mats = np.array(vals[: 4 * n]).reshape(n, 2, 2)
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo + 1, n))
+        whole = project_and_sqrt_psd_batch(mats)
+        part = project_and_sqrt_psd_batch(mats[lo:hi])
+        for w, p in zip(whole, part):
+            assert np.array_equal(w[lo:hi].view(np.int64), p.view(np.int64))
+
+
+class TestDegenerate2x2Clamp:
+    """Inputs on which the closed-form 2x2 clamp takes its degenerate branch."""
+
+    @staticmethod
+    def check_against_dense(mats):
+        proj, root, shift = project_and_sqrt_psd_batch(mats)
+        proj_only, shift_only = project_psd_batch(mats)
+        assert np.array_equal(proj_only, proj) and np.array_equal(shift_only, shift)
+        for i, x in enumerate(mats):
+            p = psd_project(x)
+            assert np.allclose(proj[i], p, rtol=0.0, atol=1e-12 * (1.0 + frobenius(x)))
+            assert np.allclose(root[i], psd_sqrt(p), rtol=0.0, atol=1e-12 * (1.0 + frobenius(x)))
+            assert shift[i] == pytest.approx(frobenius(p - symmetrize(x)), abs=1e-12)
+            assert np.array_equal(proj[i], proj[i].T) and np.array_equal(root[i], root[i].T)
+
+    def test_zero_matrix(self):
+        proj, root, shift = project_and_sqrt_psd_batch(np.zeros((3, 2, 2)))
+        assert not np.any(proj) and not np.any(root) and not np.any(shift)
+        self.check_against_dense(np.zeros((3, 2, 2)))
+
+    @pytest.mark.parametrize("c", [1e-6, 0.3, 2.0, 1e4])
+    def test_positive_multiple_of_identity(self, c):
+        mats = np.array([c * np.eye(2)])
+        proj, root, shift = project_and_sqrt_psd_batch(mats)
+        assert np.array_equal(proj[0], c * np.eye(2))
+        assert np.allclose(root[0], np.sqrt(c) * np.eye(2), rtol=1e-15, atol=0.0)
+        assert shift[0] == 0.0
+        self.check_against_dense(mats)
+
+    @pytest.mark.parametrize("c", [-1e-6, -0.3, -2.0, -1e4])
+    def test_negative_multiple_of_identity(self, c):
+        mats = np.array([c * np.eye(2)])
+        proj, root, shift = project_and_sqrt_psd_batch(mats)
+        assert not np.any(proj) and not np.any(root)
+        assert shift[0] == pytest.approx(np.sqrt(2.0) * abs(c), rel=1e-15)
+        self.check_against_dense(mats)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_tiny_discriminant(self, scale):
+        # disc ~ 1e-15 * scale lies under the 1e-14 * (1 + scale) threshold
+        eps = 1e-15 * scale
+        mats = np.array([
+            [[scale, eps], [eps, scale]],
+            [[scale + eps, 0.0], [0.0, scale - eps]],
+            [[-scale, eps], [eps, -scale]],
+        ])
+        proj, root, _ = project_and_sqrt_psd_batch(mats)
+        level = np.maximum(0.5 * (mats[:, 0, 0] + mats[:, 1, 1]), 0.0)[:, None, None]
+        assert np.array_equal(proj, level * np.eye(2))
+        assert np.array_equal(root, np.sqrt(level) * np.eye(2))
+        self.check_against_dense(mats)
+
+    def test_exactly_zero_off_diagonal(self):
+        mats = np.array([
+            [[0.7, 0.0], [0.0, 0.2]],
+            [[0.7, -0.0], [-0.0, -0.2]],
+            [[-0.7, 0.0], [0.0, -0.2]],
+            [[0.4, 0.0], [0.0, 0.4]],
+            [[-0.4, -0.0], [-0.0, -0.4]],
+        ])
+        proj, root, _ = project_and_sqrt_psd_batch(mats)
+        assert not np.any(proj[:, 0, 1]) and not np.any(root[:, 0, 1])
+        self.check_against_dense(mats)
