@@ -76,6 +76,14 @@ CONFIGS = {
         "verification": {"which": "martingale", "paths": 100000, "steps": 500, "seed": 7,
                          "n_perturbed": 8},
     },
+    "heston_power_verify_drift_match.json": {
+        "schema_version": 1,
+        "model": HESTON_MODEL,
+        "horizon": 1.0,
+        "utility": {"kind": "power", "gamma": 0.35},
+        "solver": {"steps": 2000},
+        "verification": {"which": "drift-match", "samples": 50, "seed": 7},
+    },
     "heston_verify_transform.json": {
         "schema_version": 1,
         "model": HESTON_MODEL,

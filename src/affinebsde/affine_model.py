@@ -19,7 +19,7 @@ and integrates them (RK4) so that E[exp(-Tr(X_t u))] = exp(-phi - Tr(psi X_0)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -151,11 +151,6 @@ class LinearJumps:
         return np.einsum("ij,nij->n", xa, self.us) / self.denominators
 
 
-def kernel_M_weight(mu: LinearJumps, x, atom_index: int) -> float:
-    """Kernel mass of a single linear-jump atom at state x (must be PSD)."""
-    return float(mu.kernel_weights(x)[atom_index])
-
-
 # -- linear drift maps -----------------------------------------------------------
 
 
@@ -211,14 +206,6 @@ class GeneralFormDrift:
 
 
 LinearDrift = Union[HFormDrift, GeneralFormDrift]
-
-
-def apply_B(drift: LinearDrift, x) -> np.ndarray:
-    return drift.apply(x)
-
-
-def apply_Bstar(drift: LinearDrift, u) -> np.ndarray:
-    return drift.adjoint(u)
 
 
 def truncation(xi, trunc_radius: float) -> np.ndarray:
@@ -399,12 +386,6 @@ def solve_transform(
         lmin = float(np.linalg.eigvalsh(psi)[0])
         worst = min(worst, lmin)
     return TransformSolution(phi=phi, psi=psi, t=t, steps=steps, psd_violation=worst)
-
-
-def laplace_transform(params: AffineParams, u, x0, t: float, steps: int = 500) -> float:
-    """E[exp(-Tr(X_t u))] for X_0 = x0, via the transform ODE."""
-    sol = solve_transform(params, u, t, steps=steps)
-    return sol.laplace(x0)
 
 
 # -- admissibility validation ------------------------------------------------------

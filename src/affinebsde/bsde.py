@@ -30,7 +30,7 @@ shipped presets satisfy this; ``BsdeSolutionEval`` enforces it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -217,31 +217,17 @@ def drift_match_stats(
     return {"max_abs_residual": worst_abs, "max_rel_residual": worst_rel, "n_samples": n_samples}
 
 
-# -- Monte Carlo martingale audit ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AuditResult:
-    """Oriented supermartingale ratio for one strategy.
-
-    ``ratio`` is E[L_T]/L_0 when L_0 > 0 and L_0/E[L_T] when L_0 < 0, so the
-    supermartingale bound always reads ratio <= 1 and a martingale gives
-    ratio = 1.  ``stderr`` is the delta-method standard error of the oriented
-    ratio.
-    """
-
-    ratio: float
-    stderr: float
-    verdict: str
-    n_paths: int
-
-    @property
-    def is_martingale(self) -> bool:
-        return self.verdict == "MARTINGALE"
+# -- Monte Carlo martingale audit verdicts ---------------------------------------------
 
 
 def orient_ratio(mean_lt: float, se_lt: float, l0: float) -> tuple[float, float]:
-    """Normalize E[L_T] against L_0 so the supermartingale direction is <= 1."""
+    """Normalize E[L_T] against L_0 so the supermartingale direction is <= 1.
+
+    The ratio is E[L_T]/L_0 when L_0 > 0 and L_0/E[L_T] when L_0 < 0, so the
+    supermartingale bound always reads ratio <= 1 and a martingale gives
+    ratio = 1.  The returned standard error is the delta-method standard
+    error of the oriented ratio.
+    """
     if l0 > 0:
         return mean_lt / l0, se_lt / abs(l0)
     ratio = l0 / mean_lt
@@ -249,22 +235,9 @@ def orient_ratio(mean_lt: float, se_lt: float, l0: float) -> tuple[float, float]
 
 
 def classify_ratio(ratio: float, se: float) -> str:
+    """MARTINGALE within 3 standard errors of 1, SUPERMARTINGALE_OK below, else FAIL."""
     if abs(ratio - 1.0) <= 3.0 * se:
         return "MARTINGALE"
     if ratio <= 1.0 + 3.0 * se:
         return "SUPERMARTINGALE_OK"
     return "FAIL"
-
-
-def martingale_audit(preset, strategy, n_paths: int, seed: int, n_steps: int = 500) -> AuditResult:
-    """Audit E[L_T^pi]/L_0 for one strategy of a utility preset.
-
-    ``preset`` must provide ``audit_strategies(strategies, n_paths, seed,
-    n_steps)`` returning per-strategy (mean, stderr) of L_T together with L_0
-    (the portfolio module's presets do).  Verdict is MARTINGALE when the
-    oriented ratio is within 3 standard errors of 1, SUPERMARTINGALE_OK when
-    it respects the bound, FAIL otherwise.
-    """
-    means, ses, l0 = preset.audit_strategies([strategy], n_paths=n_paths, seed=seed, n_steps=n_steps)
-    ratio, se = orient_ratio(float(means[0]), float(ses[0]), l0)
-    return AuditResult(ratio=ratio, stderr=se, verdict=classify_ratio(ratio, se), n_paths=n_paths)

@@ -11,7 +11,9 @@ simulate        dump simulated paths to CSV
 
 Flags: --config PATH, --out DIR, --seed N, --paths N, --steps N, --threads N,
 --format {csv,json}.  Exit codes: 0 pass, 2 configuration error, 3 numerical
-failure (blow-up or cross-check), 4 verification FAIL.
+failure (blow-up, singular block exponential, route cross-check, non-finite
+theta/varpi), 4 verification FAIL.  Errors are mapped to exit codes once, in
+``main``, with one stderr line per error and no traceback.
 
 Configuration schema (version 1)
 --------------------------------
@@ -47,12 +49,13 @@ produce byte-identical payloads.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
-from . import affine_model, bsde, portfolio, riccati, simulator
+from . import bsde, simulator
 from .affine_model import (
     AffineParams,
     BlowUpError,
@@ -61,7 +64,6 @@ from .affine_model import (
     HFormDrift,
     LinearJumps,
     solve_transform,
-    validate_admissibility,
 )
 from .bsde import classify_ratio, orient_ratio
 from .portfolio import (
@@ -71,7 +73,7 @@ from .portfolio import (
     heston_power_numeraire_value,
     make_preset,
 )
-from .riccati import GeneratorCoeffs, RiccatiBlowUpError, solve_block_exp, solve_rk, validate_assumptions
+from .riccati import DEFAULT_BLOWUP_NORM, GeneratorCoeffs, solve_block_exp, solve_rk, validate_assumptions
 from .simulator import BnsJumpSpec, CorrelationSpec, bns_functionals, heston_functionals, mean_stderr
 from .symcone import symmetrize
 
@@ -170,12 +172,35 @@ class _Parser:
             return 0.0
         try:
             v = float(section[key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             self.fail(f"'{path}.{key}' must be a number")
             return 0.0
-        if positive and v <= 0:
+        if not math.isfinite(v):
+            self.fail(f"'{path}.{key}' must be finite")
+        elif positive and v <= 0:
             self.fail(f"'{path}.{key}' must be > 0")
         return v
+
+    def integer(self, section, key, path, default, minimum=0):
+        """An integer field (integral floats such as 100.0 are accepted), returned as int."""
+        if key not in section:
+            return default
+        v = section[key]
+        if not (isinstance(v, int) or (isinstance(v, float) and v.is_integer())):
+            self.fail(f"'{path}.{key}' must be an integer")
+            return default
+        if v < minimum:
+            self.fail(f"'{path}.{key}' must be >= {minimum}")
+        return int(v)
+
+    def numbers(self, section, key, default):
+        """A non-empty list of finite numbers, returned as floats."""
+        values = section.get(key, default)
+        if not isinstance(values, list) or not values:
+            self.fail(f"'{key}' must be a non-empty list of numbers")
+            return default
+        items = dict(enumerate(values))
+        return [self.number(items, i, key) for i in items]
 
     def matrix(self, section, key, path, d=None, symmetric=False, default=None):
         if key not in section:
@@ -220,13 +245,14 @@ def load_config(path: str) -> dict:
 
 
 def parse_model(p: _Parser):
+    """The configured model; raises ConfigError when none can be built."""
     cfg = p.require(p.cfg, "model", "")
     if cfg is None:
-        return None
+        _finish_parse(p)
     kind = cfg.get("kind")
     if kind not in ("heston", "bns", "raw-affine"):
         p.fail("'model.kind' must be heston | bns | raw-affine")
-        return None
+        _finish_parse(p)
     try:
         if kind == "heston":
             alpha = p.matrix(cfg, "alpha", "model", symmetric=True)
@@ -302,7 +328,7 @@ def parse_model(p: _Parser):
                             trunc_radius=p.number(cfg, "trunc_radius", "model", default=1.0))
     except (ValueError, TypeError) as exc:
         p.fail(f"model construction failed: {exc}")
-        return None
+        _finish_parse(p)
 
 
 def parse_generator(p: _Parser, d: int) -> GeneratorCoeffs:
@@ -327,11 +353,11 @@ def parse_endowment(p: _Parser, d: int, horizon: float):
         return EndowmentSpec.zero(d), 0, 0.0
     if "variance_swap" in cfg:
         vs = cfg["variance_swap"]
-        asset = int(vs.get("asset", 0))
+        asset = p.integer(vs, "asset", "endowment.variance_swap", default=0)
         strike = p.number(vs, "strike", "endowment.variance_swap", default=0.0)
-        if not 0 <= asset <= d:
+        if asset > d:
             p.fail("'endowment.variance_swap.asset' out of range")
-            asset = 0
+        _finish_parse(p)  # the swap weight divides by the horizon
         return EndowmentSpec.variance_swap(asset, d, horizon, strike), asset, strike
     z = np.zeros((d, d))
     endow = EndowmentSpec(
@@ -347,6 +373,7 @@ def parse_endowment(p: _Parser, d: int, horizon: float):
 def _finish_parse(p: _Parser):
     for w in p.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    p.warnings.clear()
     if p.errors:
         raise ConfigError(p.errors)
 
@@ -360,14 +387,24 @@ def _check_schema(p: _Parser):
 # -- commands ---------------------------------------------------------------------------
 
 
-def _solver_opts(cfg: dict, args) -> dict:
-    solver = dict(cfg.get("solver", {}))
-    if args.steps:
-        solver["steps"] = args.steps
-    solver.setdefault("steps", 2000)
-    solver.setdefault("method", "rk4")
-    solver.setdefault("blowup_norm", 1e8)
-    return solver
+def _solver_opts(p: _Parser, args) -> dict:
+    solver = p.cfg.get("solver", {})
+    return {
+        "steps": args.steps or p.integer(solver, "steps", "solver", default=2000, minimum=1),
+        "method": solver.get("method", "rk4"),
+        "blowup_norm": p.number(solver, "blowup_norm", "solver", default=DEFAULT_BLOWUP_NORM,
+                                positive=True),
+    }
+
+
+def _sampling_opts(p: _Parser, section: str, args, paths: int, steps: int) -> tuple[int, int, int]:
+    """(paths, seed, steps) of a Monte Carlo section; the command-line flags win."""
+    cfg = p.cfg.get(section, {})
+    return (
+        args.paths or p.integer(cfg, "paths", section, default=paths, minimum=1),
+        args.seed if args.seed is not None else p.integer(cfg, "seed", section, default=0),
+        args.steps or p.integer(cfg, "steps", section, default=steps, minimum=1),
+    )
 
 
 def cmd_riccati_solve(cfg: dict, args) -> int:
@@ -382,16 +419,18 @@ def cmd_riccati_solve(cfg: dict, args) -> int:
     term = cfg.get("terminal", {})
     u = p.matrix(term, "u", "terminal", d=model.d, symmetric=True, default=np.zeros((model.d, model.d)))
     v = p.number(term, "v", "terminal", default=0.0)
-    solver = _solver_opts(cfg, args)
+    solver = _solver_opts(p, args)
     _finish_parse(p)
 
     summary = {"method": solver["method"], "horizon": horizon, "blow_up": None}
     try:
         if solver["method"] == "block-exp":
-            sol = solve_block_exp(model, coeffs, horizon, steps=int(solver["steps"]))
+            sol = solve_block_exp(model, coeffs, horizon, steps=solver["steps"])
         else:
-            sol = solve_rk(model, coeffs, u, v, horizon, steps=int(solver["steps"]),
-                           method=solver["method"], blowup_norm=float(solver["blowup_norm"]))
+            sol = solve_rk(model, coeffs, u, v, horizon, steps=solver["steps"],
+                           method=solver["method"], blowup_norm=solver["blowup_norm"])
+    except ValueError as exc:  # the model does not meet the chosen solver's hypotheses
+        raise ConfigError([str(exc)]) from exc
     except BlowUpError as exc:
         summary["blow_up"] = {"time": exc.time, "norm": exc.norm, "bound": exc.bound}
         write_json(os.path.join(args.out, "riccati_summary.json"), summary)
@@ -429,7 +468,7 @@ def _parse_utility(p: _Parser):
     return kind, gamma
 
 
-def _build_preset(cfg: dict, args, steps_override=None):
+def _build_preset(cfg: dict, args):
     p = _Parser(cfg)
     _check_schema(p)
     model = parse_model(p)
@@ -438,34 +477,25 @@ def _build_preset(cfg: dict, args, steps_override=None):
     if isinstance(model, AffineParams):
         p.fail("portfolio commands need model.kind heston or bns")
         _finish_parse(p)
-    endow, swap_asset, strike = parse_endowment(p, model.d if model else 1, horizon)
-    solver = _solver_opts(cfg, args)
-    if steps_override:
-        solver["steps"] = steps_override
+    endow, swap_asset, strike = parse_endowment(p, model.d, horizon)
+    solver = _solver_opts(p, args)
     _finish_parse(p)
     try:
-        preset = make_preset(
-            "config", model, kind, gamma, horizon, steps=int(solver["steps"]),
+        return make_preset(
+            "config", model, kind, gamma, horizon, steps=solver["steps"],
             endow=endow if not swap_asset else None, swap_asset=swap_asset, strike=strike,
         )
-    except (RiccatiBlowUpError, BlowUpError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        raise
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
-    return preset, cfg
 
 
 def cmd_portfolio(cfg: dict, args) -> int:
-    try:
-        preset, _ = _build_preset(cfg, args)
-    except (RiccatiBlowUpError, BlowUpError):
-        return EXIT_NUMERICAL
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    solve = preset.solve
-    xs = [float(x) for x in cfg.get("x_values", [0.5, 1.0, 2.0])]
+    p = _Parser(cfg)
+    xs = p.numbers(cfg, "x_values", [0.5, 1.0, 2.0])
+    _finish_parse(p)
+    solve = _build_preset(cfg, args).solve
+    if solve.kind.endswith("power") and min(xs) < 0:
+        raise ConfigError(["'x_values' must be >= 0 for power utility"])
     out = {
         "kind": solve.kind,
         "gamma": solve.gamma,
@@ -514,24 +544,20 @@ def cmd_price(cfg: dict, args) -> int:
         o1 = p.matrix(numeraire, "o1", "numeraire", d=d)
         o2 = p.matrix(numeraire, "o2", "numeraire", d=d)
         o3 = p.matrix(numeraire, "o3", "numeraire", d=d)
-        x = float(cfg.get("x_values", [1.0])[0])
-        solver = _solver_opts(cfg, args)
+        x = p.numbers(cfg, "x_values", [1.0])[0]
+        solver = _solver_opts(p, args)
         _finish_parse(p)
         try:
             value = heston_power_numeraire_value(model, gamma, o1, o2, o3, horizon, x,
-                                                 steps=int(solver["steps"]))
+                                                 steps=solver["steps"])
         except ValueError as exc:
             raise ConfigError([str(exc)]) from exc
         write_json(os.path.join(args.out, "price.json"),
                    {"kind": "numeraire", "x": x, "price": value})
         print(f"price: numeraire value p({x:g}) = {value:.10g}")
         return EXIT_OK
-    _finish_parse(p)
-    try:
-        preset, _ = _build_preset(cfg, args)
-    except (RiccatiBlowUpError, BlowUpError):
-        return EXIT_NUMERICAL
-    solve = preset.solve
+    # _build_preset parses these sections again and reports their errors and warnings once
+    solve = _build_preset(cfg, args).solve
     price = 0.0 if solve.price is None else solve.price
     payload = {"kind": "variance_swap", "price": price}
     write_json(os.path.join(args.out, "price.json"), payload)
@@ -549,9 +575,7 @@ def _verify_transform(cfg: dict, args, p: _Parser) -> tuple[dict, bool]:
     model = parse_model(p)
     horizon = p.number(cfg, "horizon", "", positive=True)
     ver = cfg.get("verification", {})
-    n_paths = args.paths or int(ver.get("paths", 100000))
-    seed = args.seed if args.seed is not None else int(ver.get("seed", 0))
-    n_steps = args.steps or int(ver.get("steps", 500))
+    n_paths, seed, n_steps = _sampling_opts(p, "verification", args, paths=100000, steps=500)
     if isinstance(model, AffineParams):
         params, r0 = model, p.matrix(cfg.get("model", {}), "r0", "model", d=model.d, symmetric=True)
     elif isinstance(model, HestonModel):
@@ -588,11 +612,10 @@ def _verify_transform(cfg: dict, args, p: _Parser) -> tuple[dict, bool]:
 
 def _verify_martingale(cfg: dict, args, p: _Parser) -> tuple[dict, bool]:
     ver = cfg.get("verification", {})
-    n_paths = args.paths or int(ver.get("paths", 100000))
-    seed = args.seed if args.seed is not None else int(ver.get("seed", 0))
-    n_steps = args.steps or int(ver.get("steps", 500))
-    n_pert = int(ver.get("n_perturbed", 8))
-    preset, _ = _build_preset(cfg, args)
+    n_paths, seed, n_steps = _sampling_opts(p, "verification", args, paths=100000, steps=500)
+    n_pert = p.integer(ver, "n_perturbed", "verification", default=8)
+    _finish_parse(p)
+    preset = _build_preset(cfg, args)
     strategies = [preset.opt_strategy_grid(n_steps)]
     strategies += preset.perturbed_strategies(n_steps)[:n_pert]
     means, ses, l0 = preset.audit_strategies(strategies, n_paths=n_paths, seed=seed,
@@ -615,9 +638,10 @@ def _verify_martingale(cfg: dict, args, p: _Parser) -> tuple[dict, bool]:
 
 def _verify_drift_match(cfg: dict, args, p: _Parser) -> tuple[dict, bool]:
     ver = cfg.get("verification", {})
-    n_samples = int(ver.get("samples", 50))
-    seed = args.seed if args.seed is not None else int(ver.get("seed", 0))
-    preset, _ = _build_preset(cfg, args)
+    n_samples = p.integer(ver, "samples", "verification", default=50, minimum=1)
+    seed = args.seed if args.seed is not None else p.integer(ver, "seed", "verification", default=0)
+    _finish_parse(p)
+    preset = _build_preset(cfg, args)
     stats = bsde.drift_match_stats(preset.bsde_eval(), n_samples=n_samples, seed=seed)
     ok = stats["max_rel_residual"] <= 1e-6
     report = {"which": "drift-match", "samples": n_samples, "seed": seed,
@@ -632,21 +656,13 @@ def cmd_verify(cfg: dict, args) -> int:
     which = cfg.get("verification", {}).get("which")
     if which not in ("transform", "martingale", "drift-match"):
         p.fail("'verification.which' must be transform | martingale | drift-match")
-        try:
-            _finish_parse(p)
-        except ConfigError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    try:
-        if which == "transform":
-            report, ok = _verify_transform(cfg, args, p)
-        elif which == "martingale":
-            report, ok = _verify_martingale(cfg, args, p)
-        else:
-            report, ok = _verify_drift_match(cfg, args, p)
-    except (RiccatiBlowUpError, BlowUpError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        _finish_parse(p)
+    if which == "transform":
+        report, ok = _verify_transform(cfg, args, p)
+    elif which == "martingale":
+        report, ok = _verify_martingale(cfg, args, p)
+    else:
+        report, ok = _verify_drift_match(cfg, args, p)
     write_json(os.path.join(args.out, "verify.json"), report)
     print(f"verify[{which}]: {'PASS' if ok else 'FAIL'}")
     if which == "transform":
@@ -667,10 +683,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     _check_schema(p)
     model = parse_model(p)
     horizon = p.number(cfg, "horizon", "", positive=True)
-    sim = cfg.get("simulate", {})
-    n_paths = args.paths or int(sim.get("paths", 8))
-    seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
-    n_steps = args.steps or int(sim.get("steps", 100))
+    n_paths, seed, n_steps = _sampling_opts(p, "simulate", args, paths=8, steps=100)
     _finish_parse(p)
 
     if isinstance(model, HestonModel):
@@ -738,6 +751,9 @@ def main(argv=None) -> int:
         for e in exc.errors:
             print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except (RuntimeError, FloatingPointError) as exc:  # see the exit codes above
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -147,10 +147,6 @@ class EndowmentSpec:
         a[asset - 1, asset - 1] = 1.0 / horizon
         return cls(a=a, sigma=z, o1=z, o2=np.eye(d), strike=strike)
 
-    @property
-    def is_zero(self) -> bool:
-        return not (np.any(self.a) or np.any(self.sigma) or np.any(self.o1) or np.any(self.o2) or self.strike)
-
 
 @dataclass(frozen=True, eq=False)
 class UtilitySolveResult:
@@ -290,6 +286,9 @@ def _bns_solve(params: AffineParams, coeffs: GeneratorCoeffs, const_rhs: np.ndar
 
 # -- Heston power utility ----------------------------------------------------------------
 
+# Largest max-abs Gamma gap allowed between the block-exponential and RK routes.
+ROUTE_GAP_TOL = 1e-6
+
 
 def heston_power_solve(
     model: HestonModel,
@@ -298,7 +297,6 @@ def heston_power_solve(
     T: float,
     steps: int = 2000,
     cross_check: bool = True,
-    cross_check_tol: float = 1e-6,
     drift_match_samples: int = 20,
 ) -> UtilitySolveResult:
     """Maximal expected power utility of terminal wealth times exp(Tr(a O_T)).
@@ -306,8 +304,9 @@ def heston_power_solve(
     The opportunity exponent Gamma solves a constant-coefficient Riccati
     equation whose quadratic coefficient 2 alpha + 2 gamma/(1-gamma)
     S' rho rho' S is positive definite, so the block-matrix-exponential closed
-    form applies (alpha must be PD).  The Runge-Kutta route re-solves the same
-    equation and the two must agree to ``cross_check_tol``; the drift-match
+    form applies (alpha must be PD).  With ``cross_check`` the Runge-Kutta
+    route re-solves the same equation and the two Gamma trajectories must agree
+    to ``ROUTE_GAP_TOL`` (max abs gap, otherwise RuntimeError); the drift-match
     residual of the assembled BSDE solution is sampled into diagnostics.
 
     V(x) = (x^gamma / gamma) exp(Tr(Gamma(0) r0) + w(0)),
@@ -324,7 +323,7 @@ def heston_power_solve(
         rk = solve_rk(model.params, coeffs, np.zeros((model.d, model.d)), 0.0, T, steps=steps)
         gap = float(np.max(np.abs(rk.gammas - sol.gammas)))
         diagnostics["route_gap"] = gap
-        if gap > cross_check_tol:
+        if gap > ROUTE_GAP_TOL:
             raise RuntimeError(f"block-exponential and RK routes disagree (max gap {gap:.3e})")
     if drift_match_samples:
         ev = BsdeSolutionEval(riccati=sol, coeffs=coeffs, params=model.params)
@@ -830,7 +829,7 @@ def make_preset(
     swap_asset: int = 0,
     strike: float = 0.0,
 ) -> UtilityPreset:
-    """Solve a utility problem and package it for audits (CLI entry point)."""
+    """Solve a utility problem and package it for audits (shipped presets and the CLI)."""
     if isinstance(model, HestonModel):
         if utility_kind == "power":
             endow = endow or EndowmentSpec.zero(model.d)
@@ -856,54 +855,28 @@ def make_preset(
 
 
 def preset_heston_power(T: float = 1.0, steps: int = 2000) -> UtilityPreset:
-    model = _heston_model_d2()
-    gamma = 0.35
     endow = EndowmentSpec(
         a=np.array([[-0.25, 0.0], [0.0, -0.15]]),
         sigma=np.array([[0.3, 0.0], [0.0, 0.2]]),
         o1=np.array([[0.02, 0.0], [0.0, 0.015]]),
         o2=np.array([[0.04, 0.01], [0.01, 0.03]]),
     )
-    solve = heston_power_solve(model, gamma, endow, T, steps=steps)
-    return UtilityPreset(
-        name="heston-power-d2", kind="heston_power", gamma=gamma, horizon=T, solve=solve,
-        coeffs=heston_power_coeffs(model, gamma, endow), params=model.params, model=model,
-        endow=endow,
-    )
+    return make_preset("heston-power-d2", _heston_model_d2(), "power", 0.35, T, steps=steps,
+                       endow=endow)
 
 
 def preset_heston_exp(T: float = 1.0, steps: int = 2000) -> UtilityPreset:
-    model = _heston_model_d2()
-    gamma = 0.7
-    solve = heston_exp_solve(model, gamma, T, swap_asset=1, strike=0.2, steps=steps)
-    endow = EndowmentSpec.variance_swap(1, model.d, T, 0.2)
-    return UtilityPreset(
-        name="heston-exp-d2", kind="heston_exp", gamma=gamma, horizon=T, solve=solve,
-        coeffs=heston_exp_coeffs(model, gamma, endow.a), params=model.params, model=model,
-        endow=endow,
-    )
+    return make_preset("heston-exp-d2", _heston_model_d2(), "exponential", 0.7, T, steps=steps,
+                       swap_asset=1, strike=0.2)
 
 
 def preset_bns_power(T: float = 1.0, steps: int = 2000) -> UtilityPreset:
-    model = _bns_model_d2()
-    gamma = 0.3
-    solve = bns_power_solve(model, gamma, T, steps=steps)
-    return UtilityPreset(
-        name="bns-power-d2", kind="bns_power", gamma=gamma, horizon=T, solve=solve,
-        coeffs=bns_power_coeffs(model, gamma), params=model.spec.affine_params(), model=model,
-    )
+    return make_preset("bns-power-d2", _bns_model_d2(), "power", 0.3, T, steps=steps)
 
 
 def preset_bns_exp(T: float = 1.0, steps: int = 2000) -> UtilityPreset:
-    model = _bns_model_d2()
-    gamma = 0.8
-    solve = bns_exp_solve(model, gamma, T, swap_asset=1, strike=0.15, steps=steps)
-    endow = EndowmentSpec.variance_swap(1, model.d, T, 0.15)
-    return UtilityPreset(
-        name="bns-exp-d2", kind="bns_exp", gamma=gamma, horizon=T, solve=solve,
-        coeffs=bns_exp_coeffs(model, gamma, endow.a), params=model.spec.affine_params(),
-        model=model, endow=endow,
-    )
+    return make_preset("bns-exp-d2", _bns_model_d2(), "exponential", 0.8, T, steps=steps,
+                       swap_asset=1, strike=0.15)
 
 
 SHIPPED_PRESETS = {

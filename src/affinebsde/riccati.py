@@ -40,10 +40,8 @@ import numpy as np
 
 from .affine_model import AffineParams, BlowUpError, HFormDrift
 from .symcone import (
-    ConeClass,
     DimensionMismatchError,
     as_sym,
-    cone_classify,
     frobenius,
     mat_exp,
     symmetrize,
@@ -634,7 +632,6 @@ def solve_block_exp(
     coeffs: GeneratorCoeffs,
     T: float,
     steps: int = 2000,
-    y_shortcut: bool = False,
 ) -> RiccatiSolution:
     """Closed-form Riccati solution Gamma(t) = A_22(t)^{-1} A_21(t), terminal 0.
 
@@ -649,11 +646,6 @@ def solve_block_exp(
     A(t) = exp((T-t) M) and Gamma = A_22^{-1} A_21.  w is recovered by
     composite-Simpson quadrature of varpi along Gamma (integrating factor
     exp(c_y s) when c_y != 0).
-
-    With ``y_shortcut=True`` the quadrature-free shortcut based on
-    log||A_22(t)||_F is also evaluated and its discrepancy against the
-    quadrature is reported in ``diagnostics`` (experimental; the quadrature
-    value is always the one shipped in ``w``).
     """
     if not isinstance(params.drift, HFormDrift):
         raise ValueError("closed form requires an H-form linear drift")
@@ -684,13 +676,11 @@ def solve_block_exp(
     grid = np.linspace(0.0, T, steps + 1)
     gammas = np.empty((steps + 1, d, d))
     a22s = np.empty((steps + 1, d, d))
-    a22_norms = np.empty(steps + 1)
     acc = np.eye(2 * d)
     for k in range(steps, -1, -1):
         a21 = acc[d:, :d]
         a22 = acc[d:, d:]
         a22s[k] = a22
-        a22_norms[k] = float(np.linalg.norm(a22))
         svals = np.linalg.svd(a22, compute_uv=False)
         if svals[-1] <= 1e-13 * max(1.0, svals[0]):
             raise BlockExpSingularError(time=float(grid[k]))
@@ -710,20 +700,9 @@ def solve_block_exp(
         integral = simpson_cumulative_backward(scaled, h, 0.0)
         w = np.exp(-cy * grid) * integral
 
-    diagnostics: dict = {"steps": steps}
-    if y_shortcut:
-        c_inv_b = np.linalg.solve(q4, params.b)
-        w_short = (
-            -np.log(a22_norms) * float(np.trace(c_inv_b))
-            - (T - grid) * float(np.trace((ll + h_drift.T) @ c_inv_b))
-            + (T - grid) * (float(coeffs.c_t(0.0)) + float(np.trace(coeffs.a @ np.asarray(coeffs.o1(0.0)))))
-        )
-        diagnostics["y_shortcut_w"] = w_short
-        diagnostics["y_shortcut_max_discrepancy"] = float(np.max(np.abs(w_short - w)))
-
     return RiccatiSolution(
         grid=grid, gammas=gammas, w=w, terminal_u=np.zeros((d, d)), terminal_v=0.0,
-        method="BlockExp", diagnostics=diagnostics,
+        method="BlockExp", diagnostics={"steps": steps},
     )
 
 

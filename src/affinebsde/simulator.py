@@ -20,8 +20,7 @@ Engines
 Randomness: Philox4x64-10 counter-based bit generator, one stream per fixed
 block of ``STREAM_BLOCK`` path indices with key (seed, block start).  Partial
 final blocks draw the whole block, step only the used paths, so increasing the
-path count never changes earlier paths (the weak-error study steps whole blocks
-and truncates).  Path generation parallelizes over blocks
+path count never changes earlier paths.  Path generation parallelizes over blocks
 (``threads``); per-block results are reduced in block order, which keeps every
 output bit-identical regardless of the thread count.
 """
@@ -29,7 +28,7 @@ output bit-identical regardless of the thread count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -38,7 +37,6 @@ from .affine_model import AffineParams, ConstantJumps, HFormDrift, LinearDrift
 from .riccati import TimeFn
 from .symcone import (
     as_sym,
-    frobenius,
     mat_exp,
     project_and_sqrt_psd_batch,
     symmetrize,
@@ -440,7 +438,6 @@ def heston_functionals(
     o_sigma=None,
     o1=None,
     o2=None,
-    antithetic: bool = False,
     threads: int = 1,
 ) -> PathFunctionals:
     """Vectorized terminal functionals of the continuous model (no trajectory storage)."""
@@ -463,7 +460,6 @@ def heston_functionals(
     def worker(start, count):
         g = _block_rng(seed, start)
         b = STREAM_BLOCK  # draws always consume full blocks; only the used paths are stepped
-        half = b // 2
         r = np.broadcast_to(r0, (count, d, d)).copy()
         r, sr, _ = project_and_sqrt_psd_batch(r)
         i_dn = np.zeros((count, n_strat))
@@ -471,19 +467,10 @@ def heston_functionals(
         o = np.zeros((count, d, d))
         n_proj = 0
         for k in range(n_steps):
-            if antithetic:
-                zw = g.standard_normal((half, d, d))
-                zd = g.standard_normal((half, d))
-                dw = np.concatenate([zw, -zw])[:count] * sdt
-                dd = np.concatenate([zd, -zd])[:count] * sdt
-                if need_qhat:
-                    zq = g.standard_normal((half, d, d))
-                    dqh = np.concatenate([zq, -zq])[:count] * sdt
-            else:
-                dw = g.standard_normal((b, d, d))[:count] * sdt
-                dd = g.standard_normal((b, d))[:count] * sdt
-                if need_qhat:
-                    dqh = g.standard_normal((b, d, d))[:count] * sdt
+            dw = g.standard_normal((b, d, d))[:count] * sdt
+            dd = g.standard_normal((b, d))[:count] * sdt
+            if need_qhat:
+                dqh = g.standard_normal((b, d, d))[:count] * sdt
             dq = dw @ corr.rho + corr.orth * dd
             dn = (r @ eta) * dt + np.einsum("bij,bj->bi", sr, dq)
             pk = pis[:, k, :]
@@ -733,14 +720,14 @@ def wishart_weak_errors(
 
     def worker_general(start, count):
         g = _block_rng(seed, start)
-        b = STREAM_BLOCK
+        b = STREAM_BLOCK  # draws always consume full blocks; only the used paths are stepped
         states = {}
         for s in steps_list:
-            r = np.broadcast_to(r0, (b, d, d)).copy()
+            r = np.broadcast_to(r0, (count, d, d)).copy()
             states[s] = project_and_sqrt_psd_batch(r)[:2]
-        acc = {s: np.zeros((b, d, d)) for s in steps_list}
+        acc = {s: np.zeros((count, d, d)) for s in steps_list}
         for k in range(n_fine):
-            dw = g.standard_normal((b, d, d)) * sdt
+            dw = g.standard_normal((b, d, d))[:count] * sdt
             for s in steps_list:
                 acc[s] += dw
                 if (k + 1) % strides[s] == 0:
@@ -750,24 +737,24 @@ def wishart_weak_errors(
                     r = _euler_update(r, params, dt, m)
                     states[s] = project_and_sqrt_psd_batch(r)[:2]
                     acc[s][:] = 0.0
-        return {s: np.exp(-np.einsum("ij,bij->b", ua, states[s][0]))[:count] for s in steps_list}
+        return {s: np.exp(-np.einsum("ij,bij->b", ua, states[s][0])) for s in steps_list}
 
     def worker_2x2(start, count):
         g = _block_rng(seed, start)
-        b = STREAM_BLOCK
+        b = STREAM_BLOCK  # draws always consume full blocks; only the used paths are stepped
         h = params.drift.h
         h00, h01, h10, h11 = h[0, 0], h[0, 1], h[1, 0], h[1, 1]
         g00, g01, g10, g11 = sg[0, 0], sg[0, 1], sg[1, 0], sg[1, 1]
         b00, b01, b11 = params.b[0, 0], params.b[0, 1], params.b[1, 1]
         states = {}
         for s in steps_list:
-            a0 = np.full(b, r0[0, 0])
-            bb0 = np.full(b, r0[0, 1])
-            c0 = np.full(b, r0[1, 1])
+            a0 = np.full(count, r0[0, 0])
+            bb0 = np.full(count, r0[0, 1])
+            c0 = np.full(count, r0[1, 1])
             states[s] = _proj_sqrt_components_2x2(a0, bb0, c0)
-        acc = {s: np.zeros((b, 4)) for s in steps_list}
+        acc = {s: np.zeros((count, 4)) for s in steps_list}
         for k in range(n_fine):
-            dw = g.standard_normal((b, 2, 2)).reshape(b, 4) * sdt
+            dw = g.standard_normal((b, 2, 2)).reshape(b, 4)[:count] * sdt
             for s in steps_list:
                 acc[s] += dw
                 if (k + 1) % strides[s] == 0:
@@ -795,7 +782,7 @@ def wishart_weak_errors(
         out = {}
         for s in steps_list:
             pa, pb, pc, _, _, _ = states[s]
-            out[s] = np.exp(-(ua[0, 0] * pa + 2.0 * ua[0, 1] * pb + ua[1, 1] * pc))[:count]
+            out[s] = np.exp(-(ua[0, 0] * pa + 2.0 * ua[0, 1] * pb + ua[1, 1] * pc))
         return out
 
     worker = worker_2x2 if fast2 else worker_general
@@ -803,7 +790,7 @@ def wishart_weak_errors(
     out = {}
     vals = {}
     for s in steps_list:
-        vals[s] = np.concatenate([r[s] for r in results])[:n_paths]
+        vals[s] = np.concatenate([r[s] for r in results])
         m, se = mean_stderr(vals[s])
         out[s] = {"mean": float(m), "stderr": float(se), "abs_error": abs(float(m) - exact_value)}
     diffs = []

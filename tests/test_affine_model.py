@@ -9,9 +9,6 @@ from affinebsde.affine_model import (
     GeneralFormDrift,
     HFormDrift,
     LinearJumps,
-    apply_B,
-    apply_Bstar,
-    kernel_M_weight,
     solve_transform,
     transform_rhs_F,
     transform_rhs_R,
@@ -45,10 +42,10 @@ class TestTruncation:
 class TestDriftMaps:
     def test_hform_identity(self, rng):
         x = rand_sym(rng, 3)
-        assert np.allclose(apply_B(HFormDrift(np.eye(3)), x), 2.0 * x)
+        assert np.allclose(HFormDrift(np.eye(3)).apply(x), 2.0 * x)
 
     def test_hform_zero(self, rng):
-        assert np.allclose(apply_B(HFormDrift(np.zeros((2, 2))), rand_sym(rng, 2)), 0.0)
+        assert np.allclose(HFormDrift(np.zeros((2, 2))).apply(rand_sym(rng, 2)), 0.0)
 
     def test_general_form_matches_double_sum(self, rng):
         d = 3
@@ -66,8 +63,8 @@ class TestDriftMaps:
             for drift in drifts:
                 for _ in range(50):
                     x, u = rand_sym(rng, d), rand_sym(rng, d)
-                    lhs = trace_inner(apply_B(drift, x), u)
-                    rhs = trace_inner(x, apply_Bstar(drift, u))
+                    lhs = trace_inner(drift.apply(x), u)
+                    rhs = trace_inner(x, drift.adjoint(u))
                     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
     def test_bstar_single_beta_block(self):
@@ -84,12 +81,12 @@ class TestDriftMaps:
 class TestKernelWeight:
     def test_zero_state(self):
         mu = LinearJumps.from_atoms([(np.eye(2), np.eye(2))])
-        assert kernel_M_weight(mu, np.zeros((2, 2)), 0) == 0.0
+        assert mu.kernel_weights(np.zeros((2, 2)))[0] == 0.0
 
     def test_identity_case(self):
         # ||xi|| >= 1 so the denominator saturates at 1; Tr(I U)=d
         mu = LinearJumps.from_atoms([(np.eye(2), np.eye(2))])
-        assert kernel_M_weight(mu, np.eye(2), 0) == pytest.approx(2.0)
+        assert mu.kernel_weights(np.eye(2))[0] == pytest.approx(2.0)
 
     def test_matches_formula(self, rng):
         xi = rand_psd(rng, 2, ridge=0.05)
@@ -97,7 +94,7 @@ class TestKernelWeight:
         mu = LinearJumps.from_atoms([(xi, u_mat)])
         x = rand_psd(rng, 2)
         expected = trace_inner(x, u_mat) / min(frobenius(xi) ** 2, 1.0)
-        assert kernel_M_weight(mu, x, 0) == pytest.approx(expected, rel=1e-12)
+        assert mu.kernel_weights(x)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def jump_params(rng, d=2):
@@ -133,7 +130,7 @@ class TestTransformRhs:
             f_oracle -= params.m.weights[k] * (np.exp(-trace_inner(u, params.m.xis[k])) - 1.0)
         assert transform_rhs_F(params, u) == pytest.approx(f_oracle, rel=1e-12)
 
-        r_oracle = -2.0 * u @ params.alpha @ u + apply_Bstar(params.drift, u)
+        r_oracle = -2.0 * u @ params.alpha @ u + params.drift.adjoint(u)
         for k in range(params.mu.n):
             xi, umat = params.mu.xis[k], params.mu.us[k]
             den = min(frobenius(xi) ** 2, 1.0)

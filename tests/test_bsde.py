@@ -3,14 +3,12 @@ import pytest
 
 from affinebsde.affine_model import AffineParams, ConstantJumps, HFormDrift, LinearJumps
 from affinebsde.bsde import (
-    AuditResult,
     BsdeSolutionEval,
     classify_ratio,
     drift_match_residual,
     drift_match_stats,
     eval_generator,
     eval_solution,
-    martingale_audit,
     orient_ratio,
 )
 from affinebsde.portfolio import (
@@ -251,7 +249,8 @@ class TestMartingaleAudit:
             r0=np.array([[0.32, 0.04], [0.04, 0.26]]),
         )
         preset = make_preset("zero-market", model, "power", 0.5, 1.0, steps=100)
-        res = martingale_audit(preset, np.zeros(2), n_paths=512, seed=1, n_steps=20)
-        assert res.ratio == 1.0
-        assert res.stderr == 0.0
-        assert res.is_martingale
+        means, ses, l0 = preset.audit_strategies([np.zeros(2)], n_paths=512, seed=1, n_steps=20)
+        ratio, se = orient_ratio(float(means[0]), float(ses[0]), l0)
+        assert ratio == 1.0
+        assert se == 0.0
+        assert classify_ratio(ratio, se) == "MARTINGALE"

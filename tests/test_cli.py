@@ -336,3 +336,142 @@ class TestFormatAndThreads:
         m2, s2, _ = preset.audit_strategies(strategies, n_paths=20000, seed=3, n_steps=40,
                                             threads=4)
         assert np.array_equal(m1, m2) and np.array_equal(s1, s2)
+
+
+def bns_config(**overrides):
+    cfg = {
+        "schema_version": 1,
+        "model": {
+            "kind": "bns",
+            "lambda0": [[0.09, 0.01], [0.01, 0.07]],
+            "drift_h": [[-0.6, 0.05], [0.0, -0.45]],
+            "b_jump": [[0.02, 0.0], [0.0, 0.015]],
+            "atoms": [{"xi": [[0.12, 0.03], [0.03, 0.08]], "weight": 1.1}],
+            "eta": [0.6, 0.35],
+            "r0": [[0.3, 0.03], [0.03, 0.22]],
+        },
+        "horizon": 1.0,
+        "utility": {"kind": "exponential", "gamma": 0.8},
+        "endowment": {"variance_swap": {"asset": 1, "strike": 0.15}},
+        "solver": {"steps": 200},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def swap_config(**overrides):
+    cfg = heston_config(utility={"kind": "exponential", "gamma": 0.7},
+                        endowment={"variance_swap": {"asset": 1, "strike": 0.2}})
+    cfg.update(overrides)
+    return cfg
+
+
+def numeraire_config(drift_scale=1.0):
+    cfg = heston_config()
+    cfg["model"]["drift_h"] = (drift_scale * np.array(cfg["model"]["drift_h"])).tolist()
+    cfg["numeraire"] = {"o1": [[0.02, 0.0], [0.0, 0.015]], "o2": [[0.04, 0.0], [0.0, 0.03]],
+                        "o3": [[0.025, 0.0], [0.0, 0.02]]}
+    return cfg
+
+
+def with_section(cfg, section, **fields):
+    cfg[section] = dict(cfg.get(section, {}), **fields)
+    return cfg
+
+
+class TestExitCodes:
+    """Every rejected input exits 2 or 3 with one line on stderr and no traceback."""
+
+    def run_failing(self, tmp_path, capsys, command, cfg, expected):
+        out = tmp_path / "out"
+        rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == expected
+        assert "Traceback" not in err
+        prefix = "configuration error:" if expected == EXIT_CONFIG else "numerical failure:"
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), err
+        return lines[0]
+
+    @pytest.mark.parametrize("command, cfg", [
+        # no model could be parsed: parsing used to carry on with model = None
+        pytest.param("verify", with_section(heston_config(model={"kind": "nope"}), "verification",
+                                            which="transform"), id="verify-model-kind"),
+        # the variance-swap weight divides by the horizon
+        pytest.param("portfolio", swap_config(horizon=0), id="portfolio-swap-horizon-0"),
+        pytest.param("verify", with_section(swap_config(horizon=0), "verification",
+                                            which="drift-match"), id="verify-swap-horizon-0"),
+        # integer and number fields
+        pytest.param("portfolio", swap_config(endowment={"variance_swap": {"asset": "first"}}),
+                     id="swap-asset-string"),
+        pytest.param("portfolio", swap_config(endowment={"variance_swap": {"asset": 1.5}}),
+                     id="swap-asset-fraction"),
+        pytest.param("verify", with_section(heston_config(), "verification", which="transform",
+                                            seed="x"), id="verification-seed"),
+        pytest.param("verify", with_section(heston_config(), "verification", which="transform",
+                                            paths=0), id="verification-paths"),
+        pytest.param("verify", with_section(heston_config(), "verification", which="transform",
+                                            steps=None), id="verification-steps"),
+        pytest.param("verify", with_section(heston_config(), "verification", which="martingale",
+                                            n_perturbed=-1), id="verification-n-perturbed"),
+        pytest.param("verify", with_section(heston_config(), "verification", which="drift-match",
+                                            samples=[50]), id="verification-samples"),
+        pytest.param("verify", with_section(heston_config(), "verification", which="drift-match",
+                                            seed=1e400), id="drift-match-seed-inf"),
+        pytest.param("simulate", with_section(heston_config(), "simulate", paths="many"),
+                     id="simulate-paths"),
+        pytest.param("simulate", with_section(heston_config(), "simulate", seed=-1),
+                     id="simulate-seed"),
+        pytest.param("portfolio", with_section(heston_config(), "solver", steps=2.5),
+                     id="solver-steps-fraction"),
+        pytest.param("riccati-solve", with_section(riccati_1d_degenerate_config(), "solver",
+                                                   steps="300"), id="solver-steps-string"),
+        pytest.param("riccati-solve", with_section(riccati_1d_degenerate_config(), "solver",
+                                                   blowup_norm=-1.0), id="solver-blowup-norm"),
+        # number lists
+        pytest.param("portfolio", heston_config(x_values=["one"]), id="x-values-string"),
+        pytest.param("portfolio", heston_config(x_values=[]), id="x-values-empty"),
+        pytest.param("price", dict(numeraire_config(), x_values=[float("nan")]), id="x-values-nan"),
+        # power utility has no value at negative wealth
+        pytest.param("portfolio", heston_config(x_values=[-1.0]), id="x-values-negative-power"),
+        # a solver the riccati-solve command does not have
+        pytest.param("riccati-solve", with_section(riccati_1d_degenerate_config(), "solver",
+                                                   method="euler"), id="solver-method"),
+    ])
+    def test_config_errors_exit_2(self, tmp_path, capsys, command, cfg):
+        self.run_failing(tmp_path, capsys, command, cfg, EXIT_CONFIG)
+        assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+
+    def test_block_exp_on_general_drift_is_config_error(self, tmp_path, capsys):
+        cfg = riccati_1d_degenerate_config()
+        cfg["model"]["drift"] = {"betas": [[[[0.5]]]]}
+        cfg["solver"] = {"steps": 100, "method": "block-exp"}
+        line = self.run_failing(tmp_path, capsys, "riccati-solve", cfg, EXIT_CONFIG)
+        assert "H-form" in line
+
+    @pytest.mark.parametrize("drift_scale, message", [
+        (-100.0, "trajectory norm"),  # RiccatiBlowUpError
+        (1000.0, "A_22 singular"),  # BlockExpSingularError
+    ])
+    def test_numeraire_price_numerical_failure(self, tmp_path, capsys, drift_scale, message):
+        line = self.run_failing(tmp_path, capsys, "price", numeraire_config(drift_scale),
+                                EXIT_NUMERICAL)
+        assert message in line
+
+    def test_non_finite_varpi_is_numerical_failure(self, tmp_path, capsys):
+        cfg = bns_config(verification={"which": "drift-match", "samples": 5})
+        cfg["model"]["eta"] = [6000.0, 3500.0]
+        line = self.run_failing(tmp_path, capsys, "verify", cfg, EXIT_NUMERICAL)
+        assert "varpi" in line
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("command", ["portfolio", "price"])
+    def test_symmetrization_warning_printed_once(self, tmp_path, capsys, command):
+        cfg = swap_config()
+        cfg["model"]["alpha"] = [[0.0493, 0.0121], [0.012, 0.0333]]
+        rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "warning: symmetrized 'model.alpha' (asymmetry 1.000e-04)"
+        ]

@@ -6,7 +6,6 @@ from affinebsde.affine_model import (
     ConstantJumps,
     HFormDrift,
     LinearJumps,
-    apply_Bstar,
     truncation,
 )
 from affinebsde.portfolio import (
@@ -46,7 +45,7 @@ def theta_oracle(params, coeffs, t, u):
     out = 4.0 * u @ s.T @ np.asarray(coeffs.c_zz(t)) @ s @ u
     ll = 0.5 * float(coeffs.c_y(t)) * np.eye(d) + np.asarray(coeffs.c_zsqrtx(t)).T @ s
     ll = ll + sta @ np.asarray(coeffs.c_hzz(t)) @ s
-    out = out + ll @ u + u @ ll.T + apply_Bstar(params.drift, u)
+    out = out + ll @ u + u @ ll.T + params.drift.adjoint(u)
     out = out + np.asarray(coeffs.c_x(t)) + sta @ np.asarray(coeffs.c_hzhz(t)) @ sta.T
     out = out + sta @ np.asarray(coeffs.c_hzsqrtx(t)) + coeffs.a @ np.asarray(coeffs.o2(t))
     for k in range(params.mu.n):
@@ -303,16 +302,6 @@ class TestBlockExp:
         short = solve_block_exp(params, coeffs, 0.25, steps=500)
         ref = solve_rk(params, coeffs, np.zeros((1, 1)), 0.0, 0.25, steps=500)
         assert np.max(np.abs(short.gammas - ref.gammas)) <= 1e-8
-
-    def test_y_shortcut_reported_not_reconciled(self):
-        model = _heston_model_d2()
-        coeffs = heston_power_coeffs(
-            model, 0.35,
-            EndowmentSpec.zero(2),
-        )
-        sol = solve_block_exp(model.params, coeffs, 1.0, steps=200, y_shortcut=True)
-        assert "y_shortcut_w" in sol.diagnostics
-        assert np.isfinite(sol.diagnostics["y_shortcut_max_discrepancy"])
 
     def test_csv_export_shape(self, tmp_path):
         model = _heston_model_d2()

@@ -76,16 +76,14 @@ class TestReplay:
                 assert a.shape == b.shape
                 assert np.array_equal(a.view(np.int64), b.view(np.int64)), f
 
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_heston_functionals_prefix_across_stream_blocks(self, antithetic):
+    def test_heston_functionals_prefix_across_stream_blocks(self):
         params = small_wishart()
         corr = CorrelationSpec(np.array([-0.4, -0.2]))
         pis = np.array([[0.5, 0.2], [-0.3, 0.4], [1.5, -1.0]])
         counts = (100, STREAM_BLOCK, STREAM_BLOCK + 100)
         runs = [
             heston_functionals(params, R0, corr, np.array([0.6, 0.3]), 1.0, 4, pis, n, seed=13,
-                               o_sigma=0.3 * np.eye(2), o1=0.02 * np.eye(2), o2=0.05 * np.eye(2),
-                               antithetic=antithetic)
+                               o_sigma=0.3 * np.eye(2), o1=0.02 * np.eye(2), o2=0.05 * np.eye(2))
             for n in counts
         ]
         self.assert_functionals_prefix_invariant(runs)
@@ -183,20 +181,6 @@ class TestWishartStatistics:
                                 1.0, 500, np.zeros((1, 2)), 16384, seed=13)
         assert fn.projection_fraction <= 0.01
 
-    def test_antithetic_halves_variance(self):
-        params = small_wishart()
-        corr = CorrelationSpec(np.array([-0.4, -0.2]))
-        eta = np.array([0.6, 0.3])
-        pis = np.array([[1.0, 0.0]])
-        plain = heston_functionals(params, R0, corr, eta, 1.0, 120, pis, 16384, seed=21)
-        anti = heston_functionals(params, R0, corr, eta, 1.0, 120, pis, 16384, seed=21,
-                                  antithetic=True)
-        half = 8192
-        paired = 0.5 * (anti.int_pi_dn[:half, 0] + anti.int_pi_dn[half:, 0])
-        var_plain = np.var(plain.int_pi_dn[:, 0]) / plain.int_pi_dn.shape[0]
-        var_anti = np.var(paired) / half
-        assert var_plain / var_anti >= 1.5
-
     def test_weak_error_fast_path_matches_general(self):
         params = small_wishart()
         u = 0.5 * np.eye(2)
@@ -206,6 +190,23 @@ class TestWishartStatistics:
                                   force_general=True)
         assert fast[50]["mean"] == pytest.approx(gen[50]["mean"], abs=1e-13)
         assert fast[100]["mean"] == pytest.approx(gen[100]["mean"], abs=1e-13)
+
+    @pytest.mark.parametrize("force_general", [False, True])
+    def test_weak_error_steps_only_used_paths(self, monkeypatch, force_general):
+        from affinebsde import simulator
+
+        name = "project_and_sqrt_psd_batch" if force_general else "_proj_sqrt_components_2x2"
+        clamp = getattr(simulator, name)
+        batch_sizes = set()
+
+        def spy(*arrays):
+            batch_sizes.add(arrays[0].shape[0])
+            return clamp(*arrays)
+
+        monkeypatch.setattr(simulator, name, spy)
+        wishart_weak_errors(small_wishart(), R0, 0.5 * np.eye(2), 1.0, [2, 4], 100, 3, 1.0,
+                            force_general=force_general)
+        assert batch_sizes == {100}
 
 
 def bns_spec_d2():
