@@ -14,7 +14,8 @@ The module also evaluates the log-Laplace-transform ODE right-hand sides
     R(u) = -2 u alpha u + B*(u)
            - sum_k (exp(-Tr(u xi_k)) - 1 + Tr(chi(xi_k) u)) / (||xi_k||^2 ^ 1) * U_k
 
-and integrates them (RK4) so that E[exp(-Tr(X_t u))] = exp(-phi - Tr(psi X_0)).
+and integrates them on the fixed-step RK4 kernel of :mod:`affinebsde.riccati`
+so that E[exp(-Tr(X_t u))] = exp(-phi - Tr(psi X_0)).
 """
 
 from __future__ import annotations
@@ -354,38 +355,29 @@ def solve_transform(
 ) -> TransformSolution:
     """Integrate d(psi)/ds = R(psi), psi(0)=u0 and d(phi)/ds = F(psi), phi(0)=0.
 
-    Classic RK4 on the joint state.  psi is expected to stay PSD for PSD u0;
-    violations are *reported* via ``psd_violation`` (most negative eigenvalue
-    observed), never repaired.
+    Classic RK4 on the joint state (the Riccati solvers' kernel, phi in the w
+    slot).  psi is expected to stay PSD for PSD u0; violations are *reported*
+    via ``psd_violation`` (most negative eigenvalue at the knots), never repaired.
     """
+    from .riccati import _rk4_fixed  # riccati imports this module
+
     if t < 0:
         raise ValueError("t must be >= 0")
     psi = symmetrize(as_sym(u0)).copy()
-    phi = 0.0
     if t == 0.0:
         return TransformSolution(phi=0.0, psi=psi, t=0.0, steps=0, psd_violation=0.0)
+
+    def rhs(s, p, phi):
+        return transform_rhs_R(params, p), transform_rhs_F(params, p)
+
     h = t / steps
-    worst = 0.0
-    for k in range(steps):
-        k1 = transform_rhs_R(params, psi)
-        f1 = transform_rhs_F(params, psi)
-        p2 = symmetrize(psi + 0.5 * h * k1)
-        k2 = transform_rhs_R(params, p2)
-        f2 = transform_rhs_F(params, p2)
-        p3 = symmetrize(psi + 0.5 * h * k2)
-        k3 = transform_rhs_R(params, p3)
-        f3 = transform_rhs_F(params, p3)
-        p4 = symmetrize(psi + h * k3)
-        k4 = transform_rhs_R(params, p4)
-        f4 = transform_rhs_F(params, p4)
-        psi = symmetrize(psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        phi += (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        nrm = frobenius(psi)
-        if not np.isfinite(nrm) or nrm > blowup_norm:
-            raise BlowUpError(time=(k + 1) * h, norm=nrm, bound=blowup_norm)
-        lmin = float(np.linalg.eigvalsh(psi)[0])
-        worst = min(worst, lmin)
-    return TransformSolution(phi=phi, psi=psi, t=t, steps=steps, psd_violation=worst)
+    try:
+        _, psis, phis = _rk4_fixed(rhs, psi, 0.0, t, steps, blowup_norm)
+    except BlowUpError as exc:  # the kernel reports the backward time t - s; s is a whole step
+        s = round((t - exc.time) / h) * h
+        raise BlowUpError(time=s, norm=exc.norm, bound=exc.bound) from None
+    worst = min(0.0, float(np.linalg.eigvalsh(psis[1:])[:, 0].min()))
+    return TransformSolution(phi=float(phis[-1]), psi=psis[-1], t=t, steps=steps, psd_violation=worst)
 
 
 # -- admissibility validation ------------------------------------------------------

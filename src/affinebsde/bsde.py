@@ -29,6 +29,7 @@ shipped presets satisfy this; ``BsdeSolutionEval`` enforces it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -226,12 +227,24 @@ def orient_ratio(mean_lt: float, se_lt: float, l0: float) -> tuple[float, float]
     The ratio is E[L_T]/L_0 when L_0 > 0 and L_0/E[L_T] when L_0 < 0, so the
     supermartingale bound always reads ratio <= 1 and a martingale gives
     ratio = 1.  The returned standard error is the delta-method standard
-    error of the oriented ratio.
+    error of the oriented ratio.  A non-finite sample, E[L_T] = 0 with
+    L_0 < 0, or a non-finite result raises FloatingPointError.
     """
+    if not (math.isfinite(mean_lt) and math.isfinite(se_lt)):
+        raise FloatingPointError(f"E[L_T] estimate is not finite (mean {mean_lt}, stderr {se_lt})")
     if l0 > 0:
-        return mean_lt / l0, se_lt / abs(l0)
-    ratio = l0 / mean_lt
-    return ratio, se_lt * abs(l0) / mean_lt**2
+        ratio, se = mean_lt / l0, se_lt / abs(l0)
+    elif mean_lt == 0.0:
+        raise FloatingPointError("E[L_T] = 0 with L_0 < 0: the ratio L_0/E[L_T] is undefined")
+    else:
+        ratio = l0 / mean_lt
+        try:
+            se = se_lt * abs(l0) / mean_lt**2
+        except (OverflowError, ZeroDivisionError):  # E[L_T]^2 out of float range
+            se = math.inf
+    if not (math.isfinite(ratio) and math.isfinite(se)):
+        raise FloatingPointError(f"oriented ratio is not finite (ratio {ratio}, stderr {se})")
+    return ratio, se
 
 
 def classify_ratio(ratio: float, se: float) -> str:

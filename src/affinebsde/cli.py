@@ -12,8 +12,9 @@ simulate        dump simulated paths to CSV
 Flags: --config PATH, --out DIR, --seed N, --paths N, --steps N, --threads N,
 --format {csv,json}.  Exit codes: 0 pass, 2 configuration error, 3 numerical
 failure (blow-up, singular block exponential, route cross-check, non-finite
-theta/varpi), 4 verification FAIL.  Errors are mapped to exit codes once, in
-``main``, with one stderr line per error and no traceback.
+theta/varpi, non-finite shipped values, failed linear algebra), 4 verification
+FAIL.  Errors are mapped to exit codes once, in ``main``, with one stderr line
+per error and no traceback.
 
 Configuration schema (version 1)
 --------------------------------
@@ -49,6 +50,7 @@ produce byte-identical payloads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -158,11 +160,23 @@ class _Parser:
     def fail(self, msg: str) -> None:
         self.errors.append(msg)
 
-    def require(self, section: dict, key: str, path: str):
-        if key not in section:
-            self.fail(f"missing '{path}.{key}'" if path else f"missing '{key}'")
+    def section(self, key: str, within=None, path: str = "", required: bool = False):
+        """The JSON object at ``key`` of ``within`` (the top level by default).
+
+        An absent optional section reads as {}; a missing required section or
+        a value that is not an object records an error and returns None.
+        """
+        src = self.cfg if within is None else within
+        name = f"{path}.{key}" if path else key
+        if key not in src:
+            if required:
+                self.fail(f"missing '{name}'")
+                return None
+            return {}
+        if not isinstance(src[key], dict):
+            self.fail(f"'{name}' must be an object")
             return None
-        return section[key]
+        return src[key]
 
     def number(self, section, key, path, default=None, positive=False):
         if key not in section:
@@ -246,7 +260,7 @@ def load_config(path: str) -> dict:
 
 def parse_model(p: _Parser):
     """The configured model; raises ConfigError when none can be built."""
-    cfg = p.require(p.cfg, "model", "")
+    cfg = p.section("model", required=True)
     if cfg is None:
         _finish_parse(p)
     kind = cfg.get("kind")
@@ -295,7 +309,7 @@ def parse_model(p: _Parser):
             )
         alpha = p.matrix(cfg, "alpha", "model", symmetric=True)
         d = alpha.shape[0]
-        drift_cfg = cfg.get("drift", {})
+        drift_cfg = p.section("drift", cfg, "model") or {}
         if "h" in drift_cfg:
             drift = HFormDrift(p.matrix(drift_cfg, "h", "model.drift", d=d))
         elif "betas" in drift_cfg:
@@ -332,7 +346,7 @@ def parse_model(p: _Parser):
 
 
 def parse_generator(p: _Parser, d: int) -> GeneratorCoeffs:
-    cfg = p.cfg.get("generator", {})
+    cfg = p.section("generator") or {}
     kw = {}
     for key in ("c_zz", "c_zsqrtx", "c_x", "c_hzhz", "c_hzz", "c_hzsqrtx", "a", "sigma", "o1", "o2"):
         if key in cfg:
@@ -348,11 +362,11 @@ def parse_generator(p: _Parser, d: int) -> GeneratorCoeffs:
 
 
 def parse_endowment(p: _Parser, d: int, horizon: float):
-    cfg = p.cfg.get("endowment")
-    if cfg is None:
+    cfg = p.section("endowment")
+    if not cfg:
         return EndowmentSpec.zero(d), 0, 0.0
     if "variance_swap" in cfg:
-        vs = cfg["variance_swap"]
+        vs = p.section("variance_swap", cfg, "endowment") or {}
         asset = p.integer(vs, "asset", "endowment.variance_swap", default=0)
         strike = p.number(vs, "strike", "endowment.variance_swap", default=0.0)
         if asset > d:
@@ -384,11 +398,33 @@ def _check_schema(p: _Parser):
         p.fail(f"schema_version must be {SCHEMA_VERSION}, got {v!r}")
 
 
+@contextlib.contextmanager
+def _solver_hypotheses():
+    """A ValueError from a solver means the model misses its hypotheses: a ConfigError.
+
+    numpy's LinAlgError subclasses ValueError but is a numerical failure, so it
+    passes through to ``main``.
+    """
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from exc
+
+
+def _require_finite(name: str, values) -> None:
+    """Raise FloatingPointError, before any artifact is written, on a non-finite value."""
+    for v in values:
+        if v is not None and not math.isfinite(v):
+            raise FloatingPointError(f"{name} is not finite ({v})")
+
+
 # -- commands ---------------------------------------------------------------------------
 
 
 def _solver_opts(p: _Parser, args) -> dict:
-    solver = p.cfg.get("solver", {})
+    solver = p.section("solver") or {}
     return {
         "steps": args.steps or p.integer(solver, "steps", "solver", default=2000, minimum=1),
         "method": solver.get("method", "rk4"),
@@ -399,7 +435,7 @@ def _solver_opts(p: _Parser, args) -> dict:
 
 def _sampling_opts(p: _Parser, section: str, args, paths: int, steps: int) -> tuple[int, int, int]:
     """(paths, seed, steps) of a Monte Carlo section; the command-line flags win."""
-    cfg = p.cfg.get(section, {})
+    cfg = p.section(section) or {}
     return (
         args.paths or p.integer(cfg, "paths", section, default=paths, minimum=1),
         args.seed if args.seed is not None else p.integer(cfg, "seed", section, default=0),
@@ -416,7 +452,7 @@ def cmd_riccati_solve(cfg: dict, args) -> int:
         p.fail("riccati-solve requires model.kind = raw-affine")
         _finish_parse(p)
     coeffs = parse_generator(p, model.d)
-    term = cfg.get("terminal", {})
+    term = p.section("terminal") or {}
     u = p.matrix(term, "u", "terminal", d=model.d, symmetric=True, default=np.zeros((model.d, model.d)))
     v = p.number(term, "v", "terminal", default=0.0)
     solver = _solver_opts(p, args)
@@ -424,13 +460,12 @@ def cmd_riccati_solve(cfg: dict, args) -> int:
 
     summary = {"method": solver["method"], "horizon": horizon, "blow_up": None}
     try:
-        if solver["method"] == "block-exp":
-            sol = solve_block_exp(model, coeffs, horizon, steps=solver["steps"])
-        else:
-            sol = solve_rk(model, coeffs, u, v, horizon, steps=solver["steps"],
-                           method=solver["method"], blowup_norm=solver["blowup_norm"])
-    except ValueError as exc:  # the model does not meet the chosen solver's hypotheses
-        raise ConfigError([str(exc)]) from exc
+        with _solver_hypotheses():
+            if solver["method"] == "block-exp":
+                sol = solve_block_exp(model, coeffs, horizon, steps=solver["steps"])
+            else:
+                sol = solve_rk(model, coeffs, u, v, horizon, steps=solver["steps"],
+                               method=solver["method"], blowup_norm=solver["blowup_norm"])
     except BlowUpError as exc:
         summary["blow_up"] = {"time": exc.time, "norm": exc.norm, "bound": exc.bound}
         write_json(os.path.join(args.out, "riccati_summary.json"), summary)
@@ -455,7 +490,7 @@ def cmd_riccati_solve(cfg: dict, args) -> int:
 
 
 def _parse_utility(p: _Parser):
-    cfg = p.require(p.cfg, "utility", "")
+    cfg = p.section("utility", required=True)
     if cfg is None:
         return None, 0.0
     kind = cfg.get("kind")
@@ -468,39 +503,44 @@ def _parse_utility(p: _Parser):
     return kind, gamma
 
 
-def _build_preset(cfg: dict, args):
-    p = _Parser(cfg)
-    _check_schema(p)
+def _parse_problem(p: _Parser):
+    """(model, horizon, utility kind, gamma) of a utility problem."""
     model = parse_model(p)
-    horizon = p.number(cfg, "horizon", "", positive=True)
+    horizon = p.number(p.cfg, "horizon", "", positive=True)
     kind, gamma = _parse_utility(p)
+    return model, horizon, kind, gamma
+
+
+def _build_preset(p: _Parser, args, model, horizon, kind, gamma):
+    """Parse the endowment and solver sections, finish parsing, solve the problem."""
     if isinstance(model, AffineParams):
         p.fail("portfolio commands need model.kind heston or bns")
         _finish_parse(p)
     endow, swap_asset, strike = parse_endowment(p, model.d, horizon)
     solver = _solver_opts(p, args)
     _finish_parse(p)
-    try:
+    with _solver_hypotheses():
         return make_preset(
             "config", model, kind, gamma, horizon, steps=solver["steps"],
             endow=endow if not swap_asset else None, swap_asset=swap_asset, strike=strike,
         )
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
 
 
 def cmd_portfolio(cfg: dict, args) -> int:
     p = _Parser(cfg)
+    _check_schema(p)
     xs = p.numbers(cfg, "x_values", [0.5, 1.0, 2.0])
-    _finish_parse(p)
-    solve = _build_preset(cfg, args).solve
+    solve = _build_preset(p, args, *_parse_problem(p)).solve
     if solve.kind.endswith("power") and min(xs) < 0:
         raise ConfigError(["'x_values' must be >= 0 for power utility"])
+    values = {format(x, ".17g"): solve.value_at(x) for x in xs}
+    _require_finite("value_at", values.values())
+    _require_finite("price", [solve.price])
     out = {
         "kind": solve.kind,
         "gamma": solve.gamma,
         "horizon": solve.horizon,
-        "value_at": {format(x, ".17g"): solve.value_at(x) for x in xs},
+        "value_at": values,
         "price": solve.price,
         "diagnostics": {k: v for k, v in solve.diagnostics.items()
                         if isinstance(v, (int, float, str, dict))},
@@ -529,13 +569,14 @@ def cmd_portfolio(cfg: dict, args) -> int:
 def cmd_price(cfg: dict, args) -> int:
     p = _Parser(cfg)
     _check_schema(p)
-    model = parse_model(p)
-    horizon = p.number(cfg, "horizon", "", positive=True)
-    kind, gamma = _parse_utility(p)
-    numeraire = cfg.get("numeraire")
+    problem = _parse_problem(p)
+    model, horizon, kind, gamma = problem
     if kind == "power":
-        if numeraire is None:
+        if "numeraire" not in cfg:
             p.fail("power-utility pricing needs a 'numeraire' section (o1, o2, o3)")
+            _finish_parse(p)
+        numeraire = p.section("numeraire")
+        if numeraire is None:
             _finish_parse(p)
         if not isinstance(model, HestonModel):
             p.fail("numeraire values require the heston model")
@@ -547,18 +588,17 @@ def cmd_price(cfg: dict, args) -> int:
         x = p.numbers(cfg, "x_values", [1.0])[0]
         solver = _solver_opts(p, args)
         _finish_parse(p)
-        try:
+        with _solver_hypotheses():
             value = heston_power_numeraire_value(model, gamma, o1, o2, o3, horizon, x,
                                                  steps=solver["steps"])
-        except ValueError as exc:
-            raise ConfigError([str(exc)]) from exc
+        _require_finite("price", [value])
         write_json(os.path.join(args.out, "price.json"),
                    {"kind": "numeraire", "x": x, "price": value})
         print(f"price: numeraire value p({x:g}) = {value:.10g}")
         return EXIT_OK
-    # _build_preset parses these sections again and reports their errors and warnings once
-    solve = _build_preset(cfg, args).solve
+    solve = _build_preset(p, args, *problem).solve
     price = 0.0 if solve.price is None else solve.price
+    _require_finite("price", [price])
     payload = {"kind": "variance_swap", "price": price}
     write_json(os.path.join(args.out, "price.json"), payload)
     if solve.hedge is not None:
@@ -571,13 +611,13 @@ def cmd_price(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _verify_transform(cfg: dict, args, p: _Parser) -> tuple[dict, bool]:
+def _verify_transform(args, p: _Parser) -> tuple[dict, bool]:
     model = parse_model(p)
-    horizon = p.number(cfg, "horizon", "", positive=True)
-    ver = cfg.get("verification", {})
+    horizon = p.number(p.cfg, "horizon", "", positive=True)
+    ver = p.section("verification")
     n_paths, seed, n_steps = _sampling_opts(p, "verification", args, paths=100000, steps=500)
     if isinstance(model, AffineParams):
-        params, r0 = model, p.matrix(cfg.get("model", {}), "r0", "model", d=model.d, symmetric=True)
+        params, r0 = model, p.matrix(p.section("model"), "r0", "model", d=model.d, symmetric=True)
     elif isinstance(model, HestonModel):
         params, r0 = model.params, model.r0
     else:
@@ -610,12 +650,11 @@ def _verify_transform(cfg: dict, args, p: _Parser) -> tuple[dict, bool]:
     return report, ok
 
 
-def _verify_martingale(cfg: dict, args, p: _Parser) -> tuple[dict, bool]:
-    ver = cfg.get("verification", {})
+def _verify_martingale(args, p: _Parser) -> tuple[dict, bool]:
+    ver = p.section("verification")
     n_paths, seed, n_steps = _sampling_opts(p, "verification", args, paths=100000, steps=500)
     n_pert = p.integer(ver, "n_perturbed", "verification", default=8)
-    _finish_parse(p)
-    preset = _build_preset(cfg, args)
+    preset = _build_preset(p, args, *_parse_problem(p))
     strategies = [preset.opt_strategy_grid(n_steps)]
     strategies += preset.perturbed_strategies(n_steps)[:n_pert]
     means, ses, l0 = preset.audit_strategies(strategies, n_paths=n_paths, seed=seed,
@@ -636,12 +675,11 @@ def _verify_martingale(cfg: dict, args, p: _Parser) -> tuple[dict, bool]:
     return report, ok
 
 
-def _verify_drift_match(cfg: dict, args, p: _Parser) -> tuple[dict, bool]:
-    ver = cfg.get("verification", {})
+def _verify_drift_match(args, p: _Parser) -> tuple[dict, bool]:
+    ver = p.section("verification")
     n_samples = p.integer(ver, "samples", "verification", default=50, minimum=1)
     seed = args.seed if args.seed is not None else p.integer(ver, "seed", "verification", default=0)
-    _finish_parse(p)
-    preset = _build_preset(cfg, args)
+    preset = _build_preset(p, args, *_parse_problem(p))
     stats = bsde.drift_match_stats(preset.bsde_eval(), n_samples=n_samples, seed=seed)
     ok = stats["max_rel_residual"] <= 1e-6
     report = {"which": "drift-match", "samples": n_samples, "seed": seed,
@@ -653,16 +691,19 @@ def _verify_drift_match(cfg: dict, args, p: _Parser) -> tuple[dict, bool]:
 def cmd_verify(cfg: dict, args) -> int:
     p = _Parser(cfg)
     _check_schema(p)
-    which = cfg.get("verification", {}).get("which")
+    ver = p.section("verification")
+    if ver is None:
+        _finish_parse(p)
+    which = ver.get("which")
     if which not in ("transform", "martingale", "drift-match"):
         p.fail("'verification.which' must be transform | martingale | drift-match")
         _finish_parse(p)
     if which == "transform":
-        report, ok = _verify_transform(cfg, args, p)
+        report, ok = _verify_transform(args, p)
     elif which == "martingale":
-        report, ok = _verify_martingale(cfg, args, p)
+        report, ok = _verify_martingale(args, p)
     else:
-        report, ok = _verify_drift_match(cfg, args, p)
+        report, ok = _verify_drift_match(args, p)
     write_json(os.path.join(args.out, "verify.json"), report)
     print(f"verify[{which}]: {'PASS' if ok else 'FAIL'}")
     if which == "transform":
@@ -736,6 +777,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"configuration error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if not isinstance(cfg, dict):
+        print("configuration error: the configuration must be a JSON object", file=sys.stderr)
+        return EXIT_CONFIG
     os.makedirs(args.out, exist_ok=True)
 
     dispatch = {
@@ -746,12 +790,14 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
     }
     try:
-        return dispatch[args.command](cfg, args)
+        # a non-finite result is reported once, through the exit code, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return dispatch[args.command](cfg, args)
     except ConfigError as exc:
         for e in exc.errors:
             print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, FloatingPointError) as exc:  # see the exit codes above
+    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:  # see the exit codes above
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -33,10 +33,10 @@ from .bsde import BsdeSolutionEval, drift_match_stats
 from .riccati import (
     GeneratorCoeffs,
     RiccatiSolution,
-    simpson_cumulative_backward,
+    backward_flow,
     solve_block_exp,
     solve_rk,
-    varpi_eval,
+    varpi_quadrature,
 )
 from .simulator import (
     BnsJumpSpec,
@@ -241,7 +241,8 @@ def linear_backward_closed_form(h_mat: np.ndarray, const: np.ndarray, T: float, 
     """Exact grid solution of -Gamma' = Gamma H + H^T Gamma + C, Gamma(T) = 0.
 
     Vectorized as y' = -K y - c with K = I (x) H^T + H^T (x) I and solved with
-    one augmented matrix exponential per step, accumulated backwards.
+    one augmented matrix exponential per step, accumulated backwards by
+    :func:`~affinebsde.riccati.backward_flow`.
     """
     d = h_mat.shape[0]
     eye = np.eye(d)
@@ -249,14 +250,8 @@ def linear_backward_closed_form(h_mat: np.ndarray, const: np.ndarray, T: float, 
     z = np.zeros((d * d + 1, d * d + 1))
     z[: d * d, : d * d] = kmat
     z[: d * d, -1] = symmetrize(const).ravel()
-    h = T / steps
-    step = mat_exp(h * z)
-    gammas = np.empty((steps + 1, d, d))
-    acc = np.eye(d * d + 1)
-    for k in range(steps, -1, -1):
-        gammas[k] = symmetrize(acc[: d * d, -1].reshape(d, d))
-        if k:
-            acc = acc @ step
+    flows = backward_flow(mat_exp((T / steps) * z), steps)
+    gammas = symmetrize(flows[:, : d * d, -1].reshape(steps + 1, d, d))
     gammas[-1] = 0.0
     return gammas
 
@@ -274,8 +269,7 @@ def _bns_solve(params: AffineParams, coeffs: GeneratorCoeffs, const_rhs: np.ndar
         # -Gamma' = B*(Gamma) + C with B*(u) = u H + H^T u
         gammas = linear_backward_closed_form(params.drift.h, const_rhs, T, steps)
         grid = np.linspace(0.0, T, steps + 1)
-        base = np.array([varpi_eval(params, coeffs, grid[k], gammas[k], 0.0) for k in range(steps + 1)])
-        w = simpson_cumulative_backward(base, T / steps, terminal_v)
+        w = varpi_quadrature(params, coeffs, grid, gammas, terminal_v)
         return RiccatiSolution(
             grid=grid, gammas=gammas, w=w, terminal_u=np.zeros_like(const_rhs),
             terminal_v=terminal_v, method="LinearExp",

@@ -609,6 +609,33 @@ def simpson_cumulative_backward(fvals: np.ndarray, h: float, vT: float) -> np.nd
     return out
 
 
+def backward_flow(step_exp: np.ndarray, steps: int) -> np.ndarray:
+    """Flows from each grid knot t_k to T: step_exp^(steps - k), accumulated from T backward."""
+    flows = np.empty((steps + 1,) + step_exp.shape)
+    acc = np.eye(step_exp.shape[0])
+    for k in range(steps, -1, -1):
+        flows[k] = acc
+        if k:
+            acc = acc @ step_exp
+    return flows
+
+
+def varpi_quadrature(params: AffineParams, coeffs: GeneratorCoeffs, grid: np.ndarray,
+                     gammas: np.ndarray, terminal_v: float) -> np.ndarray:
+    """w on a uniform grid from -dw/dt = varpi(t, Gamma(t), w), w(T) = terminal_v.
+
+    varpi = c_y w + varpi(t, Gamma, 0): the second part is integrated along
+    Gamma by the Simpson chain with the integrating factor exp(c_y t), which
+    is exactly 1 (so changes no bit) when c_y = 0.
+    """
+    steps = len(grid) - 1
+    base = np.array([varpi_eval(params, coeffs, grid[k], gammas[k], 0.0) for k in range(steps + 1)])
+    cy = float(coeffs.c_y(0.0))
+    integral = simpson_cumulative_backward(np.exp(cy * grid) * base, grid[-1] / steps,
+                                           np.exp(cy * grid[-1]) * terminal_v)
+    return np.exp(-cy * grid) * integral
+
+
 def _check_no_pole(grid: np.ndarray, a22s: np.ndarray, gammas: np.ndarray) -> None:
     """Raise RiccatiBlowUpError if Gamma = A_22^{-1} A_21 has a pole on the grid.
 
@@ -671,34 +698,17 @@ def solve_block_exp(
     m_block[d:, :d] = cc
     m_block[d:, d:] = -aeff
 
-    h = T / steps
-    step_exp = mat_exp(h * m_block)
     grid = np.linspace(0.0, T, steps + 1)
-    gammas = np.empty((steps + 1, d, d))
-    a22s = np.empty((steps + 1, d, d))
-    acc = np.eye(2 * d)
+    flows = backward_flow(mat_exp((T / steps) * m_block), steps)
+    a22s = flows[:, d:, d:]
     for k in range(steps, -1, -1):
-        a21 = acc[d:, :d]
-        a22 = acc[d:, d:]
-        a22s[k] = a22
-        svals = np.linalg.svd(a22, compute_uv=False)
+        svals = np.linalg.svd(a22s[k], compute_uv=False)
         if svals[-1] <= 1e-13 * max(1.0, svals[0]):
             raise BlockExpSingularError(time=float(grid[k]))
-        gammas[k] = symmetrize(np.linalg.solve(a22, a21))
-        if k:
-            acc = acc @ step_exp
+    gammas = symmetrize(np.linalg.solve(a22s, flows[:, d:, :d]))
     gammas[-1] = 0.0
     _check_no_pole(grid, a22s, gammas)
-
-    # w by quadrature of the v-independent part of varpi, integrating factor for c_y
-    cy = float(coeffs.c_y(0.0))
-    base = np.array([varpi_eval(params, coeffs, grid[k], gammas[k], 0.0) for k in range(steps + 1)])
-    if cy == 0.0:
-        w = simpson_cumulative_backward(base, h, 0.0)
-    else:
-        scaled = np.exp(cy * grid) * base
-        integral = simpson_cumulative_backward(scaled, h, 0.0)
-        w = np.exp(-cy * grid) * integral
+    w = varpi_quadrature(params, coeffs, grid, gammas, 0.0)
 
     return RiccatiSolution(
         grid=grid, gammas=gammas, w=w, terminal_u=np.zeros((d, d)), terminal_v=0.0,

@@ -18,11 +18,12 @@ Engines
   martingale defect.
 
 Randomness: Philox4x64-10 counter-based bit generator, one stream per fixed
-block of ``STREAM_BLOCK`` path indices with key (seed, block start).  Partial
-final blocks draw the whole block, step only the used paths, so increasing the
-path count never changes earlier paths.  Path generation parallelizes over blocks
-(``threads``); per-block results are reduced in block order, which keeps every
-output bit-identical regardless of the thread count.
+block of ``STREAM_BLOCK`` path indices with key (seed, block start).
+``_BlockStream`` owns that contract: every draw covers the whole block and
+returns the used paths' rows only, so increasing the path count never changes
+earlier paths.  Path generation parallelizes over blocks (``threads``);
+per-block results are reduced in block order, which keeps every output
+bit-identical regardless of the thread count.
 """
 
 from __future__ import annotations
@@ -60,13 +61,35 @@ def _blocks(n_paths: int) -> list[tuple[int, int]]:
     return out
 
 
-def _run_blocks(worker: Callable[[int, int], object], n_paths: int, threads: int) -> list:
+class _BlockStream:
+    """Draws of the path block at ``start``: each covers the whole block, returns ``count`` rows."""
+
+    def __init__(self, seed: int, start: int, count: int):
+        self.rng = _block_rng(seed, start)
+        self.count = count
+
+    def normal(self, shape, scale: float) -> np.ndarray:
+        """scale * N(0, 1) draws of per-path ``shape``, used paths only."""
+        return self.rng.standard_normal((STREAM_BLOCK,) + tuple(shape))[: self.count] * scale
+
+    def jumps(self, rate: float, cdf: np.ndarray, dt: Optional[float] = None):
+        """(path ids, times in [0, dt) if dt is given, atom marks by ``cdf``) of Poisson(rate) jumps."""
+        ids = np.repeat(np.arange(STREAM_BLOCK), self.rng.poisson(rate, size=STREAM_BLOCK))
+        taus = None if dt is None else self.rng.uniform(0.0, dt, size=ids.size)
+        marks = np.searchsorted(cdf, self.rng.uniform(size=ids.size), side="left")
+        keep = ids < self.count
+        return ids[keep], None if taus is None else taus[keep], marks[keep]
+
+
+def _run_blocks(worker: Callable[[_BlockStream], object], seed: int, n_paths: int, threads: int) -> list:
+    def run(block):
+        return worker(_BlockStream(seed, *block))
+
     blocks = _blocks(n_paths)
     if threads <= 1 or len(blocks) == 1:
-        return [worker(s, n) for s, n in blocks]
+        return [run(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, s, n) for s, n in blocks]
-        return [f.result() for f in futures]
+        return list(pool.map(run, blocks))
 
 
 def mean_stderr(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -82,12 +105,14 @@ def _drift_apply_batch(drift: LinearDrift, r: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,bij->bkl", drift.betas, r)
 
 
-def _euler_update(r: np.ndarray, params: AffineParams, dt: float, m: np.ndarray) -> np.ndarray:
+def _euler_update(r: np.ndarray, sr: np.ndarray, params: AffineParams, dt: float,
+                  dw: np.ndarray) -> np.ndarray:
     """Euler step r + (b + B(r)) dt + M + M^T of the square-root diffusion, in place.
 
-    ``m`` is the noise term sqrt(R) dW Sigma; the sum is formed left to right,
+    M = sqrt(R) dW Sigma with ``sr`` = sqrt(R); the sum is formed left to right,
     so the result is bitwise that of the written-out expression.  Returns ``r``.
     """
+    m = np.matmul(np.matmul(sr, dw), params.sigma)
     inc = _drift_apply_batch(params.drift, r)
     inc += params.b
     inc *= dt
@@ -180,11 +205,9 @@ def simulate_wishart(
     dt = T / n_steps
     sdt = np.sqrt(dt)
     times = np.linspace(0.0, T, n_steps + 1)
-    sg = params.sigma
 
     for start, count in _blocks(n_paths):
-        g = _block_rng(seed, start)
-        b = STREAM_BLOCK  # draws always consume full blocks; states/storage use count
+        stream = _BlockStream(seed, start, count)
         r = np.broadcast_to(r0, (count, d, d)).copy()
         r, sr, _ = project_and_sqrt_psd_batch(r)
         n_log = np.zeros((count, d))
@@ -198,14 +221,13 @@ def simulate_wishart(
         shifts = np.empty((count, n_steps))
         rs[:, 0], ns[:, 0], os_[:, 0] = r, n_log, o
         for k in range(n_steps):
-            dw = (g.standard_normal((b, d, d)) * sdt)[:count]
-            dd = (g.standard_normal((b, d)) * sdt)[:count]
-            dqh = (g.standard_normal((b, d, d)) * sdt)[:count]
+            dw = stream.normal((d, d), sdt)
+            dd = stream.normal((d,), sdt)
+            dqh = stream.normal((d, d), sdt)
             dq = dw @ corr.rho + corr.orth * dd
             n_log = n_log + (r @ eta) * dt + np.einsum("bij,bj->bi", sr, dq)
             o = o + np.matmul(sig_o, np.matmul(sr, dqh)) + (o1 + np.matmul(o2, r)) * dt
-            m = np.matmul(np.matmul(sr, dw), sg)
-            r = _euler_update(r, params, dt, m)
+            r = _euler_update(r, sr, params, dt, dw)
             r, sr, shift = project_and_sqrt_psd_batch(r)
             dws[:, k], dds[:, k], dqs[:, k] = dw, dd, dqh
             shifts[:, k] = shift
@@ -299,54 +321,43 @@ def _bns_block_core(
     r0: np.ndarray,
     dt: float,
     n_steps: int,
-    g: np.random.Generator,
-    n_use: int,
+    stream: _BlockStream,
     on_step: Callable,
     record_jumps: bool = False,
 ):
-    """Common stepping loop for one RNG block.
+    """Common stepping loop for one RNG block; only the used paths are evolved.
 
-    Draws always consume full STREAM_BLOCK-sized arrays (path-count
-    invariance); only the first ``n_use`` paths are evolved.
-    ``on_step(k, r, sr, g)`` consumes the pre-step state.
+    ``on_step(k, r, sr)`` consumes the pre-step state.
     """
     d = spec.d
-    b = STREAM_BLOCK
     exact = isinstance(spec.lam_op, HFormDrift)
     const = spec.lam + spec.b_j
     flow = _AffineFlow(spec.lam_op.h, const, dt) if exact else None
     lam_tot = spec.total_intensity
     cdf = np.cumsum(spec.m_j.weights) / lam_tot if lam_tot > 0 else None
-    r = np.broadcast_to(r0, (n_use, d, d)).copy()
-    jt = [[] for _ in range(n_use)] if record_jumps else None
-    jm = [[] for _ in range(n_use)] if record_jumps else None
+    r = np.broadcast_to(r0, (stream.count, d, d)).copy()
+    jt = [[] for _ in range(stream.count)] if record_jumps else None
+    jm = [[] for _ in range(stream.count)] if record_jumps else None
 
     for k in range(n_steps):
         _, sr, _ = project_and_sqrt_psd_batch(r)
-        on_step(k, r, sr, g)
+        on_step(k, r, sr)
         if exact:
             r = np.matmul(np.matmul(flow.e_dt, r), flow.e_dt.T) + flow.d_dt
         else:
             r = r + (const + _drift_apply_batch(spec.lam_op, r)) * dt
         if lam_tot > 0:
-            counts = g.poisson(lam_tot * dt, size=b)
-            total = int(counts.sum())
-            if total:
-                ids = np.repeat(np.arange(b), counts)
-                taus = g.uniform(0.0, dt, size=total)
-                marks = np.searchsorted(cdf, g.uniform(size=total), side="left")
-                keep = ids < n_use
-                ids, taus, marks = ids[keep], taus[keep], marks[keep]
-                if ids.size:
-                    xis = spec.m_j.xis[marks]
-                    if exact:
-                        props = flow.propagators(dt - taus)
-                        xis = np.matmul(np.matmul(props, xis), props.transpose(0, 2, 1))
-                    np.add.at(r, ids, xis)
-                    if record_jumps:
-                        for pid, tau, mk in zip(ids, taus, marks):
-                            jt[pid].append(k * dt + tau)
-                            jm[pid].append(int(mk))
+            ids, taus, marks = stream.jumps(lam_tot * dt, cdf, dt)
+            if ids.size:
+                xis = spec.m_j.xis[marks]
+                if exact:
+                    props = flow.propagators(dt - taus)
+                    xis = np.matmul(np.matmul(props, xis), props.transpose(0, 2, 1))
+                np.add.at(r, ids, xis)
+                if record_jumps:
+                    for pid, tau, mk in zip(ids, taus, marks):
+                        jt[pid].append(k * dt + tau)
+                        jm[pid].append(int(mk))
     return r, jt, jm
 
 
@@ -368,20 +379,20 @@ def simulate_bns(
     times = np.linspace(0.0, T, n_steps + 1)
 
     for start, count in _blocks(n_paths):
-        g = _block_rng(seed, start)
+        stream = _BlockStream(seed, start, count)
         rs = np.empty((count, n_steps + 1, d, d))
         ns = np.zeros((count, n_steps + 1, d))
         os_ = np.zeros((count, n_steps + 1, d, d))
         dds = np.empty((count, n_steps, d))
 
-        def on_step(k, r, sr, gg):
+        def on_step(k, r, sr):
             rs[:, k] = r
-            dd = (gg.standard_normal((STREAM_BLOCK, d)) * sdt)[:count]
+            dd = stream.normal((d,), sdt)
             dds[:, k] = dd
             ns[:, k + 1] = ns[:, k] + (r @ eta) * dt + np.einsum("bij,bj->bi", sr, dd)
             os_[:, k + 1] = os_[:, k] + r * dt
 
-        r_final, jt, jm = _bns_block_core(spec, r0, dt, n_steps, g, count, on_step, record_jumps=True)
+        r_final, jt, jm = _bns_block_core(spec, r0, dt, n_steps, stream, on_step, record_jumps=True)
         rs[:, n_steps] = r_final
         yield PathBundle(
             times=times, r=rs, n_log=ns, o=os_,
@@ -455,11 +466,9 @@ def heston_functionals(
     need_qhat = bool(np.any(sig_o))
     dt = T / n_steps
     sdt = np.sqrt(dt)
-    sg = params.sigma
 
-    def worker(start, count):
-        g = _block_rng(seed, start)
-        b = STREAM_BLOCK  # draws always consume full blocks; only the used paths are stepped
+    def worker(stream):
+        count = stream.count
         r = np.broadcast_to(r0, (count, d, d)).copy()
         r, sr, _ = project_and_sqrt_psd_batch(r)
         i_dn = np.zeros((count, n_strat))
@@ -467,10 +476,10 @@ def heston_functionals(
         o = np.zeros((count, d, d))
         n_proj = 0
         for k in range(n_steps):
-            dw = g.standard_normal((b, d, d))[:count] * sdt
-            dd = g.standard_normal((b, d))[:count] * sdt
+            dw = stream.normal((d, d), sdt)
+            dd = stream.normal((d,), sdt)
             if need_qhat:
-                dqh = g.standard_normal((b, d, d))[:count] * sdt
+                dqh = stream.normal((d, d), sdt)
             dq = dw @ corr.rho + corr.orth * dd
             dn = (r @ eta) * dt + np.einsum("bij,bj->bi", sr, dq)
             pk = pis[:, k, :]
@@ -480,13 +489,12 @@ def heston_functionals(
                 o += (o1m + np.matmul(o2m, r)) * dt
                 if need_qhat:
                     o += np.matmul(sig_o, np.matmul(sr, dqh))
-            m = np.matmul(np.matmul(sr, dw), sg)
-            r = _euler_update(r, params, dt, m)
+            r = _euler_update(r, sr, params, dt, dw)
             r, sr, shift = project_and_sqrt_psd_batch(r)
             n_proj += int(np.count_nonzero(shift > 1e-13))
         return (i_dn, i_quad, o, r, n_proj)
 
-    results = _run_blocks(worker, n_paths, threads)
+    results = _run_blocks(worker, seed, n_paths, threads)
     i_dn = np.concatenate([r[0] for r in results])
     i_quad = np.concatenate([r[1] for r in results])
     o_t = np.concatenate([r[2] for r in results])
@@ -515,24 +523,24 @@ def bns_functionals(
     dt = T / n_steps
     sdt = np.sqrt(dt)
 
-    def worker(start, count):
-        g = _block_rng(seed, start)
+    def worker(stream):
+        count = stream.count
         i_dn = np.zeros((count, n_strat))
         i_quad = np.zeros((count, n_strat))
         o = np.zeros((count, d, d))
 
-        def on_step(k, r, sr, gg):
-            dd = (gg.standard_normal((STREAM_BLOCK, d)) * sdt)[:count]
+        def on_step(k, r, sr):
+            dd = stream.normal((d,), sdt)
             dn = (r @ eta) * dt + np.einsum("bij,bj->bi", sr, dd)
             pk = pis[:, k, :]
             i_dn[:, :] += dn @ pk.T
             i_quad[:, :] += np.einsum("bij,ki,kj->bk", r, pk, pk) * dt
             o[:, :] += r * dt
 
-        r_final, _, _ = _bns_block_core(spec, r0, dt, n_steps, g, count, on_step)
+        r_final, _, _ = _bns_block_core(spec, r0, dt, n_steps, stream, on_step)
         return (i_dn, i_quad, o, r_final)
 
-    results = _run_blocks(worker, n_paths, threads)
+    results = _run_blocks(worker, seed, n_paths, threads)
     return PathFunctionals(
         int_pi_dn=np.concatenate([r[0] for r in results])[:n_paths],
         int_pi_r_pi=np.concatenate([r[1] for r in results])[:n_paths],
@@ -588,7 +596,6 @@ def stochastic_exponential_check(
     s_mu = TimeFn.coerce(sigma_mu)
     dt = T / n_steps
     sdt = np.sqrt(dt)
-    sg = params.sigma
     lam_tot = params.m.total_weight if params.m.n else 0.0
     cdf = np.cumsum(params.m.weights) / lam_tot if lam_tot > 0 else None
 
@@ -598,9 +605,8 @@ def stochastic_exponential_check(
         tr = np.einsum("ij,nij->n", sm0, params.m.xis)
         mass = float(np.dot(params.m.weights, np.where(np.abs(tr) > 1.0, np.exp(tr), 0.0)))
 
-    def worker(start, count):
-        g = _block_rng(seed, start)
-        b = STREAM_BLOCK  # draws always consume full blocks; only the used paths are stepped
+    def worker(stream):
+        count = stream.count
         r = np.broadcast_to(r0, (count, d, d)).copy()
         r, sr, _ = project_and_sqrt_psd_batch(r)
         logp = np.zeros(count)
@@ -610,14 +616,14 @@ def stochastic_exponential_check(
             sw = np.asarray(s_w(t), dtype=float)
             sqh = np.asarray(s_qh(t), dtype=float)
             smu = np.asarray(s_mu(t), dtype=float)
-            dw = g.standard_normal((b, d, d))[:count] * sdt
-            dd = g.standard_normal((b, d))[:count] * sdt
+            dw = stream.normal((d, d), sdt)
+            dd = stream.normal((d,), sdt)
             dq = dw @ corr.rho + corr.orth * dd
             logp += np.einsum("i,bij,bj->b", sq, sr, dq)
             if np.any(sw):
                 logp += np.einsum("ij,bjk,bki->b", sw, sr, dw)
             if np.any(sqh):
-                dqh = g.standard_normal((b, d, d))[:count] * sdt
+                dqh = stream.normal((d, d), sdt)
                 logp += np.einsum("ij,bjk,bki->b", sqh, sr, dqh)
             xi_mat = (
                 2.0 * np.outer(sq, corr.rho) @ sw + sw.T @ sw + sqh.T @ sqh + np.outer(sq, sq)
@@ -626,22 +632,15 @@ def stochastic_exponential_check(
             if lam_tot > 0:
                 tr = np.einsum("ij,nij->n", smu, params.m.xis)
                 logp += float(np.dot(params.m.weights, 1.0 - np.exp(tr))) * dt
-            m = np.matmul(np.matmul(sr, dw), sg)
-            r = _euler_update(r, params, dt, m)
+            r = _euler_update(r, sr, params, dt, dw)
             if lam_tot > 0:
-                counts = g.poisson(lam_tot * dt, size=b)
-                total = int(counts.sum())
-                if total:
-                    ids = np.repeat(np.arange(b), counts)
-                    marks = np.searchsorted(cdf, g.uniform(size=total), side="left")
-                    keep = ids < count
-                    ids, marks = ids[keep], marks[keep]
-                    np.add.at(r, ids, params.m.xis[marks])
-                    np.add.at(logp, ids, np.einsum("ij,nij->n", smu, params.m.xis[marks]))
+                ids, _, marks = stream.jumps(lam_tot * dt, cdf)
+                np.add.at(r, ids, params.m.xis[marks])
+                np.add.at(logp, ids, np.einsum("ij,nij->n", smu, params.m.xis[marks]))
             r, sr, _ = project_and_sqrt_psd_batch(r)
         return np.exp(logp)
 
-    vals = np.concatenate(_run_blocks(worker, n_paths, threads))
+    vals = np.concatenate(_run_blocks(worker, seed, n_paths, threads))
     m, se = mean_stderr(vals)
     return StochExpResult(mean=float(m), stderr=float(se), exp_jump_mass=mass)
 
@@ -714,35 +713,31 @@ def wishart_weak_errors(
     ua = as_sym(u)
     dt_f = T / n_fine
     sdt = np.sqrt(dt_f)
-    sg = params.sigma
     strides = {s: n_fine // s for s in steps_list}
     fast2 = d == 2 and isinstance(params.drift, HFormDrift) and not force_general
 
-    def worker_general(start, count):
-        g = _block_rng(seed, start)
-        b = STREAM_BLOCK  # draws always consume full blocks; only the used paths are stepped
+    def worker_general(stream):
+        count = stream.count
         states = {}
         for s in steps_list:
             r = np.broadcast_to(r0, (count, d, d)).copy()
             states[s] = project_and_sqrt_psd_batch(r)[:2]
         acc = {s: np.zeros((count, d, d)) for s in steps_list}
         for k in range(n_fine):
-            dw = g.standard_normal((b, d, d))[:count] * sdt
+            dw = stream.normal((d, d), sdt)
             for s in steps_list:
                 acc[s] += dw
                 if (k + 1) % strides[s] == 0:
                     r, sr = states[s]
-                    dt = T / s
-                    m = np.matmul(np.matmul(sr, acc[s]), sg)
-                    r = _euler_update(r, params, dt, m)
+                    r = _euler_update(r, sr, params, T / s, acc[s])
                     states[s] = project_and_sqrt_psd_batch(r)[:2]
                     acc[s][:] = 0.0
         return {s: np.exp(-np.einsum("ij,bij->b", ua, states[s][0])) for s in steps_list}
 
-    def worker_2x2(start, count):
-        g = _block_rng(seed, start)
-        b = STREAM_BLOCK  # draws always consume full blocks; only the used paths are stepped
+    def worker_2x2(stream):
+        count = stream.count
         h = params.drift.h
+        sg = params.sigma
         h00, h01, h10, h11 = h[0, 0], h[0, 1], h[1, 0], h[1, 1]
         g00, g01, g10, g11 = sg[0, 0], sg[0, 1], sg[1, 0], sg[1, 1]
         b00, b01, b11 = params.b[0, 0], params.b[0, 1], params.b[1, 1]
@@ -754,7 +749,7 @@ def wishart_weak_errors(
             states[s] = _proj_sqrt_components_2x2(a0, bb0, c0)
         acc = {s: np.zeros((count, 4)) for s in steps_list}
         for k in range(n_fine):
-            dw = g.standard_normal((b, 2, 2)).reshape(b, 4)[:count] * sdt
+            dw = stream.normal((2, 2), sdt).reshape(count, 4)
             for s in steps_list:
                 acc[s] += dw
                 if (k + 1) % strides[s] == 0:
@@ -786,7 +781,7 @@ def wishart_weak_errors(
         return out
 
     worker = worker_2x2 if fast2 else worker_general
-    results = _run_blocks(worker, n_paths, threads)
+    results = _run_blocks(worker, seed, n_paths, threads)
     out = {}
     vals = {}
     for s in steps_list:

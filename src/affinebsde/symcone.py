@@ -189,8 +189,8 @@ def _spectral_combine_2x2(f1, f2, p00, p01, p11, degen, f_degen) -> np.ndarray:
     return out
 
 
-def _clamp_spectrum_2x2(mats: np.ndarray, want_sqrt: bool):
-    """Closed-form eigenvalue clamp (and sqrt) for stacked 2x2 matrices.
+def _clamp_spectrum_2x2(mats: np.ndarray):
+    """Closed-form eigenvalue clamp and sqrt for stacked 2x2 matrices.
 
     Works on the components a = x00, b = (x01 + x10)/2, c = x11 of the
     symmetric part, so the input need not be symmetrized first; both outputs
@@ -219,45 +219,23 @@ def _clamp_spectrum_2x2(mats: np.ndarray, want_sqrt: bool):
     p11 = (c - l2) / safe
     md = np.maximum(mean, 0.0)
     proj = _spectral_combine_2x2(l1c, l2c, p00, p01, p11, degen, md)
-    if not want_sqrt:
-        return proj, None, shift
     root = _spectral_combine_2x2(np.sqrt(l1c), np.sqrt(l2c), p00, p01, p11, degen, np.sqrt(md))
     return proj, root, shift
-
-
-def _clamp_spectrum_eigh(mats: np.ndarray, want_sqrt: bool):
-    w, v = np.linalg.eigh(mats)
-    wc = np.clip(w, 0.0, None)
-    shift = np.linalg.norm(np.minimum(w, 0.0), axis=-1)
-    proj = np.einsum("...ik,...k,...jk->...ij", v, wc, v)
-    root = None
-    if want_sqrt:
-        root = np.einsum("...ik,...k,...jk->...ij", v, np.sqrt(wc), v)
-        root = symmetrize(root)
-    return symmetrize(proj), root, shift
-
-
-def project_psd_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project stacked symmetric matrices onto the PSD cone.
-
-    Returns (projected, shift) where shift is the Frobenius norm of the
-    clamped negative part, per matrix.
-    """
-    mats = np.asarray(mats, dtype=float)
-    if mats.shape[-1] == 2:
-        proj, _, shift = _clamp_spectrum_2x2(mats, want_sqrt=False)
-    else:
-        proj, _, shift = _clamp_spectrum_eigh(symmetrize(mats), want_sqrt=False)
-    return proj, shift
 
 
 def project_and_sqrt_psd_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project onto the PSD cone and take the PSD square root in one pass.
 
-    Returns (projected, sqrt, shift); a closed-form spectral path handles
+    Returns (projected, sqrt, shift) where shift is the Frobenius norm of the
+    clamped negative part, per matrix; a closed-form spectral path handles
     d = 2, batched LAPACK eigh handles general d.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.shape[-1] == 2:
-        return _clamp_spectrum_2x2(mats, want_sqrt=True)
-    return _clamp_spectrum_eigh(symmetrize(mats), want_sqrt=True)
+        return _clamp_spectrum_2x2(mats)
+    w, v = np.linalg.eigh(symmetrize(mats))
+    wc = np.clip(w, 0.0, None)
+    shift = np.linalg.norm(np.minimum(w, 0.0), axis=-1)
+    proj = np.einsum("...ik,...k,...jk->...ij", v, wc, v)
+    root = np.einsum("...ik,...k,...jk->...ij", v, np.sqrt(wc), v)
+    return symmetrize(proj), symmetrize(root), shift

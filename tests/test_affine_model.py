@@ -165,6 +165,24 @@ class TestSolveTransform:
         e = mat_exp(h * t)
         assert np.allclose(sol.psi, e.T @ symmetrize(u0) @ e, atol=1e-10)
 
+    def test_psd_violation_is_smallest_eigenvalue_along_psi(self, rng):
+        params = jump_params(rng)
+        u0 = np.array([[0.6, 0.2], [0.2, -0.3]])  # indefinite start
+        t, steps = 0.5, 40
+        sol = solve_transform(params, u0, t, steps=steps)
+        # psi at knot k, from a k-step prefix solve with the same step length
+        lmins = [np.linalg.eigvalsh(solve_transform(params, u0, k * t / steps, steps=k).psi)[0]
+                 for k in range(1, steps + 1)]
+        assert sol.psd_violation < 0.0
+        assert sol.psd_violation == pytest.approx(min(lmins), rel=1e-10)
+
+    def test_psd_violation_zero_along_pd_trajectory(self, rng):
+        # alpha = 0, no jumps: psi(t) = e^{H^T t} u0 e^{H t} stays positive definite
+        params = AffineParams(alpha=np.zeros((2, 2)), b=np.zeros((2, 2)),
+                              drift=HFormDrift(rng.standard_normal((2, 2)) * 0.5))
+        sol = solve_transform(params, rand_pd(rng, 2), 0.8, steps=100)
+        assert sol.psd_violation == 0.0
+
     def test_zero_start_is_fixed_point(self, rng):
         params = jump_params(rng)
         sol = solve_transform(params, np.zeros((2, 2)), 1.0, steps=100)

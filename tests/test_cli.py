@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -379,12 +380,58 @@ def with_section(cfg, section, **fields):
     return cfg
 
 
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+def scaled_shipped_config(name, key, factor):
+    """A shipped configuration with one model leaf scaled."""
+    cfg = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+    cfg["model"][key] = (factor * np.array(cfg["model"][key])).tolist()
+    return cfg
+
+
+def with_value(cfg, path, value):
+    """cfg with the (dotted) key set to value."""
+    *parents, key = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    return cfg
+
+
+# one base configuration per command, each reading the sections its command parses
+NON_OBJECT_CASES = [
+    ("riccati-solve", riccati_1d_degenerate_config, "model"),
+    ("riccati-solve", riccati_1d_degenerate_config, "generator"),
+    ("riccati-solve", riccati_1d_degenerate_config, "terminal"),
+    ("riccati-solve", riccati_1d_degenerate_config, "solver"),
+    ("portfolio", heston_config, "model"),
+    ("portfolio", heston_config, "utility"),
+    ("portfolio", heston_config, "endowment"),
+    ("portfolio", heston_config, "solver"),
+    ("portfolio", swap_config, "endowment.variance_swap"),
+    ("price", numeraire_config, "numeraire"),
+    ("price", numeraire_config, "utility"),
+    ("price", numeraire_config, "model"),
+    ("price", swap_config, "endowment"),
+    ("price", swap_config, "solver"),
+    ("verify", lambda: heston_config(verification={"which": "transform"}), "verification"),
+    ("verify", lambda: heston_config(verification={"which": "transform"}), "model"),
+    ("verify", lambda: heston_config(verification={"which": "martingale"}), "solver"),
+    ("verify", lambda: heston_config(verification={"which": "drift-match"}), "utility"),
+    ("verify", lambda: heston_config(verification={"which": "drift-match"}), "endowment"),
+    ("simulate", heston_config, "simulate"),
+    ("simulate", heston_config, "model"),
+]
+
+
 class TestExitCodes:
     """Every rejected input exits 2 or 3 with one line on stderr and no traceback."""
 
-    def run_failing(self, tmp_path, capsys, command, cfg, expected):
+    def run_failing(self, tmp_path, capsys, command, cfg, expected, *flags):
         out = tmp_path / "out"
-        rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out), *flags])
         err = capsys.readouterr().err
         assert rc == expected
         assert "Traceback" not in err
@@ -463,6 +510,46 @@ class TestExitCodes:
         cfg["model"]["eta"] = [6000.0, 3500.0]
         line = self.run_failing(tmp_path, capsys, "verify", cfg, EXIT_NUMERICAL)
         assert "varpi" in line
+
+    @pytest.mark.parametrize("factor, message", [
+        (1e4, "oriented ratio is not finite"),  # E[L_T]^2 underflows
+        (-1e4, "E[L_T] estimate is not finite"),  # the L_T sample overflows
+    ])
+    def test_degenerate_martingale_ratio_is_numerical_failure(self, tmp_path, capsys, factor,
+                                                               message):
+        cfg = scaled_shipped_config("bns_exp_verify_martingale.json", "lambda0", factor)
+        line = self.run_failing(tmp_path, capsys, "verify", cfg, EXIT_NUMERICAL,
+                                "--paths", "64", "--steps", "20")
+        assert message in line
+
+    @pytest.mark.parametrize("command, name, key, what", [
+        ("price", "heston_numeraire_price.json", "b", "price"),
+        ("portfolio", "heston_power_portfolio.json", "b", "value_at"),
+        ("portfolio", "heston_power_portfolio.json", "r0", "value_at"),
+    ])
+    def test_non_finite_shipped_value_is_numerical_failure(self, tmp_path, capsys, command, name,
+                                                           key, what):
+        cfg = scaled_shipped_config(name, key, 1e6)
+        line = self.run_failing(tmp_path, capsys, command, cfg, EXIT_NUMERICAL)
+        assert f"{what} is not finite" in line
+        assert not os.listdir(tmp_path / "out")  # nothing is written before the check
+
+    def test_linalg_failure_is_numerical_not_config(self, tmp_path, capsys):
+        cfg = scaled_shipped_config("heston_power_portfolio.json", "drift_h", 1e8)
+        line = self.run_failing(tmp_path, capsys, "portfolio", cfg, EXIT_NUMERICAL)
+        assert "SVD did not converge" in line
+
+    @pytest.mark.parametrize("command", ["riccati-solve", "portfolio", "price", "verify", "simulate"])
+    def test_top_level_list_is_config_error(self, tmp_path, capsys, command):
+        line = self.run_failing(tmp_path, capsys, command, [heston_config()], EXIT_CONFIG)
+        assert "must be a JSON object" in line
+
+    @pytest.mark.parametrize("command, make_cfg, section", NON_OBJECT_CASES,
+                             ids=[f"{c}-{s}" for c, _, s in NON_OBJECT_CASES])
+    def test_non_object_section_is_config_error(self, tmp_path, capsys, command, make_cfg, section):
+        cfg = with_value(make_cfg(), section, 5)
+        line = self.run_failing(tmp_path, capsys, command, cfg, EXIT_CONFIG)
+        assert line == f"configuration error: '{section}' must be an object"
 
 
 class TestWarnings:

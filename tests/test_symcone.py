@@ -11,7 +11,6 @@ from affinebsde.symcone import (
     frobenius,
     mat_exp,
     project_and_sqrt_psd_batch,
-    project_psd_batch,
     psd_project,
     psd_sqrt,
     symmetrize,
@@ -183,12 +182,6 @@ class TestBatchedKernels:
         for i in range(16):
             assert np.allclose(root[i] @ root[i], proj[i], atol=1e-10)
 
-    def test_project_only(self, rng):
-        mats = np.stack([rand_sym(rng, 2) for _ in range(8)])
-        proj, shift = project_psd_batch(mats)
-        assert np.all(np.linalg.eigvalsh(proj) >= -1e-12)
-        assert np.all(shift >= 0)
-
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=4, max_size=4 * 40),
@@ -211,8 +204,6 @@ class TestDegenerate2x2Clamp:
     @staticmethod
     def check_against_dense(mats):
         proj, root, shift = project_and_sqrt_psd_batch(mats)
-        proj_only, shift_only = project_psd_batch(mats)
-        assert np.array_equal(proj_only, proj) and np.array_equal(shift_only, shift)
         for i, x in enumerate(mats):
             p = psd_project(x)
             assert np.allclose(proj[i], p, rtol=0.0, atol=1e-12 * (1.0 + frobenius(x)))
