@@ -627,18 +627,19 @@ def _verify_transform(args, p: _Parser) -> tuple[dict, bool]:
     _finish_parse(p)
 
     exact = solve_transform(params, u, horizon, steps=2000).laplace(r0)
-    if params.m.n:
-        fn = bns_functionals(
-            BnsJumpSpec(lam=np.zeros((params.d,) * 2), lam_op=params.drift,
-                        b_j=params.b, m_j=params.m),
-            r0, np.zeros(params.d), horizon, n_steps, np.zeros((1, params.d)), n_paths, seed,
-            threads=args.threads,
-        )
-    else:
-        fn = heston_functionals(
-            params, r0, CorrelationSpec(np.zeros(params.d)), np.zeros(params.d),
-            horizon, n_steps, np.zeros((1, params.d)), n_paths, seed, threads=args.threads,
-        )
+    with _solver_hypotheses():
+        if params.m.n:
+            fn = bns_functionals(
+                BnsJumpSpec(lam=np.zeros((params.d,) * 2), lam_op=params.drift,
+                            b_j=params.b, m_j=params.m),
+                r0, np.zeros(params.d), horizon, n_steps, np.zeros((1, params.d)), n_paths, seed,
+                threads=args.threads,
+            )
+        else:
+            fn = heston_functionals(
+                params, r0, CorrelationSpec(np.zeros(params.d)), np.zeros(params.d),
+                horizon, n_steps, np.zeros((1, params.d)), n_paths, seed, threads=args.threads,
+            )
     vals = np.exp(-np.einsum("ij,bij->b", u, fn.r_terminal))
     mc, se = mean_stderr(vals)
     ok = abs(float(mc) - exact) <= 3.0 * float(se)
@@ -657,8 +658,9 @@ def _verify_martingale(args, p: _Parser) -> tuple[dict, bool]:
     preset = _build_preset(p, args, *_parse_problem(p))
     strategies = [preset.opt_strategy_grid(n_steps)]
     strategies += preset.perturbed_strategies(n_steps)[:n_pert]
-    means, ses, l0 = preset.audit_strategies(strategies, n_paths=n_paths, seed=seed,
-                                             n_steps=n_steps, threads=args.threads)
+    with _solver_hypotheses():
+        means, ses, l0 = preset.audit_strategies(strategies, n_paths=n_paths, seed=seed,
+                                                 n_steps=n_steps, threads=args.threads)
     rows = []
     ok = True
     for i in range(len(strategies)):
@@ -742,16 +744,17 @@ def cmd_simulate(cfg: dict, args) -> int:
               + [f"o_{i}{j}" for i, j in iu])
     rows = []
     offset = 0
-    for bundle in stream:
-        for b in range(bundle.r.shape[0]):
-            for k, t in enumerate(bundle.times):
-                rows.append(
-                    [offset + b, t]
-                    + [bundle.r[b, k, i, j] for i, j in iu]
-                    + list(bundle.n_log[b, k])
-                    + [bundle.o[b, k, i, j] for i, j in iu]
-                )
-        offset += bundle.r.shape[0]
+    with _solver_hypotheses():  # the streams check their inputs before the first draw
+        for bundle in stream:
+            for b in range(bundle.r.shape[0]):
+                for k, t in enumerate(bundle.times):
+                    rows.append(
+                        [offset + b, t]
+                        + [bundle.r[b, k, i, j] for i, j in iu]
+                        + list(bundle.n_log[b, k])
+                        + [bundle.o[b, k, i, j] for i, j in iu]
+                    )
+            offset += bundle.r.shape[0]
     write_csv(os.path.join(args.out, "paths.csv"), header, rows)
     print(f"simulate: wrote {n_paths} paths x {n_steps} steps")
     return EXIT_OK

@@ -23,7 +23,9 @@ block of ``STREAM_BLOCK`` path indices with key (seed, block start).
 returns the used paths' rows only, so increasing the path count never changes
 earlier paths.  Path generation parallelizes over blocks (``threads``);
 per-block results are reduced in block order, which keeps every output
-bit-identical regardless of the thread count.
+bit-identical regardless of the thread count.  Products of a path batch with a
+constant matrix or vector (``_const_batch``, ``_batch_const``) are single BLAS
+calls whose bitwise equality with stacked ``matmul`` a test of the suite pins.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .symcone import (
 
 STREAM_BLOCK = 16384
 PROJECTION_WARN_FRACTION = 1e-3
+JUMP_MARK_BUDGET = 1e8
 
 
 def _block_rng(seed: int, block_start: int) -> np.random.Generator:
@@ -99,9 +102,39 @@ def mean_stderr(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return m, se
 
 
+def _check_jump_budget(lam_tot: float, T: float, n_paths: int) -> None:
+    """Refuse a run whose expected jump marks, drawn over whole blocks, exceed JUMP_MARK_BUDGET."""
+    marks = lam_tot * T * STREAM_BLOCK * len(_blocks(n_paths))
+    if not marks <= JUMP_MARK_BUDGET:
+        raise ValueError(f"the jump draws need about {marks:.3g} marks, over the budget of "
+                         f"{JUMP_MARK_BUDGET:.0e} (total intensity x horizon x {STREAM_BLOCK} x blocks)")
+
+
+def _const_batch(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """c @ r for a constant matrix c and a (B, d, k) batch r, as one gemm."""
+    b, d, k = r.shape
+    return (c @ r.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, b, k).transpose(1, 0, 2)
+
+
+def _batch_const(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """r @ c for a batch r with contiguous rows and a constant matrix or vector c, as one call."""
+    return (r.reshape(-1, r.shape[-1]) @ c).reshape(r.shape[:-1] + c.shape[1:])
+
+
+def _quad_forms(r: np.ndarray, pk: np.ndarray) -> np.ndarray:
+    """(K, B) array of pk_k' r_b pk_k for a C-contiguous r, bitwise einsum "bij,ki,kj->bk"."""
+    rc = r.reshape(len(r), -1).T.copy()
+    q, t = np.zeros((len(pk), len(r))), np.empty((len(pk), len(r)))
+    for n, (i, j) in enumerate(np.ndindex(pk.shape[1], pk.shape[1])):
+        np.multiply(rc[n], pk[:, i, None], out=t)
+        t *= pk[:, j, None]
+        q += t
+    return q
+
+
 def _drift_apply_batch(drift: LinearDrift, r: np.ndarray) -> np.ndarray:
     if isinstance(drift, HFormDrift):
-        return np.matmul(drift.h, r) + np.matmul(r, drift.h.T)
+        return _const_batch(drift.h, r) + _batch_const(r, drift.h.T)
     return np.einsum("ijkl,bij->bkl", drift.betas, r)
 
 
@@ -112,7 +145,7 @@ def _euler_update(r: np.ndarray, sr: np.ndarray, params: AffineParams, dt: float
     M = sqrt(R) dW Sigma with ``sr`` = sqrt(R); the sum is formed left to right,
     so the result is bitwise that of the written-out expression.  Returns ``r``.
     """
-    m = np.matmul(np.matmul(sr, dw), params.sigma)
+    m = _batch_const(np.matmul(sr, dw), params.sigma)
     inc = _drift_apply_batch(params.drift, r)
     inc += params.b
     inc *= dt
@@ -224,9 +257,9 @@ def simulate_wishart(
             dw = stream.normal((d, d), sdt)
             dd = stream.normal((d,), sdt)
             dqh = stream.normal((d, d), sdt)
-            dq = dw @ corr.rho + corr.orth * dd
-            n_log = n_log + (r @ eta) * dt + np.einsum("bij,bj->bi", sr, dq)
-            o = o + np.matmul(sig_o, np.matmul(sr, dqh)) + (o1 + np.matmul(o2, r)) * dt
+            dq = _batch_const(dw, corr.rho) + corr.orth * dd
+            n_log = n_log + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
+            o = o + _const_batch(sig_o, np.matmul(sr, dqh)) + (o1 + _const_batch(o2, r)) * dt
             r = _euler_update(r, sr, params, dt, dw)
             r, sr, shift = project_and_sqrt_psd_batch(r)
             dws[:, k], dds[:, k], dqs[:, k] = dw, dd, dqh
@@ -316,6 +349,14 @@ class _AffineFlow:
         return np.array([mat_exp(self.h * dl) for dl in deltas])
 
 
+def _bns_flow(spec: BnsJumpSpec, T: float, n_steps: int, n_paths: int) -> Optional[_AffineFlow]:
+    """Check the jump budget; the exact flow over one step of an H-form drift, else None."""
+    _check_jump_budget(spec.total_intensity, T, n_paths)
+    if isinstance(spec.lam_op, HFormDrift):
+        return _AffineFlow(spec.lam_op.h, spec.lam + spec.b_j, T / n_steps)
+    return None
+
+
 def _bns_block_core(
     spec: BnsJumpSpec,
     r0: np.ndarray,
@@ -323,16 +364,16 @@ def _bns_block_core(
     n_steps: int,
     stream: _BlockStream,
     on_step: Callable,
+    flow: Optional[_AffineFlow],
     record_jumps: bool = False,
 ):
     """Common stepping loop for one RNG block; only the used paths are evolved.
 
-    ``on_step(k, r, sr)`` consumes the pre-step state.
+    ``on_step(k, r, sr)`` consumes the pre-step state; ``flow`` is ``_bns_flow``'s.
     """
     d = spec.d
-    exact = isinstance(spec.lam_op, HFormDrift)
+    exact = flow is not None
     const = spec.lam + spec.b_j
-    flow = _AffineFlow(spec.lam_op.h, const, dt) if exact else None
     lam_tot = spec.total_intensity
     cdf = np.cumsum(spec.m_j.weights) / lam_tot if lam_tot > 0 else None
     r = np.broadcast_to(r0, (stream.count, d, d)).copy()
@@ -343,7 +384,7 @@ def _bns_block_core(
         _, sr, _ = project_and_sqrt_psd_batch(r)
         on_step(k, r, sr)
         if exact:
-            r = np.matmul(np.matmul(flow.e_dt, r), flow.e_dt.T) + flow.d_dt
+            r = _batch_const(_const_batch(flow.e_dt, r), flow.e_dt.T) + flow.d_dt
         else:
             r = r + (const + _drift_apply_batch(spec.lam_op, r)) * dt
         if lam_tot > 0:
@@ -377,6 +418,7 @@ def simulate_bns(
     dt = T / n_steps
     sdt = np.sqrt(dt)
     times = np.linspace(0.0, T, n_steps + 1)
+    flow = _bns_flow(spec, T, n_steps, n_paths)
 
     for start, count in _blocks(n_paths):
         stream = _BlockStream(seed, start, count)
@@ -389,10 +431,11 @@ def simulate_bns(
             rs[:, k] = r
             dd = stream.normal((d,), sdt)
             dds[:, k] = dd
-            ns[:, k + 1] = ns[:, k] + (r @ eta) * dt + np.einsum("bij,bj->bi", sr, dd)
+            ns[:, k + 1] = ns[:, k] + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
             os_[:, k + 1] = os_[:, k] + r * dt
 
-        r_final, jt, jm = _bns_block_core(spec, r0, dt, n_steps, stream, on_step, record_jumps=True)
+        r_final, jt, jm = _bns_block_core(spec, r0, dt, n_steps, stream, on_step, flow,
+                                          record_jumps=True)
         rs[:, n_steps] = r_final
         yield PathBundle(
             times=times, r=rs, n_log=ns, o=os_,
@@ -472,7 +515,7 @@ def heston_functionals(
         r = np.broadcast_to(r0, (count, d, d)).copy()
         r, sr, _ = project_and_sqrt_psd_batch(r)
         i_dn = np.zeros((count, n_strat))
-        i_quad = np.zeros((count, n_strat))
+        i_quad = np.zeros((n_strat, count))
         o = np.zeros((count, d, d))
         n_proj = 0
         for k in range(n_steps):
@@ -480,27 +523,23 @@ def heston_functionals(
             dd = stream.normal((d,), sdt)
             if need_qhat:
                 dqh = stream.normal((d, d), sdt)
-            dq = dw @ corr.rho + corr.orth * dd
-            dn = (r @ eta) * dt + np.einsum("bij,bj->bi", sr, dq)
+            dq = _batch_const(dw, corr.rho) + corr.orth * dd
+            dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
             pk = pis[:, k, :]
             i_dn += dn @ pk.T
-            i_quad += np.einsum("bij,ki,kj->bk", r, pk, pk) * dt
+            i_quad += _quad_forms(r, pk) * dt
             if need_o:
-                o += (o1m + np.matmul(o2m, r)) * dt
+                o += (o1m + _const_batch(o2m, r)) * dt
                 if need_qhat:
-                    o += np.matmul(sig_o, np.matmul(sr, dqh))
+                    o += _const_batch(sig_o, np.matmul(sr, dqh))
             r = _euler_update(r, sr, params, dt, dw)
             r, sr, shift = project_and_sqrt_psd_batch(r)
             n_proj += int(np.count_nonzero(shift > 1e-13))
-        return (i_dn, i_quad, o, r, n_proj)
+        return (i_dn, i_quad.T.copy(), o, r, n_proj)
 
-    results = _run_blocks(worker, seed, n_paths, threads)
-    i_dn = np.concatenate([r[0] for r in results])
-    i_quad = np.concatenate([r[1] for r in results])
-    o_t = np.concatenate([r[2] for r in results])
-    r_t = np.concatenate([r[3] for r in results])
-    n_proj = sum(r[4] for r in results)
-    return PathFunctionals(i_dn, i_quad, o_t, r_t, projection_fraction=n_proj / (n_paths * n_steps))
+    *parts, n_proj = zip(*_run_blocks(worker, seed, n_paths, threads))
+    return PathFunctionals(*map(np.concatenate, parts),
+                           projection_fraction=sum(n_proj) / (n_paths * n_steps))
 
 
 def bns_functionals(
@@ -522,32 +561,27 @@ def bns_functionals(
     n_strat = pis.shape[0]
     dt = T / n_steps
     sdt = np.sqrt(dt)
+    flow = _bns_flow(spec, T, n_steps, n_paths)
 
     def worker(stream):
         count = stream.count
         i_dn = np.zeros((count, n_strat))
-        i_quad = np.zeros((count, n_strat))
+        i_quad = np.zeros((n_strat, count))
         o = np.zeros((count, d, d))
 
         def on_step(k, r, sr):
             dd = stream.normal((d,), sdt)
-            dn = (r @ eta) * dt + np.einsum("bij,bj->bi", sr, dd)
+            dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
             pk = pis[:, k, :]
             i_dn[:, :] += dn @ pk.T
-            i_quad[:, :] += np.einsum("bij,ki,kj->bk", r, pk, pk) * dt
+            i_quad[:, :] += _quad_forms(r, pk) * dt
             o[:, :] += r * dt
 
-        r_final, _, _ = _bns_block_core(spec, r0, dt, n_steps, stream, on_step)
-        return (i_dn, i_quad, o, r_final)
+        r_final, _, _ = _bns_block_core(spec, r0, dt, n_steps, stream, on_step, flow)
+        return (i_dn, i_quad.T.copy(), o, r_final)
 
-    results = _run_blocks(worker, seed, n_paths, threads)
-    return PathFunctionals(
-        int_pi_dn=np.concatenate([r[0] for r in results])[:n_paths],
-        int_pi_r_pi=np.concatenate([r[1] for r in results])[:n_paths],
-        o_terminal=np.concatenate([r[2] for r in results])[:n_paths],
-        r_terminal=np.concatenate([r[3] for r in results])[:n_paths],
-        projection_fraction=0.0,
-    )
+    parts = zip(*_run_blocks(worker, seed, n_paths, threads))
+    return PathFunctionals(*map(np.concatenate, parts), projection_fraction=0.0)
 
 
 # -- stochastic exponential audit -------------------------------------------------------
@@ -597,6 +631,7 @@ def stochastic_exponential_check(
     dt = T / n_steps
     sdt = np.sqrt(dt)
     lam_tot = params.m.total_weight if params.m.n else 0.0
+    _check_jump_budget(lam_tot, T, n_paths)
     cdf = np.cumsum(params.m.weights) / lam_tot if lam_tot > 0 else None
 
     mass = 0.0
@@ -618,7 +653,7 @@ def stochastic_exponential_check(
             smu = np.asarray(s_mu(t), dtype=float)
             dw = stream.normal((d, d), sdt)
             dd = stream.normal((d,), sdt)
-            dq = dw @ corr.rho + corr.orth * dd
+            dq = _batch_const(dw, corr.rho) + corr.orth * dd
             logp += np.einsum("i,bij,bj->b", sq, sr, dq)
             if np.any(sw):
                 logp += np.einsum("ij,bjk,bki->b", sw, sr, dw)

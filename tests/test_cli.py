@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -539,6 +541,18 @@ class TestExitCodes:
         line = self.run_failing(tmp_path, capsys, "portfolio", cfg, EXIT_NUMERICAL)
         assert "SVD did not converge" in line
 
+    @pytest.mark.parametrize("command, which", [
+        ("verify", "martingale"), ("verify", "transform"), ("simulate", "martingale"),
+    ], ids=["verify-martingale", "verify-transform", "simulate"])
+    def test_jump_draws_over_budget_are_config_error(self, tmp_path, capsys, command, which):
+        # drawn over the whole RNG block, these jumps would need about 6 GiB of path ids
+        cfg = json.loads((CONFIGS / "bns_exp_verify_martingale.json").read_text(encoding="utf-8"))
+        cfg["model"]["atoms"][0]["weight"] = 1e6
+        cfg["verification"]["which"] = which
+        line = self.run_failing(tmp_path, capsys, command, cfg, EXIT_CONFIG,
+                                "--paths", "64", "--steps", "20")
+        assert "over the budget" in line
+
     @pytest.mark.parametrize("command", ["riccati-solve", "portfolio", "price", "verify", "simulate"])
     def test_top_level_list_is_config_error(self, tmp_path, capsys, command):
         line = self.run_failing(tmp_path, capsys, command, [heston_config()], EXIT_CONFIG)
@@ -562,3 +576,13 @@ class TestWarnings:
         assert capsys.readouterr().err.strip().splitlines() == [
             "warning: symmetrized 'model.alpha' (asymmetry 1.000e-04)"
         ]
+
+
+def test_module_entry_point_writes_nothing_to_stderr():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "affinebsde.cli", "--help"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: affinebsde")
+    assert proc.stderr == ""

@@ -9,9 +9,14 @@ from affinebsde.affine_model import (
     wishart_params,
 )
 from affinebsde.simulator import (
+    JUMP_MARK_BUDGET,
     STREAM_BLOCK,
     BnsJumpSpec,
     CorrelationSpec,
+    _batch_const,
+    _check_jump_budget,
+    _const_batch,
+    _quad_forms,
     bns_functionals,
     heston_functionals,
     mean_stderr,
@@ -44,6 +49,39 @@ class TestCorrelationSpec:
     def test_rejects_excess_norm(self):
         with pytest.raises(ValueError):
             CorrelationSpec(np.array([0.9, 0.9]))
+
+
+class TestConstantProducts:
+    """The batched constant products are bitwise numpy's stacked matmul, the
+    quadratic-variation loop bitwise the einsum it replaces.
+
+    That equality is a property of the BLAS kernel, so a BLAS change that
+    breaks it fails here instead of silently moving the simulated paths.
+    """
+
+    @staticmethod
+    def assert_bitwise(got, ref):
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("b", [1, 7, 14272, 16384])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    def test_match_stacked_matmul(self, d, b):
+        rng = np.random.default_rng(100 * d + b)
+        c = rng.standard_normal((d, d))
+        v = rng.standard_normal(d)
+        pis = rng.standard_normal((9, 3, d))
+        contiguous = rng.standard_normal((b, d, d))
+        # the layout _const_batch returns: rows contiguous, the batch not (for b, d > 1)
+        strided = rng.standard_normal((d, b, d)).transpose(1, 0, 2)
+        for r in (contiguous, strided):
+            for m in (c, c.T):
+                self.assert_bitwise(_const_batch(m, r), np.matmul(m, r))
+                self.assert_bitwise(_batch_const(r, m), np.matmul(r, m))
+            self.assert_bitwise(_batch_const(r, v), np.matmul(r, v))
+        r = contiguous
+        for pk in (pis[:, 1, :], pis[:1, 1, :]):  # one step of a strategy grid, K = 9 and 1
+            self.assert_bitwise(_quad_forms(r, pk).T, np.einsum("bij,ki,kj->bk", r, pk, pk))
 
 
 class TestReplay:
@@ -263,6 +301,32 @@ class TestBns:
         for times, marks in zip(bundle.jump_times, bundle.jump_marks):
             assert np.all((times >= 0) & (times <= 1.0))
             assert np.all((marks >= 0) & (marks < spec.m_j.n))
+
+
+class TestJumpBudget:
+    """Jump draws over the whole block are refused before the first draw when too many."""
+
+    def test_engines_refuse_over_budget(self):
+        base = bns_spec_d2()
+        spec = BnsJumpSpec(lam=base.lam, lam_op=base.lam_op, b_j=base.b_j,
+                           m_j=ConstantJumps.from_atoms([(base.m_j.xis[0], 1e6)]))
+        assert spec.total_intensity * STREAM_BLOCK > JUMP_MARK_BUDGET
+        with pytest.raises(ValueError, match="budget"):
+            bns_functionals(spec, R0, np.zeros(2), 1.0, 20, np.zeros((1, 2)), 64, seed=1)
+        with pytest.raises(ValueError, match="budget"):
+            next(simulate_bns(spec, R0, np.zeros(2), 1.0, 20, 64, seed=1))
+        params = spec.affine_params()
+        with pytest.raises(ValueError, match="budget"):
+            stochastic_exponential_check(
+                params, R0, CorrelationSpec(np.zeros(2)), np.zeros(2), np.zeros((2, 2)),
+                np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 20, 64, seed=1)
+
+    def test_budget_counts_horizon_and_whole_blocks(self):
+        rate = JUMP_MARK_BUDGET / STREAM_BLOCK  # one block at T = 1 sits exactly at the budget
+        _check_jump_budget(rate, 1.0, STREAM_BLOCK)
+        for horizon, n_paths in ((1.0, STREAM_BLOCK + 1), (1.5, 1), (float("nan"), 1)):
+            with pytest.raises(ValueError, match="budget"):
+                _check_jump_budget(rate, horizon, n_paths)
 
 
 class TestStochasticExponential:
