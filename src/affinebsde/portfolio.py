@@ -157,18 +157,25 @@ class UtilitySolveResult:
     horizon: float
     riccati: RiccatiSolution
     value_at: Callable[[float], float]
-    strategy: Callable[[float], np.ndarray]
+    strategy: Callable  # pi(t) at a time, or one row per time of an array
     diagnostics: dict = field(default_factory=dict)
     price: Optional[float] = None
-    hedge: Optional[Callable[[float], np.ndarray]] = None
+    hedge: Optional[Callable] = None  # Delta(t), called like strategy
 
     def strategy_grid(self, times) -> np.ndarray:
-        return np.stack([self.strategy(float(t)) for t in np.atleast_1d(times)])
+        return _on_grid(self.strategy, times)
 
     def hedge_grid(self, times) -> np.ndarray:
         if self.hedge is None:
             raise ValueError("no hedge attached to this result")
-        return np.stack([self.hedge(float(t)) for t in np.atleast_1d(times)])
+        return _on_grid(self.hedge, times)
+
+
+def _on_grid(fn: Callable, times) -> np.ndarray:
+    """(K, d) rows fn(t_k): one call of fn on the array of times (a constant fn returns one row)."""
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    rows = np.asarray(fn(ts), dtype=float)
+    return np.array(np.broadcast_to(rows, ts.shape + rows.shape[-1:]))
 
 
 # -- generator-coefficient builders ---------------------------------------------------
@@ -333,7 +340,7 @@ def heston_power_solve(
     def value_at(x: float) -> float:
         return x**gamma / gamma * opportunity
 
-    def strategy(t: float) -> np.ndarray:
+    def strategy(t) -> np.ndarray:
         return (eta + 2.0 * sol.gamma_at(t) @ s_rho) / (1.0 - gamma)
 
     return UtilitySolveResult(
@@ -432,7 +439,7 @@ def heston_exp_solve(
     def value_at(x: float) -> float:
         return -float(np.exp(-gamma * (x + y0)))
 
-    def strategy(t: float) -> np.ndarray:
+    def strategy(t) -> np.ndarray:
         return eta / gamma - 2.0 * sol.gamma_at(t) @ s_rho
 
     price = None
@@ -442,7 +449,7 @@ def heston_exp_solve(
         price = y0 - base.diagnostics["y0"]
         base_sol = base.riccati
 
-        def hedge(t: float, _b=base_sol) -> np.ndarray:
+        def hedge(t, _b=base_sol) -> np.ndarray:
             return -2.0 * (sol.gamma_at(t) - _b.gamma_at(t)) @ s_rho
 
         diagnostics["base_y0"] = base.diagnostics["y0"]

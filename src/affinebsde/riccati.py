@@ -221,6 +221,14 @@ def script_C(params: AffineParams, coeffs: GeneratorCoeffs, t: float) -> np.ndar
     return symmetrize(out)
 
 
+def _theta_consts(params: AffineParams, coeffs: GeneratorCoeffs, t: float):
+    """The u-free factors of theta at t: S^T c_zz S, L(t), C(t) and s(t)^T a^T."""
+    s = params.sigma
+    q = s.T @ np.asarray(coeffs.c_zz(t)) @ s
+    sta = np.asarray(coeffs.sigma(t)).T @ coeffs.a.T
+    return q, script_L(params, coeffs, t), script_C(params, coeffs, t), sta
+
+
 def theta_eval(
     params: AffineParams,
     coeffs: GeneratorCoeffs,
@@ -229,14 +237,17 @@ def theta_eval(
     with_asymmetry: bool = False,
 ):
     """Right-hand side theta(t, u); symmetrized, with optional asymmetry diagnostic."""
-    ua = as_sym(u)
+    return _theta(params, coeffs, t, as_sym(u), _theta_consts(params, coeffs, t), with_asymmetry)
+
+
+def _theta(params, coeffs, t, ua, consts, with_asymmetry=False):
+    """theta(t, ua) given the factors ``_theta_consts(params, coeffs, t)``."""
+    q, ll, cc, sta = consts
     s = params.sigma
-    q = s.T @ np.asarray(coeffs.c_zz(t)) @ s
     out = 4.0 * ua @ q @ ua
-    ll = script_L(params, coeffs, t)
     out = out + ll @ ua + ua @ ll.T
     out = out + params.drift.adjoint(ua)
-    out = out + script_C(params, coeffs, t)
+    out = out + cc
 
     if params.mu.n:
         k = np.einsum("ij,nij->n", ua, params.mu.xis)
@@ -248,8 +259,6 @@ def theta_eval(
         out = out + np.einsum("n,nij->ij", coef, params.mu.us)
 
     if params.m.n and coeffs.has_jump_matrix_terms:
-        sig = np.asarray(coeffs.sigma(t))
-        sta = sig.T @ coeffs.a.T
         ks = np.einsum("ij,nij->n", ua, params.m.xis)
         for i in range(params.m.n):
             w, kk = params.m.weights[i], ks[i]
@@ -272,10 +281,9 @@ def theta_eval(
 
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("theta produced non-finite entries (coefficient blow-up?)")
-    asym = 0.5 * float(np.linalg.norm(out - out.T))
     sym = symmetrize(out)
     if with_asymmetry:
-        return sym, asym
+        return sym, 0.5 * float(np.linalg.norm(out - out.T))
     return sym
 
 
@@ -320,19 +328,19 @@ class RiccatiSolution:
     def horizon(self) -> float:
         return float(self.grid[-1])
 
-    def _locate(self, t: float) -> tuple[int, float]:
+    def _locate(self, t):
+        """Knot index j and weight lam of t (a time or an array of times) in [t_j, t_j+1]."""
         grid = self.grid
-        if t <= grid[0]:
-            return 0, 0.0
-        if t >= grid[-1]:
-            return len(grid) - 2, 1.0
-        j = int(np.searchsorted(grid, t, side="right")) - 1
-        lam = (t - grid[j]) / (grid[j + 1] - grid[j])
+        t = np.asarray(t, dtype=float)
+        j = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
+        lam = np.where(t <= grid[0], 0.0,
+                       np.where(t >= grid[-1], 1.0, (t - grid[j]) / (grid[j + 1] - grid[j])))
         return j, lam
 
-    def gamma_at(self, t: float) -> np.ndarray:
-        """Gamma at time t, linear interpolation between grid knots (O(h^2))."""
+    def gamma_at(self, t) -> np.ndarray:
+        """Gamma at time t, or stacked at an array of times; linear between knots (O(h^2))."""
         j, lam = self._locate(t)
+        lam = lam[..., None, None]
         return (1.0 - lam) * self.gammas[j] + lam * self.gammas[j + 1]
 
     def w_at(self, t: float) -> float:
@@ -362,7 +370,11 @@ class RiccatiSolution:
 
 def _compile_backward_rhs(params: AffineParams, coeffs: GeneratorCoeffs):
     """Return f(t, G, w) -> (theta, varpi), using a fast path when coefficients
-    are time-constant and all jump coefficient functions are absent."""
+    are time-constant and all jump coefficient functions are absent.
+
+    The general path evaluates theta's u-free factors once per solve when the
+    coefficients are time-constant, and at every stage otherwise.
+    """
     fast = (
         coeffs.all_time_constant
         and not coeffs.has_jump_matrix_terms
@@ -370,8 +382,11 @@ def _compile_backward_rhs(params: AffineParams, coeffs: GeneratorCoeffs):
         and params.mu.n == 0
     )
     if not fast:
+        consts = _theta_consts(params, coeffs, 0.0) if coeffs.all_time_constant else None
+
         def rhs(t, g, w):
-            return theta_eval(params, coeffs, t, g), varpi_eval(params, coeffs, t, g, w)
+            c = _theta_consts(params, coeffs, t) if consts is None else consts
+            return _theta(params, coeffs, t, g, c), varpi_eval(params, coeffs, t, g, w)
 
         return rhs, False
 
@@ -620,6 +635,39 @@ def backward_flow(step_exp: np.ndarray, steps: int) -> np.ndarray:
     return flows
 
 
+def _varpi_grid(params: AffineParams, coeffs: GeneratorCoeffs, grid: np.ndarray,
+                gammas: np.ndarray) -> np.ndarray:
+    """varpi(t_k, Gamma_k, 0) at every knot, bit for bit varpi_eval's value.
+
+    The Gamma terms take one call over the whole stack; the jump callables
+    (g_y, g_t) and time-dependent c_y, c_t, o1 are still evaluated per knot.
+    """
+    def head(t):
+        val = float(coeffs.c_y(t)) * 0.0 + float(coeffs.c_t(t))
+        return val + float(np.trace(coeffs.a @ np.asarray(coeffs.o1(t))))
+
+    if coeffs.c_y.is_constant and coeffs.c_t.is_constant and coeffs.o1.is_constant:
+        val = head(0.0)
+    else:
+        val = np.array([head(t) for t in grid])
+    val = val + (gammas * params.b).reshape(len(gammas), -1).sum(axis=1)
+    if params.m.n:
+        wts = params.m.weights
+
+        def wdot(vals):  # np.dot(wts, vals[k]) per knot, as one call
+            return np.matmul(wts, np.asarray(vals, dtype=float)[:, :, None])[:, 0]
+
+        ks = np.einsum("kij,nij->kn", gammas, params.m.xis)
+        val = val + wdot(ks)
+        # varpi_eval adds v * (g_y sum) at v = 0: a NaN or a sign of zero survives it
+        for g, scale in ((coeffs.g_y, 0.0), (coeffs.g_t, 1.0)):
+            if g is not None:
+                val = val + scale * wdot([[g(t, kk) for kk in row] for t, row in zip(grid, ks)])
+    if not np.all(np.isfinite(val)):
+        raise FloatingPointError("varpi produced a non-finite value")
+    return val
+
+
 def varpi_quadrature(params: AffineParams, coeffs: GeneratorCoeffs, grid: np.ndarray,
                      gammas: np.ndarray, terminal_v: float) -> np.ndarray:
     """w on a uniform grid from -dw/dt = varpi(t, Gamma(t), w), w(T) = terminal_v.
@@ -629,7 +677,7 @@ def varpi_quadrature(params: AffineParams, coeffs: GeneratorCoeffs, grid: np.nda
     is exactly 1 (so changes no bit) when c_y = 0.
     """
     steps = len(grid) - 1
-    base = np.array([varpi_eval(params, coeffs, grid[k], gammas[k], 0.0) for k in range(steps + 1)])
+    base = _varpi_grid(params, coeffs, grid, gammas)
     cy = float(coeffs.c_y(0.0))
     integral = simpson_cumulative_backward(np.exp(cy * grid) * base, grid[-1] / steps,
                                            np.exp(cy * grid[-1]) * terminal_v)
@@ -652,6 +700,31 @@ def _check_no_pole(grid: np.ndarray, a22s: np.ndarray, gammas: np.ndarray) -> No
     if hits.size:
         k = int(hits[-1])
         raise RiccatiBlowUpError(time=float(grid[k + 1]), norm=float("inf"), bound=DEFAULT_BLOWUP_NORM)
+
+
+def _raise_if_singular(grid: np.ndarray, a22s: np.ndarray, lo: int, hi: int) -> None:
+    """Raise BlockExpSingularError at the highest knot of lo..hi-1 where A_22 is singular."""
+    if lo < hi:
+        svals = np.linalg.svd(a22s[lo:hi], compute_uv=False)
+        hits = np.flatnonzero(svals[:, -1] <= 1e-13 * np.fmax(1.0, svals[:, 0]))
+        if hits.size:
+            raise BlockExpSingularError(time=float(grid[lo + hits[-1]]))
+
+
+def _check_a22_regular(grid: np.ndarray, a22s: np.ndarray) -> None:
+    """Raise BlockExpSingularError at the knot nearest T where A_22 is numerically singular.
+
+    One batched svd covers each run of finite knots.  A knot with a non-finite
+    entry gets an svd of its own, met in the order of a per-knot sweep from T
+    backward: LAPACK may reject such a matrix (LinAlgError), and a batch that
+    holds it would fail as a whole, before the singular knots above it count.
+    """
+    hi = len(a22s)
+    for k in np.flatnonzero(~np.all(np.isfinite(a22s), axis=(1, 2)))[::-1]:
+        _raise_if_singular(grid, a22s, k + 1, hi)
+        _raise_if_singular(grid, a22s, k, k + 1)
+        hi = k
+    _raise_if_singular(grid, a22s, 0, hi)
 
 
 def solve_block_exp(
@@ -701,10 +774,7 @@ def solve_block_exp(
     grid = np.linspace(0.0, T, steps + 1)
     flows = backward_flow(mat_exp((T / steps) * m_block), steps)
     a22s = flows[:, d:, d:]
-    for k in range(steps, -1, -1):
-        svals = np.linalg.svd(a22s[k], compute_uv=False)
-        if svals[-1] <= 1e-13 * max(1.0, svals[0]):
-            raise BlockExpSingularError(time=float(grid[k]))
+    _check_a22_regular(grid, a22s)
     gammas = symmetrize(np.linalg.solve(a22s, flows[:, d:, :d]))
     gammas[-1] = 0.0
     _check_no_pole(grid, a22s, gammas)

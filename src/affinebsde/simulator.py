@@ -48,6 +48,11 @@ from .symcone import (
 STREAM_BLOCK = 16384
 PROJECTION_WARN_FRACTION = 1e-3
 JUMP_MARK_BUDGET = 1e8
+# Paths x (steps + 1) that simulate_wishart and simulate_bns may keep.  The
+# simulate command holds every path until it writes paths.csv: about 650 B per
+# stored path-step at d = 2 (peak RSS of 8 000 against 2 000 paths x 100
+# steps), so the budget stands for about 1.3 GB there, more at larger d.
+PATH_STEP_BUDGET = 2e6
 
 
 def _block_rng(seed: int, block_start: int) -> np.random.Generator:
@@ -108,6 +113,14 @@ def _check_jump_budget(lam_tot: float, T: float, n_paths: int) -> None:
     if not marks <= JUMP_MARK_BUDGET:
         raise ValueError(f"the jump draws need about {marks:.3g} marks, over the budget of "
                          f"{JUMP_MARK_BUDGET:.0e} (total intensity x horizon x {STREAM_BLOCK} x blocks)")
+
+
+def _check_path_step_budget(n_paths: int, n_steps: int) -> None:
+    """Refuse a run that would keep more than PATH_STEP_BUDGET path-steps."""
+    stored = n_paths * (n_steps + 1)
+    if not stored <= PATH_STEP_BUDGET:
+        raise ValueError(f"{n_paths} paths x {n_steps + 1} times are {stored:.3g} stored path-steps, "
+                         f"over the budget of {PATH_STEP_BUDGET:.0e}")
 
 
 def _const_batch(c: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -227,6 +240,7 @@ def simulate_wishart(
 
     Deterministic given ``seed``; one bundle per RNG block.
     """
+    _check_path_step_budget(n_paths, n_steps)
     if not params.continuous:
         raise ValueError("simulate_wishart expects a continuous parameter set")
     d = params.d
@@ -412,6 +426,7 @@ def simulate_bns(
     seed: int,
 ) -> Iterator[PathBundle]:
     """Stream PathBundles of the jump-OU model; O accumulates realized covariance."""
+    _check_path_step_budget(n_paths, n_steps)
     d = spec.d
     r0 = as_sym(r0)
     eta = np.asarray(eta, dtype=float)

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -552,6 +553,20 @@ class TestExitCodes:
         line = self.run_failing(tmp_path, capsys, command, cfg, EXIT_CONFIG,
                                 "--paths", "64", "--steps", "20")
         assert "over the budget" in line
+
+    @pytest.mark.parametrize("config", ["heston_power_portfolio.json", "bns_exp_verify_martingale.json"])
+    def test_simulate_over_path_step_budget_is_config_error(self, tmp_path, capsys, config):
+        # simulate keeps every path: 1e8 paths x 1001 times would need tens of TB
+        cfg = json.loads((CONFIGS / config).read_text(encoding="utf-8"))
+        tracemalloc.start()
+        try:
+            line = self.run_failing(tmp_path, capsys, "simulate", cfg, EXIT_CONFIG,
+                                    "--paths", "100000000", "--steps", "1000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "over the budget" in line
+        assert peak < 16 * 2**20  # refused before the first path is allocated
 
     @pytest.mark.parametrize("command", ["riccati-solve", "portfolio", "price", "verify", "simulate"])
     def test_top_level_list_is_config_error(self, tmp_path, capsys, command):

@@ -126,9 +126,11 @@ class TestThetaEval:
 
     def test_asymmetry_diagnostic(self, rng):
         params, coeffs, _ = quasi_monotone_jump_instance()
-        th, asym = theta_eval(params, coeffs, 0.0, rand_sym(rng, 2), with_asymmetry=True)
+        u = rand_sym(rng, 2)
+        th, asym = theta_eval(params, coeffs, 0.0, u, with_asymmetry=True)
         assert np.array_equal(th, th.T)
         assert asym >= 0.0
+        assert np.array_equal(th, theta_eval(params, coeffs, 0.0, u))
 
 
 class TestVarpiEval:

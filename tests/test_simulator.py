@@ -10,11 +10,13 @@ from affinebsde.affine_model import (
 )
 from affinebsde.simulator import (
     JUMP_MARK_BUDGET,
+    PATH_STEP_BUDGET,
     STREAM_BLOCK,
     BnsJumpSpec,
     CorrelationSpec,
     _batch_const,
     _check_jump_budget,
+    _check_path_step_budget,
     _const_batch,
     _quad_forms,
     bns_functionals,
@@ -327,6 +329,25 @@ class TestJumpBudget:
         for horizon, n_paths in ((1.0, STREAM_BLOCK + 1), (1.5, 1), (float("nan"), 1)):
             with pytest.raises(ValueError, match="budget"):
                 _check_jump_budget(rate, horizon, n_paths)
+
+
+class TestPathStepBudget:
+    """The streams that keep whole paths refuse paths x (steps + 1) over the budget before drawing."""
+
+    def test_engines_refuse_over_budget(self):
+        n_paths = int(PATH_STEP_BUDGET) // 101 + 1
+        with pytest.raises(ValueError, match="budget"):
+            next(simulate_wishart(small_wishart(), R0, CorrelationSpec(np.zeros(2)), np.zeros(2),
+                                  1.0, 100, n_paths, seed=1))
+        with pytest.raises(ValueError, match="budget"):
+            next(simulate_bns(bns_spec_d2(), R0, np.zeros(2), 1.0, 100, n_paths, seed=1))
+
+    def test_budget_counts_stored_times(self):
+        _check_path_step_budget(int(PATH_STEP_BUDGET) // 101, 100)
+        _check_path_step_budget(8, 100)  # the simulate command's default
+        for n_paths, n_steps in ((int(PATH_STEP_BUDGET) // 100, 100), (1, int(PATH_STEP_BUDGET))):
+            with pytest.raises(ValueError, match="budget"):
+                _check_path_step_budget(n_paths, n_steps)
 
 
 class TestStochasticExponential:
