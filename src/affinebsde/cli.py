@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import os
 import sys
@@ -721,6 +722,18 @@ def cmd_verify(cfg: dict, args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+def _path_rows(bundle: simulator.PathBundle, iu) -> np.ndarray:
+    """paths.csv rows of a bundle: path id, t, upper-triangle r, n_log, upper-triangle o."""
+    n_paths, n_times = bundle.r.shape[:2]
+    return np.column_stack([
+        np.repeat(np.arange(bundle.path_offset, bundle.path_offset + n_paths), n_times),
+        np.tile(bundle.times, n_paths),
+        bundle.r[:, :, iu[0], iu[1]].reshape(n_paths * n_times, -1),
+        bundle.n_log.reshape(n_paths * n_times, -1),
+        bundle.o[:, :, iu[0], iu[1]].reshape(n_paths * n_times, -1),
+    ])
+
+
 def cmd_simulate(cfg: dict, args) -> int:
     p = _Parser(cfg)
     _check_schema(p)
@@ -739,23 +752,13 @@ def cmd_simulate(cfg: dict, args) -> int:
         print("simulate requires model.kind heston or bns", file=sys.stderr)
         return EXIT_CONFIG
     d = model.d
-    iu = list(zip(*np.triu_indices(d)))
-    header = (["path", "t"] + [f"r_{i}{j}" for i, j in iu] + [f"n_{i}" for i in range(d)]
-              + [f"o_{i}{j}" for i, j in iu])
-    rows = []
-    offset = 0
-    with _solver_hypotheses():  # the streams check their inputs before the first draw
-        for bundle in stream:
-            for b in range(bundle.r.shape[0]):
-                for k, t in enumerate(bundle.times):
-                    rows.append(
-                        [offset + b, t]
-                        + [bundle.r[b, k, i, j] for i, j in iu]
-                        + list(bundle.n_log[b, k])
-                        + [bundle.o[b, k, i, j] for i, j in iu]
-                    )
-            offset += bundle.r.shape[0]
-    write_csv(os.path.join(args.out, "paths.csv"), header, rows)
+    iu = np.triu_indices(d)
+    header = (["path", "t"] + [f"r_{i}{j}" for i, j in zip(*iu)] + [f"n_{i}" for i in range(d)]
+              + [f"o_{i}{j}" for i, j in zip(*iu)])
+    rows = (row for bundle in stream for row in _path_rows(bundle, iu))
+    with _solver_hypotheses():
+        first = list(itertools.islice(rows, 1))  # a budget refusal raises here, before paths.csv is opened
+        write_csv(os.path.join(args.out, "paths.csv"), header, itertools.chain(first, rows))
     print(f"simulate: wrote {n_paths} paths x {n_steps} steps")
     return EXIT_OK
 

@@ -719,17 +719,17 @@ class UtilityPreset:
         return self.solve.strategy_grid(ts)
 
     def perturbed_strategies(self, n_steps: int) -> list[np.ndarray]:
+        """The optimal grid shifted by +-0.3 e_i for each i, +-0.25 (1, ..., 1), +0.8 e_0 and -0.8 e_{d-1}."""
         base = self.opt_strategy_grid(n_steps)
         d = base.shape[1]
-        deltas = [
-            np.array([0.3, 0.0]), np.array([-0.3, 0.0]),
-            np.array([0.0, 0.3]), np.array([0.0, -0.3]),
-            np.array([0.25, 0.25]), np.array([-0.25, -0.25]),
-            np.array([0.8, 0.0]), np.array([0.0, -0.8]),
-        ]
-        if d != 2:
-            rng = np.random.default_rng(11)
-            deltas = [0.4 * rng.standard_normal(d) for _ in range(8)]
+
+        def shift(i: int, size: float) -> np.ndarray:
+            delta = np.zeros(d)  # +0.0, not -0.0, off the support: base + delta keeps the audits' bits
+            delta[i] = size
+            return delta
+
+        deltas = [shift(i, size) for i in range(d) for size in (0.3, -0.3)]
+        deltas += [np.full(d, 0.25), np.full(d, -0.25), shift(0, 0.8), shift(d - 1, -0.8)]
         return [base + dl for dl in deltas]
 
     def l_terminal(self, fn: PathFunctionals, strat_idx: int) -> np.ndarray:

@@ -1049,85 +1049,3 @@ def quasi_monotone_probe(
             worst = val
             witness = (w, v, x)
     return QuasiMonotoneProbe(min_value=float(worst), n_samples=n_samples, witness=witness)
-
-
-# -- growth diagnostic -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GrowthDiagnostic:
-    ok: bool
-    max_ratio: float  # max over grid of Tr(G theta)/ (K(t)(||G||^2+1))
-    k_values: np.ndarray
-
-
-def growth_bound_check(params: AffineParams, coeffs: GeneratorCoeffs, sol: RiccatiSolution,
-                       k_margin: float = 1e-9) -> GrowthDiagnostic:
-    """Check Tr(Gamma theta(t, Gamma)) <= K(t)(||Gamma||^2 + 1) along a trajectory.
-
-    K(t) is assembled from the bound's proof ingredients: the quadratic term is
-    dropped (valid when c_zz is NSD, which the caller should have validated),
-    linear terms contribute operator-norm bounds, and the jump terms use
-    linear-growth constants estimated on the trajectory's own k-range.
-    """
-    s = params.sigma
-    d = params.d
-    bstar_op = np.linalg.norm(
-        np.column_stack([params.drift.adjoint(np.eye(d)[:, [i]] @ np.eye(d)[[j], :]).ravel()
-                         for i in range(d) for j in range(d)]), 2,
-    )
-    k_range = 0.0
-    if params.m.n:
-        k_range = max(
-            float(np.max(np.abs(np.einsum("kij,nij->kn", sol.gammas, params.m.xis)))), 1.0
-        )
-
-    def gconst(g, matrix):
-        if g is None:
-            return 0.0
-        kk = np.linspace(0.0, k_range, 9)
-        vals = [frobenius(g(0.0, k)) if matrix else abs(float(g(0.0, k))) for k in kk]
-        return max(v / (k + 1.0) for v, k in zip(vals, kk))
-
-    c_m = gconst(coeffs.g_M, False)
-    c_x = gconst(coeffs.g_x, True)
-    c_zs = 0.0
-    if coeffs.g_zsqrtx is not None:
-        c_zs = max(frobenius(coeffs.g_zsqrtx(0.0, k)) for k in np.linspace(0.0, k_range, 9))
-    c_gy = 0.0
-    if coeffs.g_y is not None:
-        c_gy = max(abs(float(coeffs.g_y(0.0, k))) for k in np.linspace(0.0, k_range, 9))
-    c_hzhz = gconst(coeffs.g_hzhz, True)
-    c_hzs = gconst(coeffs.g_hzsqrtx, True)
-    c_hzz = 0.0
-    if coeffs.g_hzz is not None:
-        c_hzz = max(frobenius(coeffs.g_hzz(0.0, k)) for k in np.linspace(0.0, k_range, 9))
-
-    s_norm = frobenius(s)
-    ratios = np.empty(len(sol.grid))
-    k_values = np.empty(len(sol.grid))
-    for i, t in enumerate(sol.grid):
-        g = sol.gammas[i]
-        gnorm = frobenius(g)
-        lhs = trace_inner(g, theta_eval(params, coeffs, t, g))
-        kt = 2.0 * frobenius(script_L(params, coeffs, t)) + bstar_op + frobenius(script_C(params, coeffs, t))
-        if params.mu.n:
-            for j in range(params.mu.n):
-                xi_norm = frobenius(params.mu.xis[j])
-                u_norm = frobenius(params.mu.us[j])
-                den = min(xi_norm**2, 1.0)
-                kt += u_norm * (c_m * (xi_norm + 1.0) + 2.0 * xi_norm) / den
-        if params.m.n:
-            wsum = params.m.total_weight
-            xmax = max(frobenius(x) for x in params.m.xis)
-            sta = np.asarray(coeffs.sigma(0.0)).T @ coeffs.a.T
-            kt += wsum * (
-                2.0 * s_norm * c_zs + c_gy + c_x * (xmax + 1.0)
-                + frobenius(sta) ** 2 * c_hzhz * (xmax + 1.0)
-                + 2.0 * frobenius(sta) * s_norm * c_hzz
-                + frobenius(sta) * c_hzs * (xmax + 1.0)
-            )
-        k_values[i] = kt
-        ratios[i] = lhs / (kt * (gnorm**2 + 1.0)) if kt > 0 else (0.0 if lhs <= 0 else np.inf)
-    max_ratio = float(np.max(ratios))
-    return GrowthDiagnostic(ok=bool(max_ratio <= 1.0 + k_margin), max_ratio=max_ratio, k_values=k_values)

@@ -1,4 +1,4 @@
-"""Monte Carlo engines for the forward processes and martingale checks.
+"""Monte Carlo engines for the forward processes.
 
 Engines
 -------
@@ -11,11 +11,6 @@ Engines
   between grid points R is propagated by the exact semigroup (H-form Lambda),
   jump marks drawn from exponential clocks are conjugated by the flow over the
   remaining sub-interval; plain Euler handles general Lambda.
-* Stochastic-exponential audit: simulate log E(P) for
-  P = int s_q' sqrt(R) dQ + int Tr(s_w sqrt(R) dW) + int Tr(s_qh sqrt(R) dQhat)
-      + int (e^{Tr(s_mu xi)} - 1) d(jump martingale)
-  and report the sample mean/stderr of E(P)_T, whose distance from 1 is the
-  martingale defect.
 
 Randomness: Philox4x64-10 counter-based bit generator, one stream per fixed
 block of ``STREAM_BLOCK`` path indices with key (seed, block start).
@@ -37,7 +32,6 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .affine_model import AffineParams, ConstantJumps, HFormDrift, LinearDrift
-from .riccati import TimeFn
 from .symcone import (
     as_sym,
     mat_exp,
@@ -48,10 +42,11 @@ from .symcone import (
 STREAM_BLOCK = 16384
 PROJECTION_WARN_FRACTION = 1e-3
 JUMP_MARK_BUDGET = 1e8
-# Paths x (steps + 1) that simulate_wishart and simulate_bns may keep.  The
-# simulate command holds every path until it writes paths.csv: about 650 B per
-# stored path-step at d = 2 (peak RSS of 8 000 against 2 000 paths x 100
-# steps), so the budget stands for about 1.3 GB there, more at larger d.
+# Paths x (steps + 1) that simulate_wishart and simulate_bns may stream.  The
+# simulate command writes each bundle (one block of paths) to paths.csv as it
+# arrives: about 230 B per path-step of the bundle at d = 2 (peak RSS of 8 000
+# against 2 000 paths x 100 steps), so the budget stands for at most about
+# 460 MB there, more at larger d.
 PATH_STEP_BUDGET = 2e6
 
 
@@ -80,13 +75,13 @@ class _BlockStream:
         """scale * N(0, 1) draws of per-path ``shape``, used paths only."""
         return self.rng.standard_normal((STREAM_BLOCK,) + tuple(shape))[: self.count] * scale
 
-    def jumps(self, rate: float, cdf: np.ndarray, dt: Optional[float] = None):
-        """(path ids, times in [0, dt) if dt is given, atom marks by ``cdf``) of Poisson(rate) jumps."""
+    def jumps(self, rate: float, cdf: np.ndarray, dt: float):
+        """(path ids, times in [0, dt), atom marks by ``cdf``) of Poisson(rate) jumps."""
         ids = np.repeat(np.arange(STREAM_BLOCK), self.rng.poisson(rate, size=STREAM_BLOCK))
-        taus = None if dt is None else self.rng.uniform(0.0, dt, size=ids.size)
+        taus = self.rng.uniform(0.0, dt, size=ids.size)
         marks = np.searchsorted(cdf, self.rng.uniform(size=ids.size), side="left")
         keep = ids < self.count
-        return ids[keep], None if taus is None else taus[keep], marks[keep]
+        return ids[keep], taus[keep], marks[keep]
 
 
 def _run_blocks(worker: Callable[[_BlockStream], object], seed: int, n_paths: int, threads: int) -> list:
@@ -199,26 +194,19 @@ class CorrelationSpec:
 
 @dataclass(frozen=True, eq=False)
 class PathBundle:
-    """One batch of simulated paths with driving increments retained.
+    """One batch of simulated paths on the time grid ``times``.
 
     Arrays carry a leading batch axis; ``path_offset`` is the absolute index
-    of the first path.  N and O are reconstructible from the stored increments
-    and R (replay identity, exercised by the test suite).  ``projection_shift``
-    logs the Frobenius magnitude of each PSD clamp; ``step_warning`` flags any
-    clamp exceeding PROJECTION_WARN_FRACTION of the state norm.
+    of the first path.  ``projection_shift`` logs the Frobenius magnitude of
+    each PSD clamp; ``step_warning`` flags any clamp exceeding
+    PROJECTION_WARN_FRACTION of the state norm.
     """
 
     times: np.ndarray
     r: np.ndarray  # (B, n+1, d, d)
     n_log: np.ndarray  # (B, n+1, d)
     o: np.ndarray  # (B, n+1, d, d)
-    dw: Optional[np.ndarray]  # (B, n, d, d)
-    dd: np.ndarray  # (B, n, d)
-    dqhat: Optional[np.ndarray]  # (B, n, d, d)
-    jump_times: list  # per path: array of event times
-    jump_marks: list  # per path: array of atom indices
     projection_shift: np.ndarray  # (B, n)
-    seed: int
     path_offset: int
     step_warning: bool
 
@@ -262,9 +250,6 @@ def simulate_wishart(
         rs = np.empty((count, n_steps + 1, d, d))
         ns = np.empty((count, n_steps + 1, d))
         os_ = np.empty((count, n_steps + 1, d, d))
-        dws = np.empty((count, n_steps, d, d))
-        dds = np.empty((count, n_steps, d))
-        dqs = np.empty((count, n_steps, d, d))
         shifts = np.empty((count, n_steps))
         rs[:, 0], ns[:, 0], os_[:, 0] = r, n_log, o
         for k in range(n_steps):
@@ -276,16 +261,11 @@ def simulate_wishart(
             o = o + _const_batch(sig_o, np.matmul(sr, dqh)) + (o1 + _const_batch(o2, r)) * dt
             r = _euler_update(r, sr, params, dt, dw)
             r, sr, shift = project_and_sqrt_psd_batch(r)
-            dws[:, k], dds[:, k], dqs[:, k] = dw, dd, dqh
             shifts[:, k] = shift
             rs[:, k + 1], ns[:, k + 1], os_[:, k + 1] = r, n_log, o
         warn = bool(np.any(shifts > PROJECTION_WARN_FRACTION * (1.0 + np.linalg.norm(rs[:, :-1], axis=(2, 3)))))
-        yield PathBundle(
-            times=times, r=rs, n_log=ns, o=os_,
-            dw=dws, dd=dds, dqhat=dqs,
-            jump_times=[np.zeros(0)] * count, jump_marks=[np.zeros(0, dtype=int)] * count,
-            projection_shift=shifts, seed=seed, path_offset=start, step_warning=warn,
-        )
+        yield PathBundle(times=times, r=rs, n_log=ns, o=os_, projection_shift=shifts,
+                         path_offset=start, step_warning=warn)
 
 
 # -- jump-OU (BNS-type) engine --------------------------------------------------------
@@ -379,11 +359,11 @@ def _bns_block_core(
     stream: _BlockStream,
     on_step: Callable,
     flow: Optional[_AffineFlow],
-    record_jumps: bool = False,
-):
+) -> np.ndarray:
     """Common stepping loop for one RNG block; only the used paths are evolved.
 
     ``on_step(k, r, sr)`` consumes the pre-step state; ``flow`` is ``_bns_flow``'s.
+    Returns the state at T.
     """
     d = spec.d
     exact = flow is not None
@@ -391,8 +371,6 @@ def _bns_block_core(
     lam_tot = spec.total_intensity
     cdf = np.cumsum(spec.m_j.weights) / lam_tot if lam_tot > 0 else None
     r = np.broadcast_to(r0, (stream.count, d, d)).copy()
-    jt = [[] for _ in range(stream.count)] if record_jumps else None
-    jm = [[] for _ in range(stream.count)] if record_jumps else None
 
     for k in range(n_steps):
         _, sr, _ = project_and_sqrt_psd_batch(r)
@@ -409,11 +387,7 @@ def _bns_block_core(
                     props = flow.propagators(dt - taus)
                     xis = np.matmul(np.matmul(props, xis), props.transpose(0, 2, 1))
                 np.add.at(r, ids, xis)
-                if record_jumps:
-                    for pid, tau, mk in zip(ids, taus, marks):
-                        jt[pid].append(k * dt + tau)
-                        jm[pid].append(int(mk))
-    return r, jt, jm
+    return r
 
 
 def simulate_bns(
@@ -440,26 +414,16 @@ def simulate_bns(
         rs = np.empty((count, n_steps + 1, d, d))
         ns = np.zeros((count, n_steps + 1, d))
         os_ = np.zeros((count, n_steps + 1, d, d))
-        dds = np.empty((count, n_steps, d))
 
         def on_step(k, r, sr):
             rs[:, k] = r
             dd = stream.normal((d,), sdt)
-            dds[:, k] = dd
             ns[:, k + 1] = ns[:, k] + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
             os_[:, k + 1] = os_[:, k] + r * dt
 
-        r_final, jt, jm = _bns_block_core(spec, r0, dt, n_steps, stream, on_step, flow,
-                                          record_jumps=True)
-        rs[:, n_steps] = r_final
-        yield PathBundle(
-            times=times, r=rs, n_log=ns, o=os_,
-            dw=None, dd=dds, dqhat=None,
-            jump_times=[np.asarray(jt[i]) for i in range(count)],
-            jump_marks=[np.asarray(jm[i], dtype=int) for i in range(count)],
-            projection_shift=np.zeros((count, n_steps)), seed=seed, path_offset=start,
-            step_warning=False,
-        )
+        rs[:, n_steps] = _bns_block_core(spec, r0, dt, n_steps, stream, on_step, flow)
+        yield PathBundle(times=times, r=rs, n_log=ns, o=os_,
+                         projection_shift=np.zeros((count, n_steps)), path_offset=start, step_warning=False)
 
 
 # -- terminal functionals for audits ---------------------------------------------------
@@ -592,107 +556,11 @@ def bns_functionals(
             i_quad[:, :] += _quad_forms(r, pk) * dt
             o[:, :] += r * dt
 
-        r_final, _, _ = _bns_block_core(spec, r0, dt, n_steps, stream, on_step, flow)
+        r_final = _bns_block_core(spec, r0, dt, n_steps, stream, on_step, flow)
         return (i_dn, i_quad.T.copy(), o, r_final)
 
     parts = zip(*_run_blocks(worker, seed, n_paths, threads))
     return PathFunctionals(*map(np.concatenate, parts), projection_fraction=0.0)
-
-
-# -- stochastic exponential audit -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StochExpResult:
-    mean: float
-    stderr: float
-    exp_jump_mass: float  # sum over atoms of w e^{Tr(s_mu xi)} over the unit-crossing set
-
-    @property
-    def defect(self) -> float:
-        return abs(self.mean - 1.0)
-
-
-def stochastic_exponential_check(
-    params: AffineParams,
-    r0,
-    corr: CorrelationSpec,
-    sigma_q,
-    sigma_w,
-    sigma_qhat,
-    sigma_mu,
-    T: float,
-    n_steps: int,
-    n_paths: int,
-    seed: int,
-    threads: int = 1,
-) -> StochExpResult:
-    """Sample mean and stderr of the stochastic exponential at T.
-
-    The sigma arguments are TimeFns (or constants): sigma_q is d-vector valued,
-    the others d x d.  The state follows the square-root diffusion of
-    ``params`` plus its constant-intensity jump atoms.  The integrability mass
-    sum_{|Tr(s_mu xi)| > 1} w e^{Tr(s_mu xi)} (finite by construction for atom
-    lists) is evaluated at t = 0 and reported.
-    """
-    if params.mu.n:
-        raise ValueError("linear jump atoms are not supported in the exponential audit")
-    d = params.d
-    r0 = as_sym(r0)
-    s_q = TimeFn.coerce(sigma_q)
-    s_w = TimeFn.coerce(sigma_w)
-    s_qh = TimeFn.coerce(sigma_qhat)
-    s_mu = TimeFn.coerce(sigma_mu)
-    dt = T / n_steps
-    sdt = np.sqrt(dt)
-    lam_tot = params.m.total_weight if params.m.n else 0.0
-    _check_jump_budget(lam_tot, T, n_paths)
-    cdf = np.cumsum(params.m.weights) / lam_tot if lam_tot > 0 else None
-
-    mass = 0.0
-    if params.m.n:
-        sm0 = np.asarray(s_mu(0.0))
-        tr = np.einsum("ij,nij->n", sm0, params.m.xis)
-        mass = float(np.dot(params.m.weights, np.where(np.abs(tr) > 1.0, np.exp(tr), 0.0)))
-
-    def worker(stream):
-        count = stream.count
-        r = np.broadcast_to(r0, (count, d, d)).copy()
-        r, sr, _ = project_and_sqrt_psd_batch(r)
-        logp = np.zeros(count)
-        for k in range(n_steps):
-            t = k * dt
-            sq = np.atleast_1d(np.asarray(s_q(t), dtype=float))
-            sw = np.asarray(s_w(t), dtype=float)
-            sqh = np.asarray(s_qh(t), dtype=float)
-            smu = np.asarray(s_mu(t), dtype=float)
-            dw = stream.normal((d, d), sdt)
-            dd = stream.normal((d,), sdt)
-            dq = _batch_const(dw, corr.rho) + corr.orth * dd
-            logp += np.einsum("i,bij,bj->b", sq, sr, dq)
-            if np.any(sw):
-                logp += np.einsum("ij,bjk,bki->b", sw, sr, dw)
-            if np.any(sqh):
-                dqh = stream.normal((d, d), sdt)
-                logp += np.einsum("ij,bjk,bki->b", sqh, sr, dqh)
-            xi_mat = (
-                2.0 * np.outer(sq, corr.rho) @ sw + sw.T @ sw + sqh.T @ sqh + np.outer(sq, sq)
-            )
-            logp -= 0.5 * np.einsum("bij,ji->b", r, xi_mat) * dt
-            if lam_tot > 0:
-                tr = np.einsum("ij,nij->n", smu, params.m.xis)
-                logp += float(np.dot(params.m.weights, 1.0 - np.exp(tr))) * dt
-            r = _euler_update(r, sr, params, dt, dw)
-            if lam_tot > 0:
-                ids, _, marks = stream.jumps(lam_tot * dt, cdf)
-                np.add.at(r, ids, params.m.xis[marks])
-                np.add.at(logp, ids, np.einsum("ij,nij->n", smu, params.m.xis[marks]))
-            r, sr, _ = project_and_sqrt_psd_batch(r)
-        return np.exp(logp)
-
-    vals = np.concatenate(_run_blocks(worker, seed, n_paths, threads))
-    m, se = mean_stderr(vals)
-    return StochExpResult(mean=float(m), stderr=float(se), exp_jump_mass=mass)
 
 
 # -- weak-error study with common random numbers ----------------------------------------
@@ -739,7 +607,6 @@ def wishart_weak_errors(
     seed: int,
     exact_value: float,
     threads: int = 1,
-    force_general: bool = False,
 ) -> dict:
     """Euler weak errors of the Laplace functional, with shared Brownian noise.
 
@@ -764,7 +631,7 @@ def wishart_weak_errors(
     dt_f = T / n_fine
     sdt = np.sqrt(dt_f)
     strides = {s: n_fine // s for s in steps_list}
-    fast2 = d == 2 and isinstance(params.drift, HFormDrift) and not force_general
+    fast2 = d == 2 and isinstance(params.drift, HFormDrift)
 
     def worker_general(stream):
         count = stream.count

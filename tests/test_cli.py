@@ -13,9 +13,14 @@ from affinebsde.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
+    _Parser,
     dump_json,
     main,
+    parse_model,
+    write_csv,
 )
+from affinebsde.portfolio import HestonModel
+from affinebsde.simulator import STREAM_BLOCK, simulate_bns, simulate_wishart
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -284,7 +289,81 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def bns_config():
+    return {
+        "schema_version": 1,
+        "model": {
+            "kind": "bns",
+            "lambda0": [[0.09, 0.01], [0.01, 0.07]],
+            "drift_h": [[-0.6, 0.05], [0.0, -0.45]],
+            "b_jump": [[0.02, 0.0], [0.0, 0.015]],
+            "atoms": [{"xi": [[0.12, 0.03], [0.03, 0.08]], "weight": 1.1}],
+            "eta": [0.6, 0.35],
+            "r0": [[0.3, 0.03], [0.03, 0.22]],
+        },
+        "horizon": 1.0,
+    }
+
+
+def heston_d3_config():
+    return {
+        "schema_version": 1,
+        "model": {
+            "kind": "heston",
+            "alpha": [[0.04, 0.0, 0.0], [0.0, 0.05, 0.0], [0.0, 0.0, 0.03]],
+            "b": [[0.2, 0.01, 0.0], [0.01, 0.25, 0.0], [0.0, 0.0, 0.15]],
+            "drift_h": [[-0.5, 0.05, 0.0], [0.02, -0.6, 0.01], [0.0, 0.03, -0.4]],
+            "eta": [0.5, 0.4, 0.3],
+            "rho": [-0.3, -0.2, -0.1],
+            "r0": [[0.3, 0.02, 0.01], [0.02, 0.25, 0.0], [0.01, 0.0, 0.2]],
+        },
+        "horizon": 1.0,
+    }
+
+
+def reference_paths_csv(path, cfg, n_paths, n_steps, seed):
+    """paths.csv as simulate wrote it when it kept every path-step as a row list."""
+    model = parse_model(_Parser(cfg))
+    if isinstance(model, HestonModel):
+        stream = simulate_wishart(model.params, model.r0, model.corr, model.eta_eff,
+                                  cfg["horizon"], n_steps, n_paths, seed)
+    else:
+        stream = simulate_bns(model.spec, model.r0, model.eta_eff, cfg["horizon"], n_steps, n_paths, seed)
+    d = model.d
+    iu = list(zip(*np.triu_indices(d)))
+    header = (["path", "t"] + [f"r_{i}{j}" for i, j in iu] + [f"n_{i}" for i in range(d)]
+              + [f"o_{i}{j}" for i, j in iu])
+    rows = []
+    offset = 0
+    for bundle in stream:
+        for b in range(bundle.r.shape[0]):
+            for k, t in enumerate(bundle.times):
+                rows.append(
+                    [offset + b, t]
+                    + [bundle.r[b, k, i, j] for i, j in iu]
+                    + list(bundle.n_log[b, k])
+                    + [bundle.o[b, k, i, j] for i, j in iu]
+                )
+        offset += bundle.r.shape[0]
+    write_csv(path, header, rows)
+
+
 class TestSimulateCommand:
+    @pytest.mark.parametrize("cfg, n_paths, n_steps, seed", [
+        pytest.param(heston_config(), 100, 50, 4, id="heston"),
+        pytest.param(heston_config(), STREAM_BLOCK + 5, 2, 1, id="heston-two-blocks"),
+        pytest.param(heston_d3_config(), 7, 6, 2, id="heston-d3"),
+        pytest.param(bns_config(), 40, 25, 3, id="bns"),
+    ])
+    def test_streamed_rows_match_row_loop(self, tmp_path, cfg, n_paths, n_steps, seed):
+        argv = ["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                "--paths", str(n_paths), "--steps", str(n_steps), "--seed", str(seed)]
+        assert main(argv) == EXIT_OK
+        reference_paths_csv(str(tmp_path / "reference.csv"), cfg, n_paths, n_steps, seed)
+        got = (tmp_path / "out" / "paths.csv").read_bytes()
+        assert got == (tmp_path / "reference.csv").read_bytes()
+        assert got.count(b"\n") == 1 + n_paths * (n_steps + 1)
+
     def test_path_dump_schema(self, tmp_path):
         cfg_dict = heston_config()
         cfg_dict["simulate"] = {"paths": 3, "steps": 10, "seed": 1}
@@ -296,20 +375,7 @@ class TestSimulateCommand:
         assert lines[-1].endswith("\r") is False  # LF endings only
 
     def test_bns_path_dump(self, tmp_path):
-        cfg_dict = {
-            "schema_version": 1,
-            "model": {
-                "kind": "bns",
-                "lambda0": [[0.09, 0.01], [0.01, 0.07]],
-                "drift_h": [[-0.6, 0.05], [0.0, -0.45]],
-                "b_jump": [[0.02, 0.0], [0.0, 0.015]],
-                "atoms": [{"xi": [[0.12, 0.03], [0.03, 0.08]], "weight": 1.1}],
-                "eta": [0.6, 0.35],
-                "r0": [[0.3, 0.03], [0.03, 0.22]],
-            },
-            "horizon": 1.0,
-            "simulate": {"paths": 2, "steps": 8, "seed": 4},
-        }
+        cfg_dict = dict(bns_config(), simulate={"paths": 2, "steps": 8, "seed": 4})
         cfg = write_config(tmp_path, cfg_dict)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         lines = (tmp_path / "paths.csv").read_text().splitlines()
@@ -567,6 +633,7 @@ class TestExitCodes:
             tracemalloc.stop()
         assert "over the budget" in line
         assert peak < 16 * 2**20  # refused before the first path is allocated
+        assert not (tmp_path / "out" / "paths.csv").exists()
 
     @pytest.mark.parametrize("command", ["riccati-solve", "portfolio", "price", "verify", "simulate"])
     def test_top_level_list_is_config_error(self, tmp_path, capsys, command):

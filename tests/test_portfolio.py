@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from affinebsde.portfolio import (
     BnsModel,
     EndowmentSpec,
     HestonModel,
+    SHIPPED_PRESETS,
+    UtilityPreset,
     bns_exp_solve,
     bns_power_solve,
     heston1d_exp_closed_form,
@@ -323,3 +327,44 @@ class TestBnsSolvers:
             lhs = -(gammas[k + 1] - gammas[k - 1]) / (2 * dt)
             rhs = gammas[k] @ h + h.T @ gammas[k] + const
             assert np.allclose(lhs, rhs, atol=5e-5)
+
+
+class TestPerturbedStrategies:
+    """The audits' perturbed strategies: the optimal grid plus deltas derived from d."""
+
+    D2_DELTAS = [[0.3, 0.0], [-0.3, 0.0], [0.0, 0.3], [0.0, -0.3],
+                 [0.25, 0.25], [-0.25, -0.25], [0.8, 0.0], [0.0, -0.8]]
+
+    @staticmethod
+    def zero_preset(d):
+        """A preset whose optimal grid is -0.0 everywhere, so the sign of each zero delta shows."""
+        solve = SimpleNamespace(strategy_grid=lambda ts: np.full((len(ts), d), -0.0))
+        return UtilityPreset(name="zero", kind="heston_power", gamma=0.5, horizon=1.0, solve=solve,
+                             coeffs=None, params=None, model=None)
+
+    def assert_d2_list(self, preset, n_steps):
+        base = preset.opt_strategy_grid(n_steps)
+        got = preset.perturbed_strategies(n_steps)
+        assert len(got) == len(self.D2_DELTAS)
+        for grid, delta in zip(got, self.D2_DELTAS):
+            ref = base + np.array(delta)
+            assert np.array_equal(grid.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_PRESETS))
+    def test_d2_shipped_presets_bitwise(self, name):
+        self.assert_d2_list(SHIPPED_PRESETS[name](steps=200), 50)
+
+    def test_d2_zero_grid_bitwise(self):
+        self.assert_d2_list(self.zero_preset(2), 7)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_deltas_follow_d(self, d):
+        got = self.zero_preset(d).perturbed_strategies(5)
+        assert len(got) == 2 * d + 4
+        assert all(g.shape == (5, d) for g in got)
+        deltas = np.array([g[0] for g in got])
+        eye = np.eye(d)
+        expected = [s * eye[i] for i in range(d) for s in (0.3, -0.3)]
+        expected += [np.full(d, 0.25), np.full(d, -0.25), 0.8 * eye[0], -0.8 * eye[d - 1]]
+        assert np.array_equal(deltas, np.array(expected))
+        assert not np.any(np.signbit(deltas[deltas == 0.0]))  # +0.0 off the support

@@ -22,7 +22,6 @@ from affinebsde.riccati import (
     GeneratorCoeffs,
     RiccatiBlowUpError,
     TimeFn,
-    growth_bound_check,
     quasi_monotone_probe,
     script_C,
     script_L,
@@ -406,10 +405,3 @@ class TestConePreservationAndGrowth:
         assert report.checks["A2m"].passed and report.checks["A3m"].passed
         sol = solve_rk(params, coeffs, -0.2 * eye, 0.0, 1.0, steps=600)
         assert np.max(sol.max_eigenvalues()) < 1e-12
-
-    def test_growth_bound_along_trajectory(self):
-        params, coeffs, u = quasi_monotone_jump_instance()
-        sol = solve_rk(params, coeffs, u, 0.0, 1.0, steps=300)
-        diag = growth_bound_check(params, coeffs, sol)
-        assert diag.ok, f"max ratio {diag.max_ratio}"
-        assert np.all(diag.k_values > 0)

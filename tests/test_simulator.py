@@ -4,6 +4,7 @@ import pytest
 from affinebsde.affine_model import (
     AffineParams,
     ConstantJumps,
+    GeneralFormDrift,
     HFormDrift,
     solve_transform,
     wishart_params,
@@ -14,6 +15,7 @@ from affinebsde.simulator import (
     STREAM_BLOCK,
     BnsJumpSpec,
     CorrelationSpec,
+    _BlockStream,
     _batch_const,
     _check_jump_budget,
     _check_path_step_budget,
@@ -24,16 +26,21 @@ from affinebsde.simulator import (
     mean_stderr,
     simulate_bns,
     simulate_wishart,
-    stochastic_exponential_check,
     wishart_weak_errors,
 )
 from affinebsde.symcone import project_and_sqrt_psd_batch
 from conftest import rand_pd, rand_psd
 
 
-def small_wishart(rng=None):
+def small_wishart(general_drift=False):
+    """A d = 2 Wishart model; ``general_drift`` writes its B(x) = Hx + xH^T in general form."""
     sig = np.array([[0.22, 0.03], [0.03, 0.18]])
-    return wishart_params(sig, 3.0, np.array([[-0.7, 0.06], [0.03, -0.55]]))
+    params = wishart_params(sig, 3.0, np.array([[-0.7, 0.06], [0.03, -0.55]]))
+    if not general_drift:
+        return params
+    h, eye = params.drift.h, np.eye(2)
+    betas = np.einsum("ki,jl->ijkl", h, eye) + np.einsum("ik,lj->ijkl", eye, h)
+    return AffineParams(alpha=params.alpha, b=params.b, drift=GeneralFormDrift(betas))
 
 
 R0 = np.array([[0.32, 0.04], [0.04, 0.26]])
@@ -93,9 +100,8 @@ class TestReplay:
         eta = np.array([0.6, 0.3])
         a = next(simulate_wishart(params, R0, corr, eta, 1.0, 30, 16, seed=42))
         b = next(simulate_wishart(params, R0, corr, eta, 1.0, 30, 16, seed=42))
-        for fa, fb in ((a.r, b.r), (a.n_log, b.n_log), (a.o, b.o), (a.dw, b.dw), (a.dd, b.dd)):
+        for fa, fb in ((a.r, b.r), (a.n_log, b.n_log), (a.o, b.o)):
             assert np.array_equal(fa, fb)
-        assert a.seed == 42
 
     def test_path_count_extension_keeps_prefix(self):
         params = small_wishart()
@@ -158,14 +164,19 @@ class TestReplay:
         bundle = next(simulate_wishart(params, R0, corr, eta, 1.0, 25, 4, seed=9,
                                        o_sigma=sig_o, o1=o1, o2=o2))
         dt = 1.0 / 25
+        # the increments, drawn again in simulate_wishart's order: dW, dD, dQhat per step
+        stream = _BlockStream(9, 0, 4)
         n = np.zeros((4, 2))
         o = np.zeros((4, 2, 2))
         for k in range(25):
+            dw = stream.normal((2, 2), np.sqrt(dt))
+            dd = stream.normal((2,), np.sqrt(dt))
+            dqhat = stream.normal((2, 2), np.sqrt(dt))
             r = bundle.r[:, k]
             _, sr, _ = project_and_sqrt_psd_batch(r)
-            dq = bundle.dw[:, k] @ corr.rho + corr.orth * bundle.dd[:, k]
+            dq = dw @ corr.rho + corr.orth * dd
             n = n + (r @ eta) * dt + np.einsum("bij,bj->bi", sr, dq)
-            o = o + np.matmul(sig_o, np.matmul(sr, bundle.dqhat[:, k])) + (o1 + np.matmul(o2, r)) * dt
+            o = o + np.matmul(sig_o, np.matmul(sr, dqhat)) + (o1 + np.matmul(o2, r)) * dt
             # sqrt(R) is re-derived from the stored (already projected) state,
             # so agreement is up to eigensolver round-off, not bitwise
             assert np.allclose(n, bundle.n_log[:, k + 1], rtol=1e-12, atol=1e-13)
@@ -222,20 +233,20 @@ class TestWishartStatistics:
         assert fn.projection_fraction <= 0.01
 
     def test_weak_error_fast_path_matches_general(self):
+        # the d = 2 component path runs for an H-form drift, the batched-matrix one otherwise
         params = small_wishart()
         u = 0.5 * np.eye(2)
         exact = solve_transform(params, u, 1.0, steps=500).laplace(R0)
         fast = wishart_weak_errors(params, R0, u, 1.0, [50, 100], 2000, 3, exact)
-        gen = wishart_weak_errors(params, R0, u, 1.0, [50, 100], 2000, 3, exact,
-                                  force_general=True)
+        gen = wishart_weak_errors(small_wishart(general_drift=True), R0, u, 1.0, [50, 100], 2000, 3, exact)
         assert fast[50]["mean"] == pytest.approx(gen[50]["mean"], abs=1e-13)
         assert fast[100]["mean"] == pytest.approx(gen[100]["mean"], abs=1e-13)
 
-    @pytest.mark.parametrize("force_general", [False, True])
-    def test_weak_error_steps_only_used_paths(self, monkeypatch, force_general):
+    @pytest.mark.parametrize("general_drift", [False, True])
+    def test_weak_error_steps_only_used_paths(self, monkeypatch, general_drift):
         from affinebsde import simulator
 
-        name = "project_and_sqrt_psd_batch" if force_general else "_proj_sqrt_components_2x2"
+        name = "project_and_sqrt_psd_batch" if general_drift else "_proj_sqrt_components_2x2"
         clamp = getattr(simulator, name)
         batch_sizes = set()
 
@@ -244,8 +255,7 @@ class TestWishartStatistics:
             return clamp(*arrays)
 
         monkeypatch.setattr(simulator, name, spy)
-        wishart_weak_errors(small_wishart(), R0, 0.5 * np.eye(2), 1.0, [2, 4], 100, 3, 1.0,
-                            force_general=force_general)
+        wishart_weak_errors(small_wishart(general_drift), R0, 0.5 * np.eye(2), 1.0, [2, 4], 100, 3, 1.0)
         assert batch_sizes == {100}
 
 
@@ -295,15 +305,6 @@ class TestBns:
         m, se = mean_stderr(vals)
         assert abs(m - exact) <= 3.0 * se
 
-    def test_jump_marks_recorded(self):
-        spec = bns_spec_d2()
-        bundle = next(simulate_bns(spec, R0, np.zeros(2), 1.0, 50, 32, seed=8))
-        counts = [len(t) for t in bundle.jump_times]
-        assert sum(counts) > 0
-        for times, marks in zip(bundle.jump_times, bundle.jump_marks):
-            assert np.all((times >= 0) & (times <= 1.0))
-            assert np.all((marks >= 0) & (marks < spec.m_j.n))
-
 
 class TestJumpBudget:
     """Jump draws over the whole block are refused before the first draw when too many."""
@@ -317,11 +318,6 @@ class TestJumpBudget:
             bns_functionals(spec, R0, np.zeros(2), 1.0, 20, np.zeros((1, 2)), 64, seed=1)
         with pytest.raises(ValueError, match="budget"):
             next(simulate_bns(spec, R0, np.zeros(2), 1.0, 20, 64, seed=1))
-        params = spec.affine_params()
-        with pytest.raises(ValueError, match="budget"):
-            stochastic_exponential_check(
-                params, R0, CorrelationSpec(np.zeros(2)), np.zeros(2), np.zeros((2, 2)),
-                np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 20, 64, seed=1)
 
     def test_budget_counts_horizon_and_whole_blocks(self):
         rate = JUMP_MARK_BUDGET / STREAM_BLOCK  # one block at T = 1 sits exactly at the budget
@@ -348,38 +344,3 @@ class TestPathStepBudget:
         for n_paths, n_steps in ((int(PATH_STEP_BUDGET) // 100, 100), (1, int(PATH_STEP_BUDGET))):
             with pytest.raises(ValueError, match="budget"):
                 _check_path_step_budget(n_paths, n_steps)
-
-
-class TestStochasticExponential:
-    def test_all_zero_sigmas_exact_one(self):
-        params = small_wishart()
-        res = stochastic_exponential_check(
-            params, R0, CorrelationSpec(np.zeros(2)),
-            np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
-            1.0, 50, 2048, seed=14)
-        assert res.mean == 1.0
-        assert res.stderr == 0.0
-
-    def test_price_kernel_is_martingale(self):
-        params = small_wishart()
-        res = stochastic_exponential_check(
-            params, R0, CorrelationSpec(np.array([-0.4, -0.2])),
-            np.array([-0.6, -0.3]), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
-            1.0, 300, 30000, seed=15)
-        assert res.defect <= 3.0 * res.stderr
-
-    def test_matrix_and_jump_kernels(self):
-        d = 2
-        atoms = ConstantJumps.from_atoms([
-            (np.array([[0.10, 0.02], [0.02, 0.06]]), 0.8),
-            (np.array([[0.04, 0.0], [0.0, 0.12]]), 0.5),
-        ])
-        alpha = 0.04 * np.eye(d)
-        params = AffineParams(alpha=alpha, b=3.0 * alpha + 0.05 * np.eye(d),
-                              drift=HFormDrift(-0.5 * np.eye(d)), m=atoms)
-        res = stochastic_exponential_check(
-            params, R0, CorrelationSpec(np.array([-0.3, 0.2])),
-            np.array([0.3, -0.2]), 0.2 * np.eye(2), 0.15 * np.eye(2), -0.4 * np.eye(2),
-            1.0, 300, 30000, seed=16)
-        assert res.defect <= 3.0 * res.stderr
-        assert np.isfinite(res.exp_jump_mass)
