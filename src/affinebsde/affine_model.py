@@ -20,7 +20,7 @@ so that E[exp(-Tr(X_t u))] = exp(-phi - Tr(psi X_0)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -58,6 +58,7 @@ class ConstantJumps:
 
     xis: np.ndarray  # (n, d, d)
     weights: np.ndarray  # (n,)
+    norms: np.ndarray = field(init=False, repr=False)  # (n,) ||xi_i||_F
 
     def __post_init__(self):
         xis = np.asarray(self.xis, dtype=float)
@@ -77,6 +78,7 @@ class ConstantJumps:
                 raise IndefiniteMatrixError(f"atom {k} is not PSD")
         object.__setattr__(self, "xis", symmetrize(xis))
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "norms", np.array([frobenius(x) for x in self.xis]))
 
     @classmethod
     def empty(cls, d: int) -> "ConstantJumps":
@@ -108,6 +110,8 @@ class LinearJumps:
 
     xis: np.ndarray  # (n, d, d)
     us: np.ndarray  # (n, d, d)
+    norms: np.ndarray = field(init=False, repr=False)  # (n,) ||xi_k||_F
+    denominators: np.ndarray = field(init=False, repr=False)  # (n,) ||xi_k||^2 ^ 1
 
     def __post_init__(self):
         xis = np.asarray(self.xis, dtype=float)
@@ -125,6 +129,9 @@ class LinearJumps:
                 raise IndefiniteMatrixError(f"atom {k} weight matrix is not PSD")
         object.__setattr__(self, "xis", symmetrize(xis))
         object.__setattr__(self, "us", symmetrize(us))
+        object.__setattr__(self, "norms", np.array([frobenius(x) for x in self.xis]))
+        norms2 = np.einsum("nij,nij->n", self.xis, self.xis)
+        object.__setattr__(self, "denominators", np.minimum(norms2, 1.0))
 
     @classmethod
     def empty(cls, d: int) -> "LinearJumps":
@@ -139,12 +146,6 @@ class LinearJumps:
     @property
     def n(self) -> int:
         return self.xis.shape[0]
-
-    @property
-    def denominators(self) -> np.ndarray:
-        """(||xi_k||^2 ^ 1) per atom."""
-        norms2 = np.einsum("nij,nij->n", self.xis, self.xis)
-        return np.minimum(norms2, 1.0)
 
     def kernel_weights(self, x) -> np.ndarray:
         """M(x, .) mass at every atom: Tr(x U_k) / (||xi_k||^2 ^ 1)."""
@@ -273,25 +274,12 @@ class AffineParams:
     def continuous(self) -> bool:
         return self.m.n == 0 and self.mu.n == 0
 
-    def chi(self, xi) -> np.ndarray:
-        return truncation(xi, self.trunc_radius)
-
-    def m_chi_traces(self, u) -> np.ndarray:
-        """Tr(u chi(xi_i)) per constant-jump atom."""
-        if self.m.n == 0:
+    def chi_traces(self, u, jumps: Union[ConstantJumps, LinearJumps]) -> np.ndarray:
+        """Tr(u chi(xi)) per atom of ``jumps`` (``self.m`` or ``self.mu``), chi the truncation."""
+        if jumps.n == 0:
             return np.zeros(0)
-        ua = as_sym(u)
-        k = np.einsum("ij,nij->n", ua, self.m.xis)
-        small = np.array([frobenius(x) <= self.trunc_radius for x in self.m.xis])
-        return np.where(small, k, 0.0)
-
-    def mu_chi_traces(self, u) -> np.ndarray:
-        if self.mu.n == 0:
-            return np.zeros(0)
-        ua = as_sym(u)
-        k = np.einsum("ij,nij->n", ua, self.mu.xis)
-        small = np.array([frobenius(x) <= self.trunc_radius for x in self.mu.xis])
-        return np.where(small, k, 0.0)
+        k = np.einsum("ij,nij->n", as_sym(u), jumps.xis)
+        return np.where(jumps.norms <= self.trunc_radius, k, 0.0)
 
 
 def wishart_params(sigma: np.ndarray, k: float, h: np.ndarray) -> AffineParams:
@@ -323,7 +311,7 @@ def transform_rhs_R(params: AffineParams, u) -> np.ndarray:
     out = -2.0 * ua @ params.alpha @ ua + params.drift.adjoint(ua)
     if params.mu.n:
         k = np.einsum("ij,nij->n", ua, params.mu.xis)
-        chi_tr = params.mu_chi_traces(ua)
+        chi_tr = params.chi_traces(ua, params.mu)
         coef = (np.expm1(-k) + chi_tr) / params.mu.denominators
         out = out - np.einsum("n,nij->ij", coef, params.mu.us)
     return symmetrize(out)
@@ -471,7 +459,7 @@ def validate_admissibility(
             x, u = _boundary_pair(rng, d)
             val = trace_inner(params.drift.apply(x), u)
             if params.mu.n:
-                chi_tr = params.mu_chi_traces(u)
+                chi_tr = params.chi_traces(u, params.mu)
                 val -= float(np.dot(chi_tr, params.mu.kernel_weights(x)))
             if val < worst:
                 worst = val

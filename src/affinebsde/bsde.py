@@ -180,13 +180,13 @@ def drift_match_residual(sol: BsdeSolutionEval, t: float, x) -> float:
     r = f + trace_inner(dgam, xa) + dw
     r += trace_inner(gam, sol.params.b + sol.params.drift.apply(xa))
     if sol.params.m.n:
-        chi_tr = sol.params.m_chi_traces(gam)
+        chi_tr = sol.params.chi_traces(gam, sol.params.m)
         full_tr = np.einsum("ij,nij->n", gam, sol.params.m.xis)
         r += float(np.dot(sol.params.m.weights, chi_tr))
         r += float(np.dot(sol.params.m.weights, full_tr - chi_tr))
     if sol.params.mu.n:
         full_tr = np.einsum("ij,nij->n", gam, sol.params.mu.xis)
-        chi_tr = sol.params.mu_chi_traces(gam)
+        chi_tr = sol.params.chi_traces(gam, sol.params.mu)
         r += float(np.dot(full_tr - chi_tr, sol.params.mu.kernel_weights(xa)))
     a = sol.coeffs.a
     r += float(np.trace(a @ (np.asarray(sol.coeffs.o1(tk)) + np.asarray(sol.coeffs.o2(tk)) @ xa)))
@@ -197,9 +197,8 @@ def drift_match_stats(
     sol: BsdeSolutionEval,
     n_samples: int = 50,
     seed: int = 0,
-    state_scale: float = 1.0,
 ) -> dict:
-    """Max absolute and relative drift-match residual over random (t, x)."""
+    """Max absolute and relative drift-match residual over random (t, x), x = G G^T / d + I / 20."""
     rng = np.random.default_rng(seed)
     grid = sol.riccati.grid
     d = sol.params.d
@@ -209,7 +208,7 @@ def drift_match_stats(
         idx = int(rng.integers(1, len(grid) - 1))
         t = float(grid[idx])
         g = rng.standard_normal((d, d))
-        x = symmetrize(g @ g.T) * (state_scale / d) + 0.05 * state_scale * np.eye(d)
+        x = symmetrize(g @ g.T) * (1.0 / d) + 0.05 * np.eye(d)
         vals = eval_solution(sol, t, x, np.zeros((d, d)))
         f = eval_generator(sol.coeffs, sol.params, t, x, vals.y, vals.z, vals.zhat, vals.k)
         r = drift_match_residual(sol, t, x)

@@ -10,11 +10,12 @@ verify          Monte Carlo / residual audits: transform | martingale | drift-ma
 simulate        dump simulated paths to CSV
 
 Flags: --config PATH, --out DIR, --seed N, --paths N, --steps N, --threads N,
---format {csv,json}.  Exit codes: 0 pass, 2 configuration error, 3 numerical
-failure (blow-up, singular block exponential, route cross-check, non-finite
-theta/varpi, non-finite shipped values, failed linear algebra), 4 verification
-FAIL.  Errors are mapped to exit codes once, in ``main``, with one stderr line
-per error and no traceback.
+--format {csv,json}; a given --seed/--paths/--steps replaces its configuration
+value and gets the same check.  Exit codes: 0 pass, 2 configuration error,
+3 numerical failure (blow-up, singular block exponential, route cross-check,
+non-finite theta/varpi, non-finite shipped values, failed linear algebra),
+4 verification FAIL.  Errors are mapped to exit codes once, in ``main``, with
+one stderr line per error and no traceback.
 
 Configuration schema (version 1)
 --------------------------------
@@ -424,10 +425,20 @@ def _require_finite(name: str, values) -> None:
 # -- commands ---------------------------------------------------------------------------
 
 
+def _flag_or_config(p: _Parser, args, key: str, section, path: str, default: int, minimum: int) -> int:
+    """The ``--key`` flag when given, else the integer ``section[key]``; either must be >= minimum."""
+    flag = getattr(args, key)
+    if flag is None:
+        return p.integer(section, key, path, default=default, minimum=minimum)
+    if flag < minimum:
+        p.fail(f"'--{key}' must be >= {minimum}")
+    return flag
+
+
 def _solver_opts(p: _Parser, args) -> dict:
     solver = p.section("solver") or {}
     return {
-        "steps": args.steps or p.integer(solver, "steps", "solver", default=2000, minimum=1),
+        "steps": _flag_or_config(p, args, "steps", solver, "solver", default=2000, minimum=1),
         "method": solver.get("method", "rk4"),
         "blowup_norm": p.number(solver, "blowup_norm", "solver", default=DEFAULT_BLOWUP_NORM,
                                 positive=True),
@@ -438,9 +449,9 @@ def _sampling_opts(p: _Parser, section: str, args, paths: int, steps: int) -> tu
     """(paths, seed, steps) of a Monte Carlo section; the command-line flags win."""
     cfg = p.section(section) or {}
     return (
-        args.paths or p.integer(cfg, "paths", section, default=paths, minimum=1),
-        args.seed if args.seed is not None else p.integer(cfg, "seed", section, default=0),
-        args.steps or p.integer(cfg, "steps", section, default=steps, minimum=1),
+        _flag_or_config(p, args, "paths", cfg, section, default=paths, minimum=1),
+        _flag_or_config(p, args, "seed", cfg, section, default=0, minimum=0),
+        _flag_or_config(p, args, "steps", cfg, section, default=steps, minimum=1),
     )
 
 
@@ -522,7 +533,7 @@ def _build_preset(p: _Parser, args, model, horizon, kind, gamma):
     _finish_parse(p)
     with _solver_hypotheses():
         return make_preset(
-            "config", model, kind, gamma, horizon, steps=solver["steps"],
+            model, kind, gamma, horizon, steps=solver["steps"],
             endow=endow if not swap_asset else None, swap_asset=swap_asset, strike=strike,
         )
 
@@ -681,7 +692,7 @@ def _verify_martingale(args, p: _Parser) -> tuple[dict, bool]:
 def _verify_drift_match(args, p: _Parser) -> tuple[dict, bool]:
     ver = p.section("verification")
     n_samples = p.integer(ver, "samples", "verification", default=50, minimum=1)
-    seed = args.seed if args.seed is not None else p.integer(ver, "seed", "verification", default=0)
+    seed = _flag_or_config(p, args, "seed", ver, "verification", default=0, minimum=0)
     preset = _build_preset(p, args, *_parse_problem(p))
     stats = bsde.drift_match_stats(preset.bsde_eval(), n_samples=n_samples, seed=seed)
     ok = stats["max_rel_residual"] <= 1e-6

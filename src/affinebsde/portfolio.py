@@ -14,6 +14,8 @@ Every solver wires its generator coefficients through the same machinery that
 the drift-match verifier consumes, so the constant factors shipped here are
 exactly the ones that make the finite-variation residual vanish; the Monte
 Carlo martingale and optimality audits check the same claims in distribution.
+Each solve result carries the problem it solved (coefficients, parameters,
+endowment); a :class:`UtilityPreset` binds one to its model for the audits.
 
 Strategy units follow the objective: power-utility strategies are wealth
 fractions, exponential-utility strategies are monetary positions; both are
@@ -34,6 +36,7 @@ from .riccati import (
     GeneratorCoeffs,
     RiccatiSolution,
     backward_flow,
+    script_C,
     solve_block_exp,
     solve_rk,
     varpi_quadrature,
@@ -150,12 +153,15 @@ class EndowmentSpec:
 
 @dataclass(frozen=True, eq=False)
 class UtilitySolveResult:
-    """Value function, optimal strategy and the Riccati data behind them."""
+    """Value function, optimal strategy, the Riccati data behind them and the problem solved."""
 
     kind: str  # heston_power | heston_exp | bns_power | bns_exp
     gamma: float
     horizon: float
     riccati: RiccatiSolution
+    coeffs: GeneratorCoeffs
+    params: AffineParams
+    endow: EndowmentSpec
     value_at: Callable[[float], float]
     strategy: Callable  # pi(t) at a time, or one row per time of an array
     diagnostics: dict = field(default_factory=dict)
@@ -263,26 +269,28 @@ def linear_backward_closed_form(h_mat: np.ndarray, const: np.ndarray, T: float, 
     return gammas
 
 
-def _bns_solve(params: AffineParams, coeffs: GeneratorCoeffs, const_rhs: np.ndarray,
-               terminal_v: float, T: float, steps: int) -> RiccatiSolution:
+def _bns_solve(params: AffineParams, coeffs: GeneratorCoeffs, terminal_v: float, T: float,
+               steps: int) -> RiccatiSolution:
     """Linear Riccati solve for the jump-OU models: closed form when H-form.
 
-    The c_y/g_y-free varpi is a plain integral given Gamma, evaluated by the
-    cumulative Simpson chain on the grid.
+    -Gamma' = B*(Gamma) + C with C = script_C(0), the generator having no
+    quadratic term.  The c_y/g_y-free varpi is a plain integral given Gamma,
+    evaluated by the cumulative Simpson chain on the grid.
     """
     if steps % 2:
         steps += 1
+    zero = np.zeros((params.d, params.d))
     if isinstance(params.drift, HFormDrift):
-        # -Gamma' = B*(Gamma) + C with B*(u) = u H + H^T u
-        gammas = linear_backward_closed_form(params.drift.h, const_rhs, T, steps)
+        # B*(u) = u H + H^T u
+        gammas = linear_backward_closed_form(params.drift.h, script_C(params, coeffs, 0.0), T, steps)
         grid = np.linspace(0.0, T, steps + 1)
         w = varpi_quadrature(params, coeffs, grid, gammas, terminal_v)
         return RiccatiSolution(
-            grid=grid, gammas=gammas, w=w, terminal_u=np.zeros_like(const_rhs),
+            grid=grid, gammas=gammas, w=w, terminal_u=zero,
             terminal_v=terminal_v, method="LinearExp",
             diagnostics={"steps": steps},
         )
-    return solve_rk(params, coeffs, np.zeros_like(const_rhs), terminal_v, T, steps=steps)
+    return solve_rk(params, coeffs, zero, terminal_v, T, steps=steps)
 
 
 # -- Heston power utility ----------------------------------------------------------------
@@ -344,8 +352,9 @@ def heston_power_solve(
         return (eta + 2.0 * sol.gamma_at(t) @ s_rho) / (1.0 - gamma)
 
     return UtilitySolveResult(
-        kind="heston_power", gamma=gamma, horizon=T, riccati=sol,
-        value_at=value_at, strategy=strategy, diagnostics=diagnostics,
+        kind="heston_power", gamma=gamma, horizon=T, riccati=sol, coeffs=coeffs,
+        params=model.params, endow=endow, value_at=value_at, strategy=strategy,
+        diagnostics=diagnostics,
     )
 
 
@@ -405,7 +414,6 @@ def heston_exp_solve(
     swap_asset: int = 0,
     strike: float = 0.0,
     steps: int = 2000,
-    drift_match_samples: int = 0,
 ) -> UtilitySolveResult:
     """Maximal expected exponential utility with an optional variance swap.
 
@@ -427,9 +435,6 @@ def heston_exp_solve(
     sol = solve_rk(model.params, coeffs, np.zeros((model.d, model.d)), -endow.strike, T, steps=steps)
     diagnostics: dict = {"method": "RK4"}
     diagnostics["gamma_min_eig"] = float(np.min(sol.min_eigenvalues()))
-    if drift_match_samples:
-        ev = BsdeSolutionEval(riccati=sol, coeffs=coeffs, params=model.params)
-        diagnostics["drift_match"] = drift_match_stats(ev, n_samples=drift_match_samples)
 
     s_rho = model.params.sigma.T @ model.corr.rho
     eta = model.eta_eff
@@ -447,17 +452,16 @@ def heston_exp_solve(
     if swap_asset:
         base = heston_exp_solve(model, gamma, T, swap_asset=0, steps=steps)
         price = y0 - base.diagnostics["y0"]
-        base_sol = base.riccati
 
-        def hedge(t, _b=base_sol) -> np.ndarray:
-            return -2.0 * (sol.gamma_at(t) - _b.gamma_at(t)) @ s_rho
+        def hedge(t) -> np.ndarray:
+            return -2.0 * (sol.gamma_at(t) - base.riccati.gamma_at(t)) @ s_rho
 
         diagnostics["base_y0"] = base.diagnostics["y0"]
 
     return UtilitySolveResult(
-        kind="heston_exp", gamma=gamma, horizon=T, riccati=sol,
-        value_at=value_at, strategy=strategy, diagnostics=diagnostics,
-        price=price, hedge=hedge,
+        kind="heston_exp", gamma=gamma, horizon=T, riccati=sol, coeffs=coeffs,
+        params=model.params, endow=endow, value_at=value_at, strategy=strategy,
+        diagnostics=diagnostics, price=price, hedge=hedge,
     )
 
 
@@ -479,7 +483,6 @@ def bns_power_solve(
     gamma: float,
     T: float,
     steps: int = 2000,
-    drift_match_samples: int = 0,
 ) -> UtilitySolveResult:
     """Power utility in the jump-OU model.
 
@@ -493,17 +496,12 @@ def bns_power_solve(
         raise ValueError("power utility needs gamma in (0, 1)")
     params = model.spec.affine_params()
     coeffs = bns_power_coeffs(model, gamma)
-    eta = model.eta_eff
-    const = -gamma / (2.0 * (1.0 - gamma)) * np.outer(eta, eta)
-    sol = _bns_solve(params, coeffs, const, 0.0, T, steps)
+    sol = _bns_solve(params, coeffs, 0.0, T, steps)
     diagnostics: dict = {
         "method": sol.method,
         "gamma_max_eig": float(np.max(sol.max_eigenvalues())),
         "exp_moment_mass": _bns_exp_moment_mass(model.spec, sol, 1.0),
     }
-    if drift_match_samples:
-        ev = BsdeSolutionEval(riccati=sol, coeffs=coeffs, params=params)
-        diagnostics["drift_match"] = drift_match_stats(ev, n_samples=drift_match_samples)
 
     y0 = trace_inner(sol.gammas[0], model.r0) + sol.w[0]
     diagnostics["y0"] = y0
@@ -512,11 +510,12 @@ def bns_power_solve(
     def value_at(x: float) -> float:
         return x**gamma / gamma * opportunity
 
-    pi_const = eta / (1.0 - gamma)
+    pi_const = model.eta_eff / (1.0 - gamma)
 
     return UtilitySolveResult(
-        kind="bns_power", gamma=gamma, horizon=T, riccati=sol,
-        value_at=value_at, strategy=lambda t: pi_const, diagnostics=diagnostics,
+        kind="bns_power", gamma=gamma, horizon=T, riccati=sol, coeffs=coeffs, params=params,
+        endow=EndowmentSpec.zero(model.d), value_at=value_at, strategy=lambda t: pi_const,
+        diagnostics=diagnostics,
     )
 
 
@@ -527,7 +526,6 @@ def bns_exp_solve(
     swap_asset: int = 0,
     strike: float = 0.0,
     steps: int = 2000,
-    drift_match_samples: int = 0,
 ) -> UtilitySolveResult:
     """Exponential utility in the jump-OU model, with variance-swap pricing.
 
@@ -540,17 +538,12 @@ def bns_exp_solve(
     params = model.spec.affine_params()
     endow = EndowmentSpec.variance_swap(swap_asset, model.d, T, strike)
     coeffs = bns_exp_coeffs(model, gamma, endow.a)
-    eta = model.eta_eff
-    const = np.outer(eta, eta) / (2.0 * gamma) + endow.a
-    sol = _bns_solve(params, coeffs, const, -endow.strike, T, steps)
+    sol = _bns_solve(params, coeffs, -endow.strike, T, steps)
     diagnostics: dict = {
         "method": sol.method,
         "gamma_min_eig": float(np.min(sol.min_eigenvalues())),
         "exp_moment_mass": _bns_exp_moment_mass(model.spec, sol, gamma),
     }
-    if drift_match_samples:
-        ev = BsdeSolutionEval(riccati=sol, coeffs=coeffs, params=params)
-        diagnostics["drift_match"] = drift_match_stats(ev, n_samples=drift_match_samples)
 
     y0 = trace_inner(sol.gammas[0], model.r0) + sol.w[0]
     diagnostics["y0"] = y0
@@ -558,7 +551,7 @@ def bns_exp_solve(
     def value_at(x: float) -> float:
         return -float(np.exp(-gamma * (x + y0)))
 
-    pi_const = eta / gamma
+    pi_const = model.eta_eff / gamma
 
     price = None
     if swap_asset:
@@ -567,8 +560,9 @@ def bns_exp_solve(
         diagnostics["base_y0"] = base.diagnostics["y0"]
 
     return UtilitySolveResult(
-        kind="bns_exp", gamma=gamma, horizon=T, riccati=sol,
-        value_at=value_at, strategy=lambda t: pi_const, diagnostics=diagnostics, price=price,
+        kind="bns_exp", gamma=gamma, horizon=T, riccati=sol, coeffs=coeffs, params=params,
+        endow=endow, value_at=value_at, strategy=lambda t: pi_const, diagnostics=diagnostics,
+        price=price,
     )
 
 
@@ -610,8 +604,9 @@ class ScalarRiccatiClosedForm:
             out = self.c * tau
         return float(out) if np.ndim(out) == 0 else out
 
-    def gamma_integral(self, nodes: int = 4000) -> float:
-        """int_0^T G(s) ds by composite Simpson (G is smooth and explicit)."""
+    def gamma_integral(self) -> float:
+        """int_0^T G(s) ds by composite Simpson on 4000 intervals (G is smooth and explicit)."""
+        nodes = 4000
         ts = np.linspace(0.0, self.T, nodes + 1)
         vals = np.array([self.gamma(t) for t in ts])
         wts = np.ones(nodes + 1)
@@ -698,18 +693,17 @@ def heston1d_exp_riccati_inputs(eta, lam, sigma, rho, gamma):
 
 @dataclass(frozen=True, eq=False)
 class UtilityPreset:
-    """A solved utility problem packaged for the Monte Carlo audits."""
+    """A solved utility problem bound to its model, for the Monte Carlo audits at wealth 1."""
 
-    name: str
-    kind: str
-    gamma: float
-    horizon: float
-    solve: UtilitySolveResult
-    coeffs: GeneratorCoeffs
-    params: AffineParams
     model: object
-    endow: Optional[EndowmentSpec] = None
-    x_audit: float = 1.0
+    solve: UtilitySolveResult
+    # the solved problem, as the solver used it
+    kind = property(lambda self: self.solve.kind)
+    gamma = property(lambda self: self.solve.gamma)
+    horizon = property(lambda self: self.solve.horizon)
+    coeffs = property(lambda self: self.solve.coeffs)
+    params = property(lambda self: self.solve.params)
+    endow = property(lambda self: self.solve.endow)
 
     def bsde_eval(self) -> BsdeSolutionEval:
         return BsdeSolutionEval(riccati=self.solve.riccati, coeffs=self.coeffs, params=self.params)
@@ -733,37 +727,34 @@ class UtilityPreset:
         return [base + dl for dl in deltas]
 
     def l_terminal(self, fn: PathFunctionals, strat_idx: int) -> np.ndarray:
-        """Per-path L_T for strategy column strat_idx, at wealth x_audit."""
+        """Per-path L_T for strategy column strat_idx, at wealth 1."""
         g = self.gamma
-        x = self.x_audit
         i_dn = fn.int_pi_dn[:, strat_idx]
         i_q = fn.int_pi_r_pi[:, strat_idx]
         if self.kind == "heston_power":
             tr_ao = np.einsum("ij,bji->b", self.endow.a, fn.o_terminal)
-            return x**g * np.exp(g * i_dn - 0.5 * g * i_q + g * tr_ao)
+            return np.exp(g * i_dn - 0.5 * g * i_q + g * tr_ao)
         if self.kind == "bns_power":
-            return x**g * np.exp(g * i_dn - 0.5 * g * i_q)
+            return np.exp(g * i_dn - 0.5 * g * i_q)
         # exponential kinds: monetary strategies, additive endowment
         f_pay = 0.0
-        if self.endow is not None and np.any(self.endow.a):
+        if np.any(self.endow.a):
             f_pay = np.einsum("ij,bji->b", self.endow.a, fn.o_terminal) - self.endow.strike
-        return -np.exp(-g * (x + i_dn + f_pay))
+        return -np.exp(-g * (1.0 + i_dn + f_pay))
 
     @property
     def l0(self) -> float:
-        g = self.gamma
-        x = self.x_audit
         if self.kind == "heston_power":
-            return x**g * float(np.exp(self.solve.diagnostics["log_opportunity"]))
+            return float(np.exp(self.solve.diagnostics["log_opportunity"]))
         if self.kind == "bns_power":
-            return x**g * float(np.exp(-self.solve.diagnostics["y0"]))
-        return -float(np.exp(-g * (x + self.solve.diagnostics["y0"])))
+            return float(np.exp(-self.solve.diagnostics["y0"]))
+        return self.solve.value_at(1.0)
 
     def simulate(self, strategies: list[np.ndarray], n_paths: int, seed: int, n_steps: int,
                  threads: int = 1) -> PathFunctionals:
         arr = np.stack(strategies)
         if self.kind.startswith("heston"):
-            endow = self.endow or EndowmentSpec.zero(self.params.d)
+            endow = self.endow
             return heston_functionals(
                 self.params, self.model.r0, self.model.corr, self.model.eta_eff,
                 self.horizon, n_steps, arr, n_paths, seed,
@@ -820,7 +811,6 @@ def _bns_model_d2() -> BnsModel:
 
 
 def make_preset(
-    name: str,
     model,
     utility_kind: str,
     gamma: float,
@@ -830,29 +820,23 @@ def make_preset(
     swap_asset: int = 0,
     strike: float = 0.0,
 ) -> UtilityPreset:
-    """Solve a utility problem and package it for audits (shipped presets and the CLI)."""
+    """Solve a utility problem and bind it to its model for audits (shipped presets and the CLI).
+
+    ``endow`` (zero when None) is the power-utility endowment of the Heston
+    model; the exponential kinds price a variance swap on ``swap_asset``.
+    """
+    power = utility_kind == "power"
     if isinstance(model, HestonModel):
-        if utility_kind == "power":
+        if power:
             endow = endow or EndowmentSpec.zero(model.d)
             solve = heston_power_solve(model, gamma, endow, T, steps=steps)
-            return UtilityPreset(name=name, kind="heston_power", gamma=gamma, horizon=T,
-                                 solve=solve, coeffs=heston_power_coeffs(model, gamma, endow),
-                                 params=model.params, model=model, endow=endow)
-        solve = heston_exp_solve(model, gamma, T, swap_asset=swap_asset, strike=strike, steps=steps)
-        endow = EndowmentSpec.variance_swap(swap_asset, model.d, T, strike)
-        return UtilityPreset(name=name, kind="heston_exp", gamma=gamma, horizon=T, solve=solve,
-                             coeffs=heston_exp_coeffs(model, gamma, endow.a),
-                             params=model.params, model=model, endow=endow)
-    if utility_kind == "power":
+        else:
+            solve = heston_exp_solve(model, gamma, T, swap_asset=swap_asset, strike=strike, steps=steps)
+    elif power:
         solve = bns_power_solve(model, gamma, T, steps=steps)
-        return UtilityPreset(name=name, kind="bns_power", gamma=gamma, horizon=T, solve=solve,
-                             coeffs=bns_power_coeffs(model, gamma),
-                             params=model.spec.affine_params(), model=model)
-    solve = bns_exp_solve(model, gamma, T, swap_asset=swap_asset, strike=strike, steps=steps)
-    endow = EndowmentSpec.variance_swap(swap_asset, model.d, T, strike)
-    return UtilityPreset(name=name, kind="bns_exp", gamma=gamma, horizon=T, solve=solve,
-                         coeffs=bns_exp_coeffs(model, gamma, endow.a),
-                         params=model.spec.affine_params(), model=model, endow=endow)
+    else:
+        solve = bns_exp_solve(model, gamma, T, swap_asset=swap_asset, strike=strike, steps=steps)
+    return UtilityPreset(model=model, solve=solve)
 
 
 def preset_heston_power(T: float = 1.0, steps: int = 2000) -> UtilityPreset:
@@ -862,21 +846,20 @@ def preset_heston_power(T: float = 1.0, steps: int = 2000) -> UtilityPreset:
         o1=np.array([[0.02, 0.0], [0.0, 0.015]]),
         o2=np.array([[0.04, 0.01], [0.01, 0.03]]),
     )
-    return make_preset("heston-power-d2", _heston_model_d2(), "power", 0.35, T, steps=steps,
-                       endow=endow)
+    return make_preset(_heston_model_d2(), "power", 0.35, T, steps=steps, endow=endow)
 
 
 def preset_heston_exp(T: float = 1.0, steps: int = 2000) -> UtilityPreset:
-    return make_preset("heston-exp-d2", _heston_model_d2(), "exponential", 0.7, T, steps=steps,
+    return make_preset(_heston_model_d2(), "exponential", 0.7, T, steps=steps,
                        swap_asset=1, strike=0.2)
 
 
 def preset_bns_power(T: float = 1.0, steps: int = 2000) -> UtilityPreset:
-    return make_preset("bns-power-d2", _bns_model_d2(), "power", 0.3, T, steps=steps)
+    return make_preset(_bns_model_d2(), "power", 0.3, T, steps=steps)
 
 
 def preset_bns_exp(T: float = 1.0, steps: int = 2000) -> UtilityPreset:
-    return make_preset("bns-exp-d2", _bns_model_d2(), "exponential", 0.8, T, steps=steps,
+    return make_preset(_bns_model_d2(), "exponential", 0.8, T, steps=steps,
                        swap_asset=1, strike=0.15)
 
 

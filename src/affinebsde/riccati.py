@@ -251,7 +251,7 @@ def _theta(params, coeffs, t, ua, consts, with_asymmetry=False):
 
     if params.mu.n:
         k = np.einsum("ij,nij->n", ua, params.mu.xis)
-        chi_tr = params.mu_chi_traces(ua)
+        chi_tr = params.chi_traces(ua, params.mu)
         gm = np.zeros_like(k)
         if coeffs.g_M is not None:
             gm = np.array([coeffs.g_M(t, kk) for kk in k])
@@ -406,12 +406,12 @@ def _compile_backward_rhs(params: AffineParams, coeffs: GeneratorCoeffs):
 
         def rhs(t, g, w):
             th = g @ q4 @ g + aeff @ g + g @ aeff.T + cc
-            return th, cy * w + w_const + float(np.sum(g * b_eff))
+            return th, cy * w + w_const + float((g * b_eff).sum())
 
     else:
         def rhs(t, g, w):
             th = g @ q4 @ g + ll @ g + g @ ll.T + drift.adjoint(g) + cc
-            return th, cy * w + w_const + float(np.sum(g * b_eff))
+            return th, cy * w + w_const + float((g * b_eff).sum())
 
     return rhs, True
 
@@ -556,9 +556,10 @@ _DP_A = [
 ]
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+_RK45_MAX_STEPS = 200000  # accepted-step budget
 
 
-def _rk45_adaptive(f, g0, w0, T, tol, blowup_norm, max_steps=200000):
+def _rk45_adaptive(f, g0, w0, T, tol, blowup_norm):
     s = 0.0
     g, w = g0.copy(), w0
     grid = [0.0]
@@ -595,7 +596,7 @@ def _rk45_adaptive(f, g0, w0, T, tol, blowup_norm, max_steps=200000):
             gs.append(g.copy())
             ws.append(w)
             n_acc += 1
-            if n_acc > max_steps:
+            if n_acc > _RK45_MAX_STEPS:
                 raise RuntimeError("rk45: step budget exceeded")
         factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
@@ -841,9 +842,6 @@ def validate_assumptions(
     coeffs: GeneratorCoeffs,
     which=None,
     T: float = 1.0,
-    n_t: int = 5,
-    k_max: float = 5.0,
-    n_k: int = 21,
     tol: float = 1e-9,
 ) -> AssumptionReport:
     """Sampling-based validation of the existence assumptions A1 -- A7.
@@ -855,6 +853,7 @@ def validate_assumptions(
     estimates.  The report records sampling counts and tolerances; it never
     raises.
     """
+    n_t, k_max, n_k = 5, 5.0, 21  # sampled times; k-grids of n_k points up to |k| = k_max
     all_names = ["A1", "A2p", "A2m", "A3p", "A3m", "A4p", "A4m", "A5p", "A5m", "A6p", "A6m", "A7"]
     names = list(which) if which else all_names
     ts = np.linspace(0.0, T, n_t)

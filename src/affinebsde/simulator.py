@@ -312,7 +312,6 @@ class _AffineFlow:
     def __init__(self, h_mat: np.ndarray, const: np.ndarray, dt: float):
         self.h = h_mat
         self.const = const
-        self.dt = dt
         self.e_dt = mat_exp(h_mat * dt)
         self.d_dt = self._drift_integral(dt)
         try:
@@ -322,8 +321,9 @@ class _AffineFlow:
         except np.linalg.LinAlgError:
             self._eig = None
 
-    def _drift_integral(self, delta: float, nodes: int = 20) -> np.ndarray:
-        # Simpson quadrature of int_0^delta e^{Hs} C e^{H^T s} ds
+    def _drift_integral(self, delta: float) -> np.ndarray:
+        # Simpson quadrature of int_0^delta e^{Hs} C e^{H^T s} ds on 20 intervals
+        nodes = 20
         if delta == 0.0:
             return np.zeros_like(self.const)
         ss = np.linspace(0.0, delta, nodes + 1)

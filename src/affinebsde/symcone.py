@@ -2,8 +2,7 @@
 
 Conventions used throughout the package:
 
-* symmetric matrices are dense float64 arrays; :class:`SymMat` wraps one and
-  enforces exact symmetry on construction (averaging with the transpose),
+* symmetric matrices are dense float64 arrays,
 * general square matrices ("GenMat") are bare float64 ``ndarray``s with no
   invariant beyond their shape,
 * the inner product is ``Tr(x y)`` with induced (Frobenius) norm
@@ -19,7 +18,6 @@ All operations are pure; values can be shared freely across threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -57,37 +55,8 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
-@dataclass(frozen=True, eq=False)
-class SymMat:
-    """Dense symmetric d x d matrix; symmetry is enforced by averaging."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.mat, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise DimensionMismatchError("dimension must be >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteMatrixError("matrix has non-finite entries")
-        object.__setattr__(self, "mat", 0.5 * (arr + arr.T))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def norm(self) -> float:
-        return frobenius(self.mat)
-
-    def __array__(self, dtype=None):
-        return self.mat if dtype is None else self.mat.astype(dtype)
-
-
 def as_sym(x) -> np.ndarray:
-    """Extract the ndarray behind a SymMat, or pass a square array through."""
-    if isinstance(x, SymMat):
-        return x.mat
+    """x as a square float64 array (no copy when it already is one)."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")

@@ -59,7 +59,7 @@ def jump_drift_match_instance(rng, with_feedback=True):
 class TestEvalSolution:
     def test_terminal_identity(self, rng):
         model = _heston_model_d2()
-        preset = make_preset("p", model, "power", 0.35, 1.0, steps=200,
+        preset = make_preset(model, "power", 0.35, 1.0, steps=200,
                              endow=EndowmentSpec(
                                  a=-0.2 * np.eye(2), sigma=0.1 * np.eye(2),
                                  o1=0.02 * np.eye(2), o2=0.03 * np.eye(2)))
@@ -248,7 +248,7 @@ class TestMartingaleAudit:
             corr=CorrelationSpec(np.zeros(2)),
             r0=np.array([[0.32, 0.04], [0.04, 0.26]]),
         )
-        preset = make_preset("zero-market", model, "power", 0.5, 1.0, steps=100)
+        preset = make_preset(model, "power", 0.5, 1.0, steps=100)
         means, ses, l0 = preset.audit_strategies([np.zeros(2)], n_paths=512, seed=1, n_steps=20)
         ratio, se = orient_ratio(float(means[0]), float(ses[0]), l0)
         assert ratio == 1.0

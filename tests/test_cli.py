@@ -558,6 +558,27 @@ class TestExitCodes:
         self.run_failing(tmp_path, capsys, command, cfg, EXIT_CONFIG)
         assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
 
+    @pytest.mark.parametrize("command, config, flags, bad", [
+        # a given flag gets the check of its config value, not a fallback to it
+        pytest.param("simulate", "heston_power_portfolio.json", ["--paths", "-3", "--steps", "5"],
+                     "--paths", id="simulate-paths-negative"),
+        pytest.param("simulate", "heston_power_portfolio.json", ["--steps", "0"], "--steps",
+                     id="simulate-steps-0"),
+        pytest.param("simulate", "heston_power_portfolio.json", ["--seed", "-1", "--paths", "2"],
+                     "--seed", id="simulate-seed-negative"),
+        pytest.param("riccati-solve", "riccati_degenerate_1d.json", ["--steps", "0"], "--steps",
+                     id="riccati-solve-steps-0"),
+        pytest.param("portfolio", "heston_power_portfolio.json", ["--steps", "-4"], "--steps",
+                     id="portfolio-steps-negative"),
+        pytest.param("verify", "heston_verify_transform.json", ["--paths", "-3"], "--paths",
+                     id="verify-transform-paths-negative"),
+    ])
+    def test_bad_count_flag_is_config_error(self, tmp_path, capsys, command, config, flags, bad):
+        cfg = json.loads((CONFIGS / config).read_text(encoding="utf-8"))
+        line = self.run_failing(tmp_path, capsys, command, cfg, EXIT_CONFIG, *flags)
+        assert f"'{bad}' must be >=" in line
+        assert not os.listdir(tmp_path / "out")
+
     def test_block_exp_on_general_drift_is_config_error(self, tmp_path, capsys):
         cfg = riccati_1d_degenerate_config()
         cfg["model"]["drift"] = {"betas": [[[[0.5]]]]}

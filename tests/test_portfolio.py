@@ -329,6 +329,39 @@ class TestBnsSolvers:
             assert np.allclose(lhs, rhs, atol=5e-5)
 
 
+class TestPresetsStateTheProblemOnce:
+    """A preset reads the coefficients, parameters and endowment its solver used."""
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_PRESETS))
+    def test_preset_holds_the_solved_problem(self, name):
+        preset = SHIPPED_PRESETS[name](steps=200)
+        assert preset.coeffs is preset.solve.coeffs
+        assert preset.params is preset.solve.params
+        assert preset.endow is preset.solve.endow
+        assert isinstance(preset.endow, EndowmentSpec)
+
+    @staticmethod
+    def assert_linear_closed_form(solve, h, const, steps):
+        ref = linear_backward_closed_form(h, const, solve.horizon, steps)
+        assert np.array_equal(solve.riccati.gammas.view(np.uint64), ref.view(np.uint64))
+
+    def test_bns_power_constant_is_the_generators(self):
+        preset = SHIPPED_PRESETS["bns-power-d2"](steps=200)
+        gamma, eta = preset.gamma, preset.model.eta_eff
+        const = -gamma / (2.0 * (1.0 - gamma)) * np.outer(eta, eta)
+        self.assert_linear_closed_form(preset.solve, preset.model.spec.lam_op.h, const, 200)
+
+    def test_bns_exp_constant_is_the_generators(self):
+        preset = SHIPPED_PRESETS["bns-exp-d2"](steps=200)
+        model, gamma, T = preset.model, preset.gamma, preset.horizon
+        eta = model.eta_eff
+        base = bns_exp_solve(model, gamma, T, swap_asset=0, steps=200)
+        for solve, asset in ((preset.solve, 1), (base, 0)):
+            endow = EndowmentSpec.variance_swap(asset, model.d, T, 0.15)
+            const = np.outer(eta, eta) / (2.0 * gamma) + endow.a
+            self.assert_linear_closed_form(solve, model.spec.lam_op.h, const, 200)
+
+
 class TestPerturbedStrategies:
     """The audits' perturbed strategies: the optimal grid plus deltas derived from d."""
 
@@ -338,9 +371,8 @@ class TestPerturbedStrategies:
     @staticmethod
     def zero_preset(d):
         """A preset whose optimal grid is -0.0 everywhere, so the sign of each zero delta shows."""
-        solve = SimpleNamespace(strategy_grid=lambda ts: np.full((len(ts), d), -0.0))
-        return UtilityPreset(name="zero", kind="heston_power", gamma=0.5, horizon=1.0, solve=solve,
-                             coeffs=None, params=None, model=None)
+        solve = SimpleNamespace(horizon=1.0, strategy_grid=lambda ts: np.full((len(ts), d), -0.0))
+        return UtilityPreset(model=None, solve=solve)
 
     def assert_d2_list(self, preset, n_steps):
         base = preset.opt_strategy_grid(n_steps)

@@ -6,7 +6,7 @@ from affinebsde.symcone import (
     ConeClass,
     DimensionMismatchError,
     IndefiniteMatrixError,
-    SymMat,
+    as_sym,
     cone_classify,
     frobenius,
     mat_exp,
@@ -27,19 +27,10 @@ def sym_matrices(d_max=4, scale=2.0):
     )
 
 
-class TestSymMat:
-    def test_symmetrizes_on_construction(self):
-        m = SymMat(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        assert np.array_equal(m.mat, m.mat.T)
-        assert m.mat[0, 1] == 1.0
-
+class TestAsSym:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
-            SymMat(np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            SymMat(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            as_sym(np.zeros((2, 3)))
 
 
 class TestTraceInner:
