@@ -71,12 +71,13 @@ class ConstantJumps:
             raise NonFiniteMatrixError("non-finite atom data")
         if np.any(w <= 0):
             raise ValueError("atom weights must be > 0")
+        xis = symmetrize(xis)  # the stored atoms, so the checks below are on them
         for k in range(xis.shape[0]):
             if frobenius(xis[k]) == 0.0:
                 raise ValueError("atoms must be nonzero")
             if cone_classify(xis[k]) not in (ConeClass.PSD, ConeClass.PD):
                 raise IndefiniteMatrixError(f"atom {k} is not PSD")
-        object.__setattr__(self, "xis", symmetrize(xis))
+        object.__setattr__(self, "xis", xis)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "norms", np.array([frobenius(x) for x in self.xis]))
 
@@ -120,6 +121,7 @@ class LinearJumps:
             raise DimensionMismatchError("atoms must have shape (n, d, d)")
         if xis.shape != us.shape:
             raise DimensionMismatchError("xi/U shape mismatch")
+        xis, us = symmetrize(xis), symmetrize(us)  # the stored atoms, so the checks below are on them
         for k in range(xis.shape[0]):
             if frobenius(xis[k]) == 0.0:
                 raise ValueError("atoms must be nonzero")
@@ -127,8 +129,8 @@ class LinearJumps:
                 raise IndefiniteMatrixError(f"atom {k} location is not PSD")
             if cone_classify(us[k]) not in (ConeClass.PSD, ConeClass.PD):
                 raise IndefiniteMatrixError(f"atom {k} weight matrix is not PSD")
-        object.__setattr__(self, "xis", symmetrize(xis))
-        object.__setattr__(self, "us", symmetrize(us))
+        object.__setattr__(self, "xis", xis)
+        object.__setattr__(self, "us", us)
         object.__setattr__(self, "norms", np.array([frobenius(x) for x in self.xis]))
         norms2 = np.einsum("nij,nij->n", self.xis, self.xis)
         object.__setattr__(self, "denominators", np.minimum(norms2, 1.0))

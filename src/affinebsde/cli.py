@@ -11,7 +11,8 @@ simulate        dump simulated paths to CSV
 
 Flags: --config PATH, --out DIR, --seed N, --paths N, --steps N, --threads N,
 --format {csv,json}; a given --seed/--paths/--steps replaces its configuration
-value and gets the same check.  Exit codes: 0 pass, 2 configuration error,
+value and gets the same check, and --threads (RNG blocks simulated at once,
+default 1) must be >= 1.  Exit codes: 0 pass, 2 configuration error,
 3 numerical failure (blow-up, singular block exponential, route cross-check,
 non-finite theta/varpi, non-finite shipped values, failed linear algebra),
 4 verification FAIL.  Errors are mapped to exit codes once, in ``main``, with
@@ -807,6 +808,8 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
     }
     try:
+        if args.threads < 1:
+            raise ConfigError(["'--threads' must be >= 1"])
         # a non-finite result is reported once, through the exit code, not as numpy warnings
         with np.errstate(all="ignore"):
             return dispatch[args.command](cfg, args)

@@ -16,7 +16,11 @@ Randomness: Philox4x64-10 counter-based bit generator, one stream per fixed
 block of ``STREAM_BLOCK`` path indices with key (seed, block start).
 ``_BlockStream`` owns that contract: every draw covers the whole block and
 returns the used paths' rows only, so increasing the path count never changes
-earlier paths.  Path generation parallelizes over blocks (``threads``);
+earlier paths.  The draws never depend on the simulated state, so one helper
+thread per block draws them one step ahead (``_ahead``) while the block's
+worker does the step's arithmetic; the helper is the block's only caller of
+its stream and draws in the serial order, so the stream order is unchanged.
+Path generation parallelizes over blocks (``threads``);
 per-block results are reduced in block order, which keeps every output
 bit-identical regardless of the thread count.  Products of a path batch with a
 constant matrix or vector (``_const_batch``, ``_batch_const``) are single BLAS
@@ -25,6 +29,9 @@ calls whose bitwise equality with stacked ``matmul`` a test of the suite pins.
 
 from __future__ import annotations
 
+import contextvars
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -84,6 +91,49 @@ class _BlockStream:
         return ids[keep], taus[keep], marks[keep]
 
 
+def _ahead(draw: Callable[[], object], n: int) -> Iterator:
+    """Yield ``draw()`` n times, each item drawn one step ahead in a helper thread.
+
+    The helper is the only caller of ``draw`` and calls it in order, so the
+    items are those of n serial calls.  It runs in a copy of the caller's
+    context (numpy's error state included) and hands the items over through a
+    queue of depth 1; an exception it meets is raised here with its own type.
+    However the caller stops, the helper is stopped and joined before the
+    generator ends.
+    """
+    items: queue.Queue = queue.Queue(maxsize=1)
+    stop = threading.Event()
+
+    def put(item) -> bool:
+        while not stop.is_set():
+            try:
+                items.put(item, timeout=0.1)
+                return True
+            except queue.Full:
+                pass
+        return False
+
+    def produce():
+        try:
+            for _ in range(n):
+                if not put((draw(), None)):
+                    return
+        except BaseException as exc:  # raised again in the caller
+            put((None, exc))
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(produce,), daemon=True)
+    helper.start()
+    try:
+        for _ in range(n):
+            item, exc = items.get()
+            if exc is not None:
+                raise exc
+            yield item
+    finally:
+        stop.set()
+        helper.join()
+
+
 def _run_blocks(worker: Callable[[_BlockStream], object], seed: int, n_paths: int, threads: int) -> list:
     def run(block):
         return worker(_BlockStream(seed, *block))
@@ -92,7 +142,9 @@ def _run_blocks(worker: Callable[[_BlockStream], object], seed: int, n_paths: in
     if threads <= 1 or len(blocks) == 1:
         return [run(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, blocks))
+        # each block runs in a copy of the caller's context, numpy's error state included
+        futures = [pool.submit(contextvars.copy_context().run, run, block) for block in blocks]
+        return [f.result() for f in futures]
 
 
 def mean_stderr(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -252,10 +304,11 @@ def simulate_wishart(
         os_ = np.empty((count, n_steps + 1, d, d))
         shifts = np.empty((count, n_steps))
         rs[:, 0], ns[:, 0], os_[:, 0] = r, n_log, o
-        for k in range(n_steps):
-            dw = stream.normal((d, d), sdt)
-            dd = stream.normal((d,), sdt)
-            dqh = stream.normal((d, d), sdt)
+
+        def draws():  # the loop below exhausts them before ``stream`` is rebound
+            return stream.normal((d, d), sdt), stream.normal((d,), sdt), stream.normal((d, d), sdt)
+
+        for k, (dw, dd, dqh) in enumerate(_ahead(draws, n_steps)):
             dq = _batch_const(dw, corr.rho) + corr.orth * dd
             n_log = n_log + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
             o = o + _const_batch(sig_o, np.matmul(sr, dqh)) + (o1 + _const_batch(o2, r)) * dt
@@ -362,25 +415,30 @@ def _bns_block_core(
 ) -> np.ndarray:
     """Common stepping loop for one RNG block; only the used paths are evolved.
 
-    ``on_step(k, r, sr)`` consumes the pre-step state; ``flow`` is ``_bns_flow``'s.
-    Returns the state at T.
+    ``on_step(k, r, sr, dd)`` consumes the pre-step state and the step's price
+    noise dD; ``flow`` is ``_bns_flow``'s.  Returns the state at T.
     """
     d = spec.d
     exact = flow is not None
     const = spec.lam + spec.b_j
     lam_tot = spec.total_intensity
     cdf = np.cumsum(spec.m_j.weights) / lam_tot if lam_tot > 0 else None
+    sdt = np.sqrt(dt)
     r = np.broadcast_to(r0, (stream.count, d, d)).copy()
 
-    for k in range(n_steps):
+    def draws():
+        dd = stream.normal((d,), sdt)
+        return dd, (stream.jumps(lam_tot * dt, cdf, dt) if lam_tot > 0 else None)
+
+    for k, (dd, jumps) in enumerate(_ahead(draws, n_steps)):
         _, sr, _ = project_and_sqrt_psd_batch(r)
-        on_step(k, r, sr)
+        on_step(k, r, sr, dd)
         if exact:
             r = _batch_const(_const_batch(flow.e_dt, r), flow.e_dt.T) + flow.d_dt
         else:
             r = r + (const + _drift_apply_batch(spec.lam_op, r)) * dt
-        if lam_tot > 0:
-            ids, taus, marks = stream.jumps(lam_tot * dt, cdf, dt)
+        if jumps is not None:
+            ids, taus, marks = jumps
             if ids.size:
                 xis = spec.m_j.xis[marks]
                 if exact:
@@ -405,7 +463,6 @@ def simulate_bns(
     r0 = as_sym(r0)
     eta = np.asarray(eta, dtype=float)
     dt = T / n_steps
-    sdt = np.sqrt(dt)
     times = np.linspace(0.0, T, n_steps + 1)
     flow = _bns_flow(spec, T, n_steps, n_paths)
 
@@ -415,9 +472,8 @@ def simulate_bns(
         ns = np.zeros((count, n_steps + 1, d))
         os_ = np.zeros((count, n_steps + 1, d, d))
 
-        def on_step(k, r, sr):
+        def on_step(k, r, sr, dd):
             rs[:, k] = r
-            dd = stream.normal((d,), sdt)
             ns[:, k + 1] = ns[:, k] + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
             os_[:, k + 1] = os_[:, k] + r * dt
 
@@ -497,11 +553,12 @@ def heston_functionals(
         i_quad = np.zeros((n_strat, count))
         o = np.zeros((count, d, d))
         n_proj = 0
-        for k in range(n_steps):
-            dw = stream.normal((d, d), sdt)
-            dd = stream.normal((d,), sdt)
-            if need_qhat:
-                dqh = stream.normal((d, d), sdt)
+
+        def draws():
+            return (stream.normal((d, d), sdt), stream.normal((d,), sdt),
+                    stream.normal((d, d), sdt) if need_qhat else None)
+
+        for k, (dw, dd, dqh) in enumerate(_ahead(draws, n_steps)):
             dq = _batch_const(dw, corr.rho) + corr.orth * dd
             dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
             pk = pis[:, k, :]
@@ -539,7 +596,6 @@ def bns_functionals(
     pis = _strategies_on_grid(strategies, n_steps, d)
     n_strat = pis.shape[0]
     dt = T / n_steps
-    sdt = np.sqrt(dt)
     flow = _bns_flow(spec, T, n_steps, n_paths)
 
     def worker(stream):
@@ -548,8 +604,7 @@ def bns_functionals(
         i_quad = np.zeros((n_strat, count))
         o = np.zeros((count, d, d))
 
-        def on_step(k, r, sr):
-            dd = stream.normal((d,), sdt)
+        def on_step(k, r, sr, dd):
             dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
             pk = pis[:, k, :]
             i_dn[:, :] += dn @ pk.T
@@ -640,8 +695,7 @@ def wishart_weak_errors(
             r = np.broadcast_to(r0, (count, d, d)).copy()
             states[s] = project_and_sqrt_psd_batch(r)[:2]
         acc = {s: np.zeros((count, d, d)) for s in steps_list}
-        for k in range(n_fine):
-            dw = stream.normal((d, d), sdt)
+        for k, dw in enumerate(_ahead(lambda: stream.normal((d, d), sdt), n_fine)):
             for s in steps_list:
                 acc[s] += dw
                 if (k + 1) % strides[s] == 0:
@@ -665,8 +719,7 @@ def wishart_weak_errors(
             c0 = np.full(count, r0[1, 1])
             states[s] = _proj_sqrt_components_2x2(a0, bb0, c0)
         acc = {s: np.zeros((count, 4)) for s in steps_list}
-        for k in range(n_fine):
-            dw = stream.normal((2, 2), sdt).reshape(count, 4)
+        for k, dw in enumerate(_ahead(lambda: stream.normal((2, 2), sdt).reshape(count, 4), n_fine)):
             for s in steps_list:
                 acc[s] += dw
                 if (k + 1) % strides[s] == 0:

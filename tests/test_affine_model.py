@@ -97,6 +97,20 @@ class TestKernelWeight:
         assert mu.kernel_weights(x)[0] == pytest.approx(expected, rel=1e-12)
 
 
+class TestAtoms:
+    """An atom must be nonzero as stored, i.e. after symmetrization."""
+
+    SKEW = np.array([[[0.0, 1.0], [-1.0, 0.0]]])  # nonzero, but its symmetric part is 0
+
+    def test_constant_jumps_reject_skew_atom(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            ConstantJumps(self.SKEW, np.array([1.0]))
+
+    def test_linear_jumps_reject_skew_atom(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            LinearJumps(self.SKEW, np.eye(2)[None])
+
+
 def jump_params(rng, d=2):
     m = ConstantJumps.from_atoms([
         (rand_psd(rng, d, ridge=0.02), 0.7),

@@ -572,6 +572,12 @@ class TestExitCodes:
                      id="portfolio-steps-negative"),
         pytest.param("verify", "heston_verify_transform.json", ["--paths", "-3"], "--paths",
                      id="verify-transform-paths-negative"),
+        pytest.param("verify", "heston_verify_transform.json",
+                     ["--paths", "4", "--steps", "3", "--threads", "0"], "--threads",
+                     id="verify-transform-threads-0"),
+        pytest.param("verify", "heston_verify_transform.json",
+                     ["--paths", "4", "--steps", "3", "--threads", "-1"], "--threads",
+                     id="verify-transform-threads-negative"),
     ])
     def test_bad_count_flag_is_config_error(self, tmp_path, capsys, command, config, flags, bad):
         cfg = json.loads((CONFIGS / config).read_text(encoding="utf-8"))

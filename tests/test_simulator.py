@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from affinebsde.simulator import (
     BnsJumpSpec,
     CorrelationSpec,
     _BlockStream,
+    _ahead,
     _batch_const,
     _check_jump_budget,
     _check_path_step_budget,
@@ -91,6 +94,144 @@ class TestConstantProducts:
         r = contiguous
         for pk in (pis[:, 1, :], pis[:1, 1, :]):  # one step of a strategy grid, K = 9 and 1
             self.assert_bitwise(_quad_forms(r, pk).T, np.einsum("bij,ki,kj->bk", r, pk, pk))
+
+
+class TestAhead:
+    """The prefetch yields the serial items and leaves no helper thread behind."""
+
+    def test_items_in_order(self):
+        before = threading.active_count()
+        assert list(_ahead(iter(range(50)).__next__, 50)) == list(range(50))
+        assert threading.active_count() == before
+
+    def test_draw_error_keeps_its_type(self):
+        def draw():
+            raise ValueError("bad draw")
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="bad draw"):
+            list(_ahead(draw, 3))
+        assert threading.active_count() == before
+
+    def test_early_stop_joins_helper(self):
+        before = threading.active_count()
+        for item in _ahead(iter(range(100)).__next__, 100):
+            if item == 2:
+                break
+        assert threading.active_count() == before
+        items = _ahead(iter(range(100)).__next__, 100)
+        assert next(items) == 0
+        items.close()
+        assert threading.active_count() == before
+
+    def test_helper_runs_in_callers_errstate(self):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            list(_ahead(lambda: np.float64(1e308) * 10.0, 2))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_block_workers_run_in_callers_errstate(threads):
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        heston_functionals(small_wishart(), 1e200 * R0, CorrelationSpec(np.zeros(2)), np.zeros(2), 1.0, 2,
+                           np.zeros((1, 2)), STREAM_BLOCK + 1, seed=1, threads=threads)
+
+
+class TestPrefetchParity:
+    """Every engine gives bitwise the outputs of its serial, same-thread loop."""
+
+    N = STREAM_BLOCK + 100
+
+    @staticmethod
+    def assert_bitwise(got, ref):
+        for a, b in zip(got, ref, strict=True):
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def compare(self, monkeypatch, run):
+        from affinebsde import simulator
+
+        before = threading.active_count()
+        got = run()
+        assert threading.active_count() == before
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "_ahead", lambda draw, n: (draw() for _ in range(n)))  # serial, same thread
+            ref = run()
+        self.assert_bitwise(got, ref)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("o_terms", [{}, dict(o_sigma=0.3 * np.eye(2), o1=0.02 * np.eye(2),
+                                                  o2=0.05 * np.eye(2))], ids=["plain", "o-qhat"])
+    def test_heston_functionals(self, monkeypatch, threads, o_terms):
+        corr = CorrelationSpec(np.array([-0.4, -0.2]))
+        pis = np.array([[0.5, 0.2], [-0.3, 0.4]])
+
+        def run():
+            fn = heston_functionals(small_wishart(), R0, corr, np.array([0.6, 0.3]), 1.0, 4, pis,
+                                    self.N, seed=13, threads=threads, **o_terms)
+            return (fn.int_pi_dn, fn.int_pi_r_pi, fn.o_terminal, fn.r_terminal, fn.projection_fraction)
+
+        self.compare(monkeypatch, run)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bns_functionals(self, monkeypatch, threads):
+        pis = np.array([[0.5, 0.2], [-0.3, 0.4]])
+
+        def run():
+            fn = bns_functionals(bns_spec_d2(), R0, np.array([0.6, 0.3]), 1.0, 4, pis, self.N, seed=17,
+                                 threads=threads)
+            return fn.int_pi_dn, fn.int_pi_r_pi, fn.o_terminal, fn.r_terminal
+
+        self.compare(monkeypatch, run)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("general_drift", [False, True], ids=["d2", "general"])
+    def test_weak_errors(self, monkeypatch, threads, general_drift):
+        def run():
+            res = wishart_weak_errors(small_wishart(general_drift), R0, 0.5 * np.eye(2), 1.0, [2, 4],
+                                      self.N, 3, 1.0, threads=threads)
+            return [res[s][key] for s in (2, 4) for key in ("mean", "stderr")] + \
+                [dif[key] for dif in res["differences"] for key in ("mean", "stderr")]
+
+        self.compare(monkeypatch, run)
+
+    def test_simulate_wishart(self, monkeypatch):
+        def run():
+            bundles = simulate_wishart(small_wishart(), R0, CorrelationSpec(np.array([-0.4, -0.2])),
+                                       np.array([0.6, 0.3]), 1.0, 3, self.N, seed=9,
+                                       o_sigma=0.3 * np.eye(2), o1=0.02 * np.eye(2), o2=0.05 * np.eye(2))
+            return [a for b in bundles for a in (b.r, b.n_log, b.o, b.projection_shift)]
+
+        self.compare(monkeypatch, run)
+
+    def test_simulate_bns(self, monkeypatch):
+        def run():
+            bundles = simulate_bns(bns_spec_d2(), R0, np.array([0.6, 0.3]), 1.0, 3, self.N, seed=9)
+            return [a for b in bundles for a in (b.r, b.n_log, b.o)]
+
+        self.compare(monkeypatch, run)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_engine_error_leaves_no_helper(self, monkeypatch, threads):
+        from affinebsde import simulator
+
+        clamp, calls = simulator.project_and_sqrt_psd_batch, []
+
+        def failing_clamp(r):
+            calls.append(1)
+            if len(calls) > 3:
+                raise np.linalg.LinAlgError("clamp failed")
+            return clamp(r)
+
+        monkeypatch.setattr(simulator, "project_and_sqrt_psd_batch", failing_clamp)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError):
+            heston_functionals(small_wishart(), R0, CorrelationSpec(np.zeros(2)), np.zeros(2), 1.0, 8,
+                               np.zeros((1, 2)), self.N, seed=1, threads=threads)
+        with pytest.raises(np.linalg.LinAlgError):
+            bns_functionals(bns_spec_d2(), R0, np.zeros(2), 1.0, 8, np.zeros((1, 2)), self.N, seed=1,
+                            threads=threads)
+        assert threading.active_count() == before
 
 
 class TestReplay:
