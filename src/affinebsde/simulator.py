@@ -16,11 +16,13 @@ Randomness: Philox4x64-10 counter-based bit generator, one stream per fixed
 block of ``STREAM_BLOCK`` path indices with key (seed, block start).
 ``_BlockStream`` owns that contract: every draw covers the whole block and
 returns the used paths' rows only, so increasing the path count never changes
-earlier paths.  The draws never depend on the simulated state, so one helper
-thread per block draws them one step ahead (``_ahead``) while the block's
-worker does the step's arithmetic; the helper is the block's only caller of
-its stream and draws in the serial order, so the stream order is unchanged.
-Path generation parallelizes over blocks (``threads``);
+earlier paths.  The Heston and Wishart engines draw only Gaussian noise,
+which never depends on the simulated state, so one helper thread per block
+fills the next step's draws (``_BlockStream.normals_ahead``, ``AHEAD_DEPTH``
+buffers reused for the whole block) while the block's worker does the step's
+arithmetic; the helper is the block's only caller of its stream and draws in
+the serial order, so the stream order is unchanged.  Path generation
+parallelizes over blocks (``threads``);
 per-block results are reduced in block order, which keeps every output
 bit-identical regardless of the thread count.  Products of a path batch with a
 constant matrix or vector (``_const_batch``, ``_batch_const``) are single BLAS
@@ -30,6 +32,7 @@ calls whose bitwise equality with stacked ``matmul`` a test of the suite pins.
 from __future__ import annotations
 
 import contextvars
+import math
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -47,6 +50,9 @@ from .symcone import (
 )
 
 STREAM_BLOCK = 16384
+# Steps of Gaussian draws a block holds at once: the step being simulated and
+# the one its helper thread draws ahead.
+AHEAD_DEPTH = 2
 PROJECTION_WARN_FRACTION = 1e-3
 JUMP_MARK_BUDGET = 1e8
 # Paths x (steps + 1) that simulate_wishart and simulate_bns may stream.  The
@@ -82,6 +88,26 @@ class _BlockStream:
         """scale * N(0, 1) draws of per-path ``shape``, used paths only."""
         return self.rng.standard_normal((STREAM_BLOCK,) + tuple(shape))[: self.count] * scale
 
+    def normals_ahead(self, shapes, scale: float, n: int) -> Iterator[tuple]:
+        """Per step, for n steps, scale * N(0, 1) draws of each per-path shape, used paths only.
+
+        A step's draws are one ``standard_normal`` call over the whole block,
+        the shapes in turn, so they are bitwise the block's serial draws.  The
+        helper of ``_ahead`` makes that call into one of ``AHEAD_DEPTH`` buffers
+        reused for every step, so it draws without allocating and without the
+        GIL; the used rows are scaled in place here.  A step's arrays are views
+        of its buffer, valid until the next step is requested.
+        """
+        sizes = [math.prod(shape) for shape in shapes]
+        ring = np.empty((AHEAD_DEPTH, STREAM_BLOCK * sum(sizes)))
+        for raw in _ahead(lambda slot: self.rng.standard_normal(out=ring[slot]), n):
+            step, lo = [], 0
+            for shape, size in zip(shapes, sizes):
+                x = raw[lo: lo + self.count * size].reshape((self.count,) + tuple(shape))
+                step.append(np.multiply(x, scale, out=x))
+                lo += STREAM_BLOCK * size
+            yield tuple(step)
+
     def jumps(self, rate: float, cdf: np.ndarray, dt: float):
         """(path ids, times in [0, dt), atom marks by ``cdf``) of Poisson(rate) jumps."""
         ids = np.repeat(np.arange(STREAM_BLOCK), self.rng.poisson(rate, size=STREAM_BLOCK))
@@ -91,35 +117,33 @@ class _BlockStream:
         return ids[keep], taus[keep], marks[keep]
 
 
-def _ahead(draw: Callable[[], object], n: int) -> Iterator:
-    """Yield ``draw()`` n times, each item drawn one step ahead in a helper thread.
+def _ahead(draw: Callable[[int], object], n: int) -> Iterator:
+    """Yield ``draw(k % AHEAD_DEPTH)`` for k < n, each drawn ahead in a helper thread.
 
     The helper is the only caller of ``draw`` and calls it in order, so the
-    items are those of n serial calls.  It runs in a copy of the caller's
-    context (numpy's error state included) and hands the items over through a
-    queue of depth 1; an exception it meets is raised here with its own type.
-    However the caller stops, the helper is stopped and joined before the
-    generator ends.
+    items are those of n serial calls.  It starts item k only once the caller
+    has asked for item k - AHEAD_DEPTH + 1, so a draw may fill buffer ``slot``
+    in place: an item stays valid until the next one is requested.  The helper
+    runs in a copy of the caller's context (numpy's error state included) and
+    hands the items over through C-level queues that block without polling; an
+    exception it meets is raised here with its own type.  However the caller
+    stops, the helper is stopped and joined before the generator ends.
     """
-    items: queue.Queue = queue.Queue(maxsize=1)
+    items: queue.SimpleQueue = queue.SimpleQueue()
+    credits: queue.SimpleQueue = queue.SimpleQueue()  # one per item the helper may draw now
+    for _ in range(AHEAD_DEPTH):
+        credits.put(None)
     stop = threading.Event()
-
-    def put(item) -> bool:
-        while not stop.is_set():
-            try:
-                items.put(item, timeout=0.1)
-                return True
-            except queue.Full:
-                pass
-        return False
 
     def produce():
         try:
-            for _ in range(n):
-                if not put((draw(), None)):
+            for k in range(n):
+                credits.get()
+                if stop.is_set():
                     return
+                items.put((draw(k % AHEAD_DEPTH), None))
         except BaseException as exc:  # raised again in the caller
-            put((None, exc))
+            items.put((None, exc))
 
     helper = threading.Thread(target=contextvars.copy_context().run, args=(produce,), daemon=True)
     helper.start()
@@ -129,8 +153,10 @@ def _ahead(draw: Callable[[], object], n: int) -> Iterator:
             if exc is not None:
                 raise exc
             yield item
+            credits.put(None)  # the caller is done with the item, and with its slot
     finally:
         stop.set()
+        credits.put(None)
         helper.join()
 
 
@@ -304,11 +330,7 @@ def simulate_wishart(
         os_ = np.empty((count, n_steps + 1, d, d))
         shifts = np.empty((count, n_steps))
         rs[:, 0], ns[:, 0], os_[:, 0] = r, n_log, o
-
-        def draws():  # the loop below exhausts them before ``stream`` is rebound
-            return stream.normal((d, d), sdt), stream.normal((d,), sdt), stream.normal((d, d), sdt)
-
-        for k, (dw, dd, dqh) in enumerate(_ahead(draws, n_steps)):
+        for k, (dw, dd, dqh) in enumerate(stream.normals_ahead([(d, d), (d,), (d, d)], sdt, n_steps)):
             dq = _batch_const(dw, corr.rho) + corr.orth * dd
             n_log = n_log + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
             o = o + _const_batch(sig_o, np.matmul(sr, dqh)) + (o1 + _const_batch(o2, r)) * dt
@@ -415,30 +437,25 @@ def _bns_block_core(
 ) -> np.ndarray:
     """Common stepping loop for one RNG block; only the used paths are evolved.
 
-    ``on_step(k, r, sr, dd)`` consumes the pre-step state and the step's price
-    noise dD; ``flow`` is ``_bns_flow``'s.  Returns the state at T.
+    ``on_step(k, r, sr)`` consumes the pre-step state; ``flow`` is ``_bns_flow``'s.
+    Returns the state at T.
     """
     d = spec.d
     exact = flow is not None
     const = spec.lam + spec.b_j
     lam_tot = spec.total_intensity
     cdf = np.cumsum(spec.m_j.weights) / lam_tot if lam_tot > 0 else None
-    sdt = np.sqrt(dt)
     r = np.broadcast_to(r0, (stream.count, d, d)).copy()
 
-    def draws():
-        dd = stream.normal((d,), sdt)
-        return dd, (stream.jumps(lam_tot * dt, cdf, dt) if lam_tot > 0 else None)
-
-    for k, (dd, jumps) in enumerate(_ahead(draws, n_steps)):
+    for k in range(n_steps):
         _, sr, _ = project_and_sqrt_psd_batch(r)
-        on_step(k, r, sr, dd)
+        on_step(k, r, sr)
         if exact:
             r = _batch_const(_const_batch(flow.e_dt, r), flow.e_dt.T) + flow.d_dt
         else:
             r = r + (const + _drift_apply_batch(spec.lam_op, r)) * dt
-        if jumps is not None:
-            ids, taus, marks = jumps
+        if lam_tot > 0:
+            ids, taus, marks = stream.jumps(lam_tot * dt, cdf, dt)
             if ids.size:
                 xis = spec.m_j.xis[marks]
                 if exact:
@@ -463,6 +480,7 @@ def simulate_bns(
     r0 = as_sym(r0)
     eta = np.asarray(eta, dtype=float)
     dt = T / n_steps
+    sdt = np.sqrt(dt)
     times = np.linspace(0.0, T, n_steps + 1)
     flow = _bns_flow(spec, T, n_steps, n_paths)
 
@@ -472,8 +490,9 @@ def simulate_bns(
         ns = np.zeros((count, n_steps + 1, d))
         os_ = np.zeros((count, n_steps + 1, d, d))
 
-        def on_step(k, r, sr, dd):
+        def on_step(k, r, sr):
             rs[:, k] = r
+            dd = stream.normal((d,), sdt)
             ns[:, k + 1] = ns[:, k] + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
             os_[:, k + 1] = os_[:, k] + r * dt
 
@@ -553,12 +572,8 @@ def heston_functionals(
         i_quad = np.zeros((n_strat, count))
         o = np.zeros((count, d, d))
         n_proj = 0
-
-        def draws():
-            return (stream.normal((d, d), sdt), stream.normal((d,), sdt),
-                    stream.normal((d, d), sdt) if need_qhat else None)
-
-        for k, (dw, dd, dqh) in enumerate(_ahead(draws, n_steps)):
+        shapes = [(d, d), (d,), (d, d)] if need_qhat else [(d, d), (d,)]
+        for k, (dw, dd, *dqh) in enumerate(stream.normals_ahead(shapes, sdt, n_steps)):
             dq = _batch_const(dw, corr.rho) + corr.orth * dd
             dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
             pk = pis[:, k, :]
@@ -567,7 +582,7 @@ def heston_functionals(
             if need_o:
                 o += (o1m + _const_batch(o2m, r)) * dt
                 if need_qhat:
-                    o += _const_batch(sig_o, np.matmul(sr, dqh))
+                    o += _const_batch(sig_o, np.matmul(sr, dqh[0]))
             r = _euler_update(r, sr, params, dt, dw)
             r, sr, shift = project_and_sqrt_psd_batch(r)
             n_proj += int(np.count_nonzero(shift > 1e-13))
@@ -596,6 +611,7 @@ def bns_functionals(
     pis = _strategies_on_grid(strategies, n_steps, d)
     n_strat = pis.shape[0]
     dt = T / n_steps
+    sdt = np.sqrt(dt)
     flow = _bns_flow(spec, T, n_steps, n_paths)
 
     def worker(stream):
@@ -604,7 +620,8 @@ def bns_functionals(
         i_quad = np.zeros((n_strat, count))
         o = np.zeros((count, d, d))
 
-        def on_step(k, r, sr, dd):
+        def on_step(k, r, sr):
+            dd = stream.normal((d,), sdt)
             dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
             pk = pis[:, k, :]
             i_dn[:, :] += dn @ pk.T
@@ -695,7 +712,8 @@ def wishart_weak_errors(
             r = np.broadcast_to(r0, (count, d, d)).copy()
             states[s] = project_and_sqrt_psd_batch(r)[:2]
         acc = {s: np.zeros((count, d, d)) for s in steps_list}
-        for k, dw in enumerate(_ahead(lambda: stream.normal((d, d), sdt), n_fine)):
+        for k in range(n_fine):
+            dw = stream.normal((d, d), sdt)
             for s in steps_list:
                 acc[s] += dw
                 if (k + 1) % strides[s] == 0:
@@ -719,7 +737,8 @@ def wishart_weak_errors(
             c0 = np.full(count, r0[1, 1])
             states[s] = _proj_sqrt_components_2x2(a0, bb0, c0)
         acc = {s: np.zeros((count, 4)) for s in steps_list}
-        for k, dw in enumerate(_ahead(lambda: stream.normal((2, 2), sdt).reshape(count, 4), n_fine)):
+        for k in range(n_fine):
+            dw = stream.normal((2, 2), sdt).reshape(count, 4)
             for s in steps_list:
                 acc[s] += dw
                 if (k + 1) % strides[s] == 0:

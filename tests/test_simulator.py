@@ -12,6 +12,7 @@ from affinebsde.affine_model import (
     wishart_params,
 )
 from affinebsde.simulator import (
+    AHEAD_DEPTH,
     JUMP_MARK_BUDGET,
     PATH_STEP_BUDGET,
     STREAM_BLOCK,
@@ -101,11 +102,12 @@ class TestAhead:
 
     def test_items_in_order(self):
         before = threading.active_count()
-        assert list(_ahead(iter(range(50)).__next__, 50)) == list(range(50))
+        items = iter(range(50))
+        assert list(_ahead(lambda slot: next(items), 50)) == list(range(50))
         assert threading.active_count() == before
 
     def test_draw_error_keeps_its_type(self):
-        def draw():
+        def draw(slot):
             raise ValueError("bad draw")
 
         before = threading.active_count()
@@ -115,18 +117,40 @@ class TestAhead:
 
     def test_early_stop_joins_helper(self):
         before = threading.active_count()
-        for item in _ahead(iter(range(100)).__next__, 100):
+        for item in _ahead(lambda slot: slot, 100):
             if item == 2:
                 break
         assert threading.active_count() == before
-        items = _ahead(iter(range(100)).__next__, 100)
+        items = _ahead(lambda slot: slot, 100)
         assert next(items) == 0
         items.close()
         assert threading.active_count() == before
 
+    def test_slot_is_free_until_the_next_item_is_requested(self):
+        ring = [[] for _ in range(AHEAD_DEPTH)]
+
+        def draw(slot):
+            ring[slot].append(len(ring[slot]))  # a refill while the caller still holds the slot shows here
+            return slot, len(ring[slot])
+
+        for k, (slot, fills) in enumerate(_ahead(draw, 20)):
+            assert (slot, fills) == (k % AHEAD_DEPTH, k // AHEAD_DEPTH + 1)
+            assert len(ring[slot]) == fills
+
+    @pytest.mark.parametrize("count", [7, STREAM_BLOCK])
+    def test_normals_ahead_are_the_serial_draws(self, count):
+        shapes = [(2, 2), (2,), (2, 2)]
+        serial = _BlockStream(5, STREAM_BLOCK, count)
+        steps = _BlockStream(5, STREAM_BLOCK, count).normals_ahead(shapes, 0.3, 2 * AHEAD_DEPTH + 1)
+        for step in steps:
+            for got, shape in zip(step, shapes, strict=True):
+                ref = serial.normal(shape, 0.3)
+                assert got.shape == ref.shape
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
     def test_helper_runs_in_callers_errstate(self):
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            list(_ahead(lambda: np.float64(1e308) * 10.0, 2))
+            list(_ahead(lambda slot: np.float64(1e308) * 10.0, 2))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -137,7 +161,7 @@ def test_block_workers_run_in_callers_errstate(threads):
 
 
 class TestPrefetchParity:
-    """Every engine gives bitwise the outputs of its serial, same-thread loop."""
+    """The engines that draw ahead give bitwise the outputs of their serial, same-thread loop."""
 
     N = STREAM_BLOCK + 100
 
@@ -155,7 +179,7 @@ class TestPrefetchParity:
         got = run()
         assert threading.active_count() == before
         with monkeypatch.context() as m:
-            m.setattr(simulator, "_ahead", lambda draw, n: (draw() for _ in range(n)))  # serial, same thread
+            m.setattr(simulator, "_ahead", lambda draw, n: (draw(k % AHEAD_DEPTH) for k in range(n)))  # serial
             ref = run()
         self.assert_bitwise(got, ref)
 
@@ -173,41 +197,12 @@ class TestPrefetchParity:
 
         self.compare(monkeypatch, run)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_bns_functionals(self, monkeypatch, threads):
-        pis = np.array([[0.5, 0.2], [-0.3, 0.4]])
-
-        def run():
-            fn = bns_functionals(bns_spec_d2(), R0, np.array([0.6, 0.3]), 1.0, 4, pis, self.N, seed=17,
-                                 threads=threads)
-            return fn.int_pi_dn, fn.int_pi_r_pi, fn.o_terminal, fn.r_terminal
-
-        self.compare(monkeypatch, run)
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("general_drift", [False, True], ids=["d2", "general"])
-    def test_weak_errors(self, monkeypatch, threads, general_drift):
-        def run():
-            res = wishart_weak_errors(small_wishart(general_drift), R0, 0.5 * np.eye(2), 1.0, [2, 4],
-                                      self.N, 3, 1.0, threads=threads)
-            return [res[s][key] for s in (2, 4) for key in ("mean", "stderr")] + \
-                [dif[key] for dif in res["differences"] for key in ("mean", "stderr")]
-
-        self.compare(monkeypatch, run)
-
     def test_simulate_wishart(self, monkeypatch):
         def run():
             bundles = simulate_wishart(small_wishart(), R0, CorrelationSpec(np.array([-0.4, -0.2])),
                                        np.array([0.6, 0.3]), 1.0, 3, self.N, seed=9,
                                        o_sigma=0.3 * np.eye(2), o1=0.02 * np.eye(2), o2=0.05 * np.eye(2))
             return [a for b in bundles for a in (b.r, b.n_log, b.o, b.projection_shift)]
-
-        self.compare(monkeypatch, run)
-
-    def test_simulate_bns(self, monkeypatch):
-        def run():
-            bundles = simulate_bns(bns_spec_d2(), R0, np.array([0.6, 0.3]), 1.0, 3, self.N, seed=9)
-            return [a for b in bundles for a in (b.r, b.n_log, b.o)]
 
         self.compare(monkeypatch, run)
 
@@ -228,9 +223,6 @@ class TestPrefetchParity:
         with pytest.raises(np.linalg.LinAlgError):
             heston_functionals(small_wishart(), R0, CorrelationSpec(np.zeros(2)), np.zeros(2), 1.0, 8,
                                np.zeros((1, 2)), self.N, seed=1, threads=threads)
-        with pytest.raises(np.linalg.LinAlgError):
-            bns_functionals(bns_spec_d2(), R0, np.zeros(2), 1.0, 8, np.zeros((1, 2)), self.N, seed=1,
-                            threads=threads)
         assert threading.active_count() == before
 
 
