@@ -43,6 +43,8 @@ class BlowUpError(RuntimeError):
     """An ODE trajectory exceeded the configured norm bound."""
 
     def __init__(self, time: float, norm: float, bound: float):
+        if np.isnan(norm):  # the state went non-finite: it passed through infinity
+            norm = float("inf")
         super().__init__(f"trajectory norm {norm:.3e} exceeded {bound:.3e} at t={time:.6g}")
         self.time = time
         self.norm = norm
@@ -357,7 +359,7 @@ def solve_transform(
     if t == 0.0:
         return TransformSolution(phi=0.0, psi=psi, t=0.0, steps=0, psd_violation=0.0)
 
-    def rhs(s, p, phi):
+    def rhs(p, phi):
         return transform_rhs_R(params, p), transform_rhs_F(params, p)
 
     h = t / steps

@@ -7,17 +7,17 @@ is
 
     Y_t      = Tr(Gamma(t) X_t) + Tr(a O_t) + w(t)
     Z_t      = 2 sqrt(X_t) Gamma(t) S^T
-    Zhat_t   = sqrt(X_t) s(t)^T a^T
+    Zhat_t   = sqrt(X_t) s^T a^T
     K_t(xi)  = Tr(Gamma(t) xi).
 
 ``drift_match_residual`` is the arbiter for every constant-factor ambiguity:
 it evaluates the generator at the candidate solution and checks that it
 cancels the finite-variation part produced by the Ito expansion,
 
-    r(t, x) = f(t, x, Y, Z, Zhat, K) + Tr(dGamma/dt x) + dw/dt
+    r(t, x) = f(x, Y, Z, Zhat, K) + Tr(dGamma/dt x) + dw/dt
               + Tr(Gamma (b + B(x)))
               + sum_m w Tr(Gamma chi(xi)) + sum_{m + M(x)} Tr(Gamma (xi - chi(xi)))
-              + Tr(a (o1(t) + o2(t) x)),
+              + Tr(a (o1 + o2 x)),
 
 which must vanish identically when theta and varpi carry the right factors.
 
@@ -59,8 +59,7 @@ class BsdeSolutionEval:
     def __post_init__(self):
         if self.riccati.d != self.params.d or self.coeffs.d != self.params.d:
             raise ValueError("dimension mismatch between solution, coefficients and model")
-        feeds_y = (not self.coeffs.c_y.is_constant) or float(self.coeffs.c_y(0.0)) != 0.0 \
-            or self.coeffs.g_y is not None
+        feeds_y = self.coeffs.c_y != 0.0 or self.coeffs.g_y is not None
         if feeds_y and np.any(self.coeffs.a):
             raise ValueError("c_y/g_y feedback is incompatible with a nonzero terminal weight a")
 
@@ -95,7 +94,7 @@ def eval_solution(sol: BsdeSolutionEval, t: float, x, o) -> BsdeValues:
     y = trace_inner(gam, xa) + float(np.trace(sol.coeffs.a @ oa)) + w
     sx = psd_sqrt(xa)
     z = 2.0 * sx @ gam @ sol.params.sigma.T
-    zhat = sx @ np.asarray(sol.coeffs.sigma(t)).T @ sol.coeffs.a.T
+    zhat = sx @ sol.coeffs.sigma.T @ sol.coeffs.a.T
 
     def k(xi) -> float:
         return trace_inner(gam, xi)
@@ -106,7 +105,6 @@ def eval_solution(sol: BsdeSolutionEval, t: float, x, o) -> BsdeValues:
 def eval_generator(
     coeffs: GeneratorCoeffs,
     params: AffineParams,
-    t: float,
     x,
     y: float,
     z,
@@ -119,37 +117,37 @@ def eval_generator(
     ha = np.asarray(zhat, dtype=float)
     sx = psd_sqrt(xa)
 
-    val = float(np.trace(za @ np.asarray(coeffs.c_zz(t)) @ za.T))
-    val += float(np.trace(za @ np.asarray(coeffs.c_zsqrtx(t)) @ sx))
-    val += float(np.trace(np.asarray(coeffs.c_x(t)) @ xa))
-    val += float(coeffs.c_y(t)) * y + float(coeffs.c_t(t))
-    val += float(np.trace(ha @ np.asarray(coeffs.c_hzhz(t)) @ ha.T))
-    val += float(np.trace(ha @ np.asarray(coeffs.c_hzz(t)) @ za.T))
-    val += float(np.trace(ha @ np.asarray(coeffs.c_hzsqrtx(t)) @ sx))
+    val = float(np.trace(za @ coeffs.c_zz @ za.T))
+    val += float(np.trace(za @ coeffs.c_zsqrtx @ sx))
+    val += float(np.trace(coeffs.c_x @ xa))
+    val += coeffs.c_y * y + coeffs.c_t
+    val += float(np.trace(ha @ coeffs.c_hzhz @ ha.T))
+    val += float(np.trace(ha @ coeffs.c_hzz @ za.T))
+    val += float(np.trace(ha @ coeffs.c_hzsqrtx @ sx))
 
     if params.mu.n and coeffs.g_M is not None:
         mw = params.mu.kernel_weights(xa)
         for i in range(params.mu.n):
-            val += float(coeffs.g_M(t, k(params.mu.xis[i]))) * mw[i]
+            val += float(coeffs.g_M(k(params.mu.xis[i]))) * mw[i]
 
     if params.m.n:
         for i in range(params.m.n):
             w_i = params.m.weights[i]
             kk = k(params.m.xis[i])
             if coeffs.g_zsqrtx is not None:
-                val += w_i * float(np.trace(za @ np.asarray(coeffs.g_zsqrtx(t, kk)) @ sx))
+                val += w_i * float(np.trace(za @ np.asarray(coeffs.g_zsqrtx(kk)) @ sx))
             if coeffs.g_x is not None:
-                val += w_i * float(np.sum(xa * symmetrize(coeffs.g_x(t, kk))))
+                val += w_i * float(np.sum(xa * symmetrize(coeffs.g_x(kk))))
             if coeffs.g_t is not None:
-                val += w_i * float(coeffs.g_t(t, kk))
+                val += w_i * float(coeffs.g_t(kk))
             if coeffs.g_y is not None:
-                val += w_i * y * float(coeffs.g_y(t, kk))
+                val += w_i * y * float(coeffs.g_y(kk))
             if coeffs.g_hzhz is not None:
-                val += w_i * float(np.trace(ha @ np.asarray(coeffs.g_hzhz(t, kk)) @ ha.T))
+                val += w_i * float(np.trace(ha @ np.asarray(coeffs.g_hzhz(kk)) @ ha.T))
             if coeffs.g_hzz is not None:
-                val += w_i * float(np.trace(ha @ np.asarray(coeffs.g_hzz(t, kk)) @ za.T))
+                val += w_i * float(np.trace(ha @ np.asarray(coeffs.g_hzz(kk)) @ za.T))
             if coeffs.g_hzsqrtx is not None:
-                val += w_i * float(np.trace(ha @ np.asarray(coeffs.g_hzsqrtx(t, kk)) @ sx))
+                val += w_i * float(np.trace(ha @ np.asarray(coeffs.g_hzsqrtx(kk)) @ sx))
     return val
 
 
@@ -175,7 +173,7 @@ def drift_match_residual(sol: BsdeSolutionEval, t: float, x) -> float:
 
     o = np.zeros((sol.params.d, sol.params.d))
     vals = eval_solution(sol, tk, xa, o)
-    f = eval_generator(sol.coeffs, sol.params, tk, xa, vals.y, vals.z, vals.zhat, vals.k)
+    f = eval_generator(sol.coeffs, sol.params, xa, vals.y, vals.z, vals.zhat, vals.k)
 
     r = f + trace_inner(dgam, xa) + dw
     r += trace_inner(gam, sol.params.b + sol.params.drift.apply(xa))
@@ -189,7 +187,7 @@ def drift_match_residual(sol: BsdeSolutionEval, t: float, x) -> float:
         chi_tr = sol.params.chi_traces(gam, sol.params.mu)
         r += float(np.dot(full_tr - chi_tr, sol.params.mu.kernel_weights(xa)))
     a = sol.coeffs.a
-    r += float(np.trace(a @ (np.asarray(sol.coeffs.o1(tk)) + np.asarray(sol.coeffs.o2(tk)) @ xa)))
+    r += float(np.trace(a @ (sol.coeffs.o1 + sol.coeffs.o2 @ xa)))
     return abs(float(r))
 
 
@@ -210,7 +208,7 @@ def drift_match_stats(
         g = rng.standard_normal((d, d))
         x = symmetrize(g @ g.T) * (1.0 / d) + 0.05 * np.eye(d)
         vals = eval_solution(sol, t, x, np.zeros((d, d)))
-        f = eval_generator(sol.coeffs, sol.params, t, x, vals.y, vals.z, vals.zhat, vals.k)
+        f = eval_generator(sol.coeffs, sol.params, x, vals.y, vals.z, vals.zhat, vals.k)
         r = drift_match_residual(sol, t, x)
         worst_abs = max(worst_abs, r)
         worst_rel = max(worst_rel, r / (1.0 + abs(f)))

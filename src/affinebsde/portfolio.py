@@ -231,7 +231,7 @@ def bns_power_coeffs(model: BnsModel, gamma: float) -> GeneratorCoeffs:
     return GeneratorCoeffs.build(
         d,
         c_x=-gamma / (2.0 * (1.0 - gamma)) * np.outer(eta, eta),
-        g_t=lambda t, y: -(np.expm1(-y) + y),
+        g_t=lambda y: -(np.expm1(-y) + y),
     )
 
 
@@ -243,7 +243,7 @@ def bns_exp_coeffs(model: BnsModel, gamma: float, swap_a: np.ndarray) -> Generat
         c_x=np.outer(eta, eta) / (2.0 * gamma),
         a=np.asarray(swap_a, dtype=float),
         o2=np.eye(d),
-        g_t=lambda t, y: -(np.expm1(gamma * y) - gamma * y) / gamma,
+        g_t=lambda y: -(np.expm1(gamma * y) - gamma * y) / gamma,
     )
 
 
@@ -273,7 +273,7 @@ def _bns_solve(params: AffineParams, coeffs: GeneratorCoeffs, terminal_v: float,
                steps: int) -> RiccatiSolution:
     """Linear Riccati solve for the jump-OU models: closed form when H-form.
 
-    -Gamma' = B*(Gamma) + C with C = script_C(0), the generator having no
+    -Gamma' = B*(Gamma) + C with C = script_C, the generator having no
     quadratic term.  The c_y/g_y-free varpi is a plain integral given Gamma,
     evaluated by the cumulative Simpson chain on the grid.
     """
@@ -282,7 +282,7 @@ def _bns_solve(params: AffineParams, coeffs: GeneratorCoeffs, terminal_v: float,
     zero = np.zeros((params.d, params.d))
     if isinstance(params.drift, HFormDrift):
         # B*(u) = u H + H^T u
-        gammas = linear_backward_closed_form(params.drift.h, script_C(params, coeffs, 0.0), T, steps)
+        gammas = linear_backward_closed_form(params.drift.h, script_C(params, coeffs), T, steps)
         grid = np.linspace(0.0, T, steps + 1)
         w = varpi_quadrature(params, coeffs, grid, gammas, terminal_v)
         return RiccatiSolution(
@@ -903,14 +903,14 @@ def quasi_monotone_jump_instance():
         a=0.1 * eye,
         sigma=0.2 * eye,
         o2=0.05 * eye,
-        g_M=lambda t, y: 0.1 * y,
-        g_x=lambda t, y, _e=eye: 0.08 * y * _e,
-        g_zsqrtx=lambda t, y, _e=eye: 0.03 * np.tanh(y) * _e,
-        g_y=lambda t, y: 0.01 * np.tanh(y),
-        g_t=lambda t, y: -0.05 * (np.expm1(-y) + y),
-        g_hzhz=lambda t, y, _e=eye: 0.06 * y * _e,
-        g_hzz=lambda t, y, _e=eye: 0.02 * np.arctan(y) * _e,
-        g_hzsqrtx=lambda t, y, _e=eye: 0.01 * y * _e,
+        g_M=lambda y: 0.1 * y,
+        g_x=lambda y, _e=eye: 0.08 * y * _e,
+        g_zsqrtx=lambda y, _e=eye: 0.03 * np.tanh(y) * _e,
+        g_y=lambda y: 0.01 * np.tanh(y),
+        g_t=lambda y: -0.05 * (np.expm1(-y) + y),
+        g_hzhz=lambda y, _e=eye: 0.06 * y * _e,
+        g_hzz=lambda y, _e=eye: 0.02 * np.arctan(y) * _e,
+        g_hzsqrtx=lambda y, _e=eye: 0.01 * y * _e,
     )
     terminal_u = 0.2 * np.eye(2)
     return params, coeffs, terminal_u

@@ -1,34 +1,35 @@
 """Generalized matrix Riccati ODEs driving explicit quadratic-BSDE solutions.
 
-The backward system solved here is
+The generator coefficients are constant in time.  The backward system solved
+here is
 
-    -dGamma/dt = theta(t, Gamma(t)),   Gamma(T) = u,
-    -dw/dt     = varpi(t, Gamma(t), w(t)),   w(T) = v,
+    -dGamma/dt = theta(Gamma(t)),   Gamma(T) = u,
+    -dw/dt     = varpi(Gamma(t), w(t)),   w(T) = v,
 
 with
 
-    theta(t, u) = 4 u S^T c_zz(t) S u + L(t) u + u L(t)^T + B*(u) + C(t)
-                  + sum_mu  [Tr(u (xi - chi(xi))) + g_M(t, Tr(u xi))] / (||xi||^2 ^ 1) * U
-                  + sum_m w [ u S^T g_zsqrtx + g_zsqrtx^T S u + u g_y + g_x
-                              + s^T a^T g_hzhz a s + s^T a^T g_hzz S u
-                              + u S^T g_hzz^T a s + s^T a^T g_hzsqrtx ](t, Tr(u xi))
+    theta(u) = 4 u S^T c_zz S u + L u + u L^T + B*(u) + C
+               + sum_mu  [Tr(u (xi - chi(xi))) + g_M(Tr(u xi))] / (||xi||^2 ^ 1) * U
+               + sum_m w [ u S^T g_zsqrtx + g_zsqrtx^T S u + u g_y + g_x
+                           + s^T a^T g_hzhz a s + s^T a^T g_hzz S u
+                           + u S^T g_hzz^T a s + s^T a^T g_hzsqrtx ](Tr(u xi))
 
-    L(t) = (1/2) c_y(t) I + c_zsqrtx(t)^T S + s(t)^T a^T c_hzz(t) S
-    C(t) = c_x(t) + s(t)^T a^T c_hzhz(t) a s(t) + s(t)^T a^T c_hzsqrtx(t) + a o2(t)
+    L = (1/2) c_y I + c_zsqrtx^T S + s^T a^T c_hzz S
+    C = c_x + s^T a^T c_hzhz a s + s^T a^T c_hzsqrtx + a o2
 
-    varpi(t, u, v) = c_y(t) v + c_t(t) + Tr(a o1(t)) + Tr(u b)
-                     + sum_m w [Tr(u xi) + g_y(t, Tr(u xi)) v + g_t(t, Tr(u xi))]
+    varpi(u, v) = c_y v + c_t + Tr(a o1) + Tr(u b)
+                  + sum_m w [Tr(u xi) + g_y(Tr(u xi)) v + g_t(Tr(u xi))]
 
-where S is the diffusion factor (S S^T = alpha), s(t) the auxiliary-process
+where S is the diffusion factor (S S^T = alpha), s the auxiliary-process
 volatility, a its terminal weight, and B* the adjoint of the linear drift.
 Every theta output is symmetrized; the pre-symmetrization asymmetry is
 available as a diagnostic.
 
 Two solvers are provided: a closed-form route via a 2d x 2d block matrix
-exponential (constant coefficients, H-form drift, zero terminal value) and
-Runge-Kutta integration of the time-reversed ODE (fixed-step RK4 by default,
-embedded Dormand-Prince 5(4) optionally).  Both detect blow-up, which the
-quadratic term can force in finite time.
+exponential (H-form drift, zero terminal value) and Runge-Kutta integration
+of the time-reversed ODE (fixed-step RK4 by default, embedded Dormand-Prince
+5(4) optionally).  Both detect blow-up, which the quadratic term can force in
+finite time.
 """
 
 from __future__ import annotations
@@ -64,95 +65,32 @@ class BlockExpSingularError(RuntimeError):
         self.time = time
 
 
-# -- time-dependent coefficients ---------------------------------------------------
-
-
-class TimeFn:
-    """Coefficient on [0, T]: constant, piecewise linear in t, or a callback."""
-
-    __slots__ = ("_kind", "_value", "_ts", "_vs", "_fn")
-
-    def __init__(self, kind, value=None, ts=None, vs=None, fn=None):
-        self._kind = kind
-        self._value = value
-        self._ts = ts
-        self._vs = vs
-        self._fn = fn
-
-    @classmethod
-    def constant(cls, value) -> "TimeFn":
-        if np.ndim(value) == 0:
-            return cls("const", value=float(value))
-        return cls("const", value=np.asarray(value, dtype=float))
-
-    @classmethod
-    def piecewise_linear(cls, ts, vs) -> "TimeFn":
-        ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0):
-            raise ValueError("knots must be strictly increasing, length >= 2")
-        vs = np.asarray(vs, dtype=float)
-        if vs.shape[0] != ts.size:
-            raise ValueError("one value per knot required")
-        return cls("pwl", ts=ts, vs=vs)
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[float], object]) -> "TimeFn":
-        return cls("fn", fn=fn)
-
-    @classmethod
-    def coerce(cls, obj) -> "TimeFn":
-        if isinstance(obj, TimeFn):
-            return obj
-        if callable(obj):
-            return cls.from_callable(obj)
-        return cls.constant(obj)
-
-    @property
-    def is_constant(self) -> bool:
-        return self._kind == "const"
-
-    def __call__(self, t: float):
-        if self._kind == "const":
-            return self._value
-        if self._kind == "pwl":
-            ts, vs = self._ts, self._vs
-            if t <= ts[0]:
-                return vs[0]
-            if t >= ts[-1]:
-                return vs[-1]
-            j = int(np.searchsorted(ts, t, side="right")) - 1
-            lam = (t - ts[j]) / (ts[j + 1] - ts[j])
-            return (1.0 - lam) * vs[j] + lam * vs[j + 1]
-        return self._fn(t)
-
-
 # -- generator coefficients --------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratorCoeffs:
-    """All coefficients of the admissible quadratic generator.
+    """All coefficients of the admissible quadratic generator, constant in time.
 
-    Matrix-valued TimeFns: c_zz, c_zsqrtx, c_x, c_hzhz, c_hzz, c_hzsqrtx,
-    sigma, o1, o2; scalar TimeFns: c_y, c_t.  Jump coefficients are callables
-    (t, k) -> value (scalar for g_M, g_t, g_y; d x d for the rest) or None,
-    evaluated at k = Tr(u xi) per atom.  ``a`` is the constant terminal weight
-    of the auxiliary process.
+    d x d matrices: c_zz, c_zsqrtx, c_x, c_hzhz, c_hzz, c_hzsqrtx, sigma, o1,
+    o2 and the terminal weight a of the auxiliary process; scalars: c_y, c_t.
+    Jump coefficients are callables k -> value (scalar for g_M, g_t, g_y;
+    d x d for the rest) or None, evaluated at k = Tr(u xi) per atom.
     """
 
     d: int
-    c_zz: TimeFn
-    c_zsqrtx: TimeFn
-    c_x: TimeFn
-    c_y: TimeFn
-    c_t: TimeFn
-    c_hzhz: TimeFn
-    c_hzz: TimeFn
-    c_hzsqrtx: TimeFn
+    c_zz: np.ndarray
+    c_zsqrtx: np.ndarray
+    c_x: np.ndarray
+    c_y: float
+    c_t: float
+    c_hzhz: np.ndarray
+    c_hzz: np.ndarray
+    c_hzsqrtx: np.ndarray
     a: np.ndarray
-    sigma: TimeFn
-    o1: TimeFn
-    o2: TimeFn
+    sigma: np.ndarray
+    o1: np.ndarray
+    o2: np.ndarray
     g_M: Optional[Callable] = None
     g_t: Optional[Callable] = None
     g_y: Optional[Callable] = None
@@ -165,14 +103,11 @@ class GeneratorCoeffs:
     @classmethod
     def build(cls, d: int, **kw) -> "GeneratorCoeffs":
         zero_m = np.zeros((d, d))
-        mat_fields = ("c_zz", "c_zsqrtx", "c_x", "c_hzhz", "c_hzz", "c_hzsqrtx", "sigma", "o1", "o2")
-        scal_fields = ("c_y", "c_t")
         vals = {}
-        for name in mat_fields:
-            vals[name] = TimeFn.coerce(kw.pop(name, zero_m))
-        for name in scal_fields:
-            vals[name] = TimeFn.coerce(kw.pop(name, 0.0))
-        vals["a"] = np.asarray(kw.pop("a", zero_m), dtype=float)
+        for name in ("c_zz", "c_zsqrtx", "c_x", "c_hzhz", "c_hzz", "c_hzsqrtx", "a", "sigma", "o1", "o2"):
+            vals[name] = np.asarray(kw.pop(name, zero_m), dtype=float)
+        for name in ("c_y", "c_t"):
+            vals[name] = float(kw.pop(name, 0.0))
         for name in ("g_M", "g_t", "g_y", "g_zsqrtx", "g_x", "g_hzhz", "g_hzz", "g_hzsqrtx"):
             vals[name] = kw.pop(name, None)
         if kw:
@@ -186,62 +121,50 @@ class GeneratorCoeffs:
             for g in (self.g_M, self.g_y, self.g_zsqrtx, self.g_x, self.g_hzhz, self.g_hzz, self.g_hzsqrtx)
         )
 
-    @property
-    def all_time_constant(self) -> bool:
-        return all(
-            f.is_constant
-            for f in (self.c_zz, self.c_zsqrtx, self.c_x, self.c_y, self.c_t,
-                      self.c_hzhz, self.c_hzz, self.c_hzsqrtx, self.sigma, self.o1, self.o2)
-        )
 
-
-def script_L(params: AffineParams, coeffs: GeneratorCoeffs, t: float) -> np.ndarray:
-    """Linear coefficient L(t) of theta."""
+def script_L(params: AffineParams, coeffs: GeneratorCoeffs) -> np.ndarray:
+    """Linear coefficient L of theta."""
     s = params.sigma
-    d = params.d
-    out = 0.5 * float(coeffs.c_y(t)) * np.eye(d)
-    out = out + np.asarray(coeffs.c_zsqrtx(t)).T @ s
-    sig = np.asarray(coeffs.sigma(t))
-    if np.any(sig) and np.any(coeffs.a):
-        out = out + sig.T @ coeffs.a.T @ np.asarray(coeffs.c_hzz(t)) @ s
+    out = 0.5 * coeffs.c_y * np.eye(params.d)
+    out = out + coeffs.c_zsqrtx.T @ s
+    if np.any(coeffs.sigma) and np.any(coeffs.a):
+        out = out + coeffs.sigma.T @ coeffs.a.T @ coeffs.c_hzz @ s
     return out
 
 
-def script_C(params: AffineParams, coeffs: GeneratorCoeffs, t: float) -> np.ndarray:
-    """Constant coefficient C(t) of theta (symmetrized)."""
-    out = np.asarray(coeffs.c_x(t)).copy()
-    sig = np.asarray(coeffs.sigma(t))
+def script_C(params: AffineParams, coeffs: GeneratorCoeffs) -> np.ndarray:
+    """Constant coefficient C of theta (symmetrized)."""
+    out = coeffs.c_x
     a = coeffs.a
-    if np.any(sig) and np.any(a):
-        sta = sig.T @ a.T
-        out = out + sta @ np.asarray(coeffs.c_hzhz(t)) @ sta.T
-        out = out + sta @ np.asarray(coeffs.c_hzsqrtx(t))
+    if np.any(coeffs.sigma) and np.any(a):
+        sta = coeffs.sigma.T @ a.T
+        out = out + sta @ coeffs.c_hzhz @ sta.T
+        out = out + sta @ coeffs.c_hzsqrtx
     if np.any(a):
-        out = out + a @ np.asarray(coeffs.o2(t))
+        out = out + a @ coeffs.o2
     return symmetrize(out)
 
 
-def _theta_consts(params: AffineParams, coeffs: GeneratorCoeffs, t: float):
-    """The u-free factors of theta at t: S^T c_zz S, L(t), C(t) and s(t)^T a^T."""
+def _theta_consts(params: AffineParams, coeffs: GeneratorCoeffs):
+    """The u-free factors of theta: S^T c_zz S, L, C and s^T a^T."""
     s = params.sigma
-    q = s.T @ np.asarray(coeffs.c_zz(t)) @ s
-    sta = np.asarray(coeffs.sigma(t)).T @ coeffs.a.T
-    return q, script_L(params, coeffs, t), script_C(params, coeffs, t), sta
+    q = s.T @ coeffs.c_zz @ s
+    sta = coeffs.sigma.T @ coeffs.a.T
+    return q, script_L(params, coeffs), script_C(params, coeffs), sta
 
 
 def theta_eval(
     params: AffineParams,
     coeffs: GeneratorCoeffs,
-    t: float,
     u,
     with_asymmetry: bool = False,
 ):
-    """Right-hand side theta(t, u); symmetrized, with optional asymmetry diagnostic."""
-    return _theta(params, coeffs, t, as_sym(u), _theta_consts(params, coeffs, t), with_asymmetry)
+    """Right-hand side theta(u); symmetrized, with optional asymmetry diagnostic."""
+    return _theta(params, coeffs, as_sym(u), _theta_consts(params, coeffs), with_asymmetry)
 
 
-def _theta(params, coeffs, t, ua, consts, with_asymmetry=False):
-    """theta(t, ua) given the factors ``_theta_consts(params, coeffs, t)``."""
+def _theta(params, coeffs, ua, consts, with_asymmetry=False):
+    """theta(ua) given the factors ``_theta_consts(params, coeffs)``."""
     q, ll, cc, sta = consts
     s = params.sigma
     out = 4.0 * ua @ q @ ua
@@ -254,7 +177,7 @@ def _theta(params, coeffs, t, ua, consts, with_asymmetry=False):
         chi_tr = params.chi_traces(ua, params.mu)
         gm = np.zeros_like(k)
         if coeffs.g_M is not None:
-            gm = np.array([coeffs.g_M(t, kk) for kk in k])
+            gm = np.array([coeffs.g_M(kk) for kk in k])
         coef = (k - chi_tr + gm) / params.mu.denominators
         out = out + np.einsum("n,nij->ij", coef, params.mu.us)
 
@@ -264,19 +187,19 @@ def _theta(params, coeffs, t, ua, consts, with_asymmetry=False):
             w, kk = params.m.weights[i], ks[i]
             term = np.zeros_like(ua)
             if coeffs.g_zsqrtx is not None:
-                gz = np.asarray(coeffs.g_zsqrtx(t, kk))
+                gz = np.asarray(coeffs.g_zsqrtx(kk))
                 term = term + ua @ s.T @ gz + gz.T @ s @ ua
             if coeffs.g_y is not None:
-                term = term + float(coeffs.g_y(t, kk)) * ua
+                term = term + float(coeffs.g_y(kk)) * ua
             if coeffs.g_x is not None:
-                term = term + np.asarray(coeffs.g_x(t, kk))
+                term = term + np.asarray(coeffs.g_x(kk))
             if coeffs.g_hzhz is not None:
-                term = term + sta @ np.asarray(coeffs.g_hzhz(t, kk)) @ sta.T
+                term = term + sta @ np.asarray(coeffs.g_hzhz(kk)) @ sta.T
             if coeffs.g_hzz is not None:
-                gh = np.asarray(coeffs.g_hzz(t, kk))
+                gh = np.asarray(coeffs.g_hzz(kk))
                 term = term + sta @ gh @ s @ ua + ua @ s.T @ gh.T @ sta.T
             if coeffs.g_hzsqrtx is not None:
-                term = term + sta @ np.asarray(coeffs.g_hzsqrtx(t, kk))
+                term = term + sta @ np.asarray(coeffs.g_hzsqrtx(kk))
             out = out + w * term
 
     if not np.all(np.isfinite(out)):
@@ -287,19 +210,19 @@ def _theta(params, coeffs, t, ua, consts, with_asymmetry=False):
     return sym
 
 
-def varpi_eval(params: AffineParams, coeffs: GeneratorCoeffs, t: float, u, v: float) -> float:
-    """Right-hand side varpi(t, u, v) of the scalar companion ODE."""
+def varpi_eval(params: AffineParams, coeffs: GeneratorCoeffs, u, v: float) -> float:
+    """Right-hand side varpi(u, v) of the scalar companion ODE."""
     ua = as_sym(u)
-    val = float(coeffs.c_y(t)) * v + float(coeffs.c_t(t))
-    val += float(np.trace(coeffs.a @ np.asarray(coeffs.o1(t))))
+    val = coeffs.c_y * v + coeffs.c_t
+    val += float(np.trace(coeffs.a @ coeffs.o1))
     val += float(np.sum(ua * params.b))
     if params.m.n:
         ks = np.einsum("ij,nij->n", ua, params.m.xis)
         val += float(np.dot(params.m.weights, ks))
         if coeffs.g_y is not None:
-            val += v * float(np.dot(params.m.weights, [coeffs.g_y(t, kk) for kk in ks]))
+            val += v * float(np.dot(params.m.weights, [coeffs.g_y(kk) for kk in ks]))
         if coeffs.g_t is not None:
-            val += float(np.dot(params.m.weights, [coeffs.g_t(t, kk) for kk in ks]))
+            val += float(np.dot(params.m.weights, [coeffs.g_t(kk) for kk in ks]))
     if not np.isfinite(val):
         raise FloatingPointError("varpi produced a non-finite value")
     return val
@@ -369,33 +292,26 @@ class RiccatiSolution:
 
 
 def _compile_backward_rhs(params: AffineParams, coeffs: GeneratorCoeffs):
-    """Return f(t, G, w) -> (theta, varpi), using a fast path when coefficients
-    are time-constant and all jump coefficient functions are absent.
+    """Return f(G, w) -> (theta, varpi), with a fast path when no jump
+    coefficient function (g_t aside) and no linear-jump atom is present.
 
-    The general path evaluates theta's u-free factors once per solve when the
-    coefficients are time-constant, and at every stage otherwise.
+    Either path evaluates theta's u-free factors once per solve.
     """
-    fast = (
-        coeffs.all_time_constant
-        and not coeffs.has_jump_matrix_terms
-        and coeffs.g_t is None
-        and params.mu.n == 0
-    )
+    fast = not coeffs.has_jump_matrix_terms and coeffs.g_t is None and params.mu.n == 0
     if not fast:
-        consts = _theta_consts(params, coeffs, 0.0) if coeffs.all_time_constant else None
+        consts = _theta_consts(params, coeffs)
 
-        def rhs(t, g, w):
-            c = _theta_consts(params, coeffs, t) if consts is None else consts
-            return _theta(params, coeffs, t, g, c), varpi_eval(params, coeffs, t, g, w)
+        def rhs(g, w):
+            return _theta(params, coeffs, g, consts), varpi_eval(params, coeffs, g, w)
 
         return rhs, False
 
     s = params.sigma
-    q4 = 4.0 * s.T @ np.asarray(coeffs.c_zz(0.0)) @ s
-    ll = script_L(params, coeffs, 0.0)
-    cc = script_C(params, coeffs, 0.0)
-    cy = float(coeffs.c_y(0.0))
-    w_const = float(coeffs.c_t(0.0)) + float(np.trace(coeffs.a @ np.asarray(coeffs.o1(0.0))))
+    q4 = 4.0 * s.T @ coeffs.c_zz @ s
+    ll = script_L(params, coeffs)
+    cc = script_C(params, coeffs)
+    cy = coeffs.c_y
+    w_const = coeffs.c_t + float(np.trace(coeffs.a @ coeffs.o1))
     # constant-jump atoms contribute Tr(u, sum w xi) to varpi even without g's
     b_eff = params.b.copy()
     if params.m.n:
@@ -404,12 +320,12 @@ def _compile_backward_rhs(params: AffineParams, coeffs: GeneratorCoeffs):
     if isinstance(drift, HFormDrift):
         aeff = ll + drift.h.T
 
-        def rhs(t, g, w):
+        def rhs(g, w):
             th = g @ q4 @ g + aeff @ g + g @ aeff.T + cc
             return th, cy * w + w_const + float((g * b_eff).sum())
 
     else:
-        def rhs(t, g, w):
+        def rhs(g, w):
             th = g @ q4 @ g + ll @ g + g @ ll.T + drift.adjoint(g) + cc
             return th, cy * w + w_const + float((g * b_eff).sum())
 
@@ -442,17 +358,13 @@ def solve_rk(
     u = symmetrize(as_sym(terminal_u))
     if u.shape[0] != params.d:
         raise DimensionMismatchError("terminal value dimension mismatch")
-    rhs, _fast = _compile_backward_rhs(params, coeffs)
-
-    def frev(s, g, w):
-        return rhs(T - s, g, w)
-
-    if method == "rk4" and _fast and params.d == 1:
+    rhs, fast = _compile_backward_rhs(params, coeffs)
+    if method == "rk4" and fast and params.d == 1:
         grid_s, gs, ws = _rk4_fixed_scalar(params, coeffs, u, float(terminal_v), T, steps, blowup_norm)
     elif method == "rk4":
-        grid_s, gs, ws = _rk4_fixed(frev, u, float(terminal_v), T, steps, blowup_norm)
+        grid_s, gs, ws = _rk4_fixed(rhs, u, float(terminal_v), T, steps, blowup_norm)
     elif method == "rk45":
-        grid_s, gs, ws = _rk45_adaptive(frev, u, float(terminal_v), T, adaptive_tol, blowup_norm)
+        grid_s, gs, ws = _rk45_adaptive(rhs, u, float(terminal_v), T, adaptive_tol, blowup_norm)
     else:
         raise ValueError("method must be 'rk4' or 'rk45'")
 
@@ -475,6 +387,7 @@ def _check_state(g, s, T, blowup_norm):
 
 
 def _rk4_fixed(f, g0, w0, T, steps, blowup_norm):
+    """Classic RK4 for the autonomous system (g, w)' = f(g, w) on s in [0, T]."""
     h = T / steps
     grid = np.linspace(0.0, T, steps + 1)
     d = g0.shape[0]
@@ -483,17 +396,16 @@ def _rk4_fixed(f, g0, w0, T, steps, blowup_norm):
     g, w = g0.copy(), w0
     gs[0], ws[0] = g, w
     for k in range(steps):
-        s = grid[k]
-        k1, l1 = f(s, g, w)
+        k1, l1 = f(g, w)
         g2 = symmetrize(g + 0.5 * h * k1)
-        k2, l2 = f(s + 0.5 * h, g2, w + 0.5 * h * l1)
+        k2, l2 = f(g2, w + 0.5 * h * l1)
         g3 = symmetrize(g + 0.5 * h * k2)
-        k3, l3 = f(s + 0.5 * h, g3, w + 0.5 * h * l2)
+        k3, l3 = f(g3, w + 0.5 * h * l2)
         g4 = symmetrize(g + h * k3)
-        k4, l4 = f(s + h, g4, w + h * l3)
+        k4, l4 = f(g4, w + h * l3)
         g = symmetrize(g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         w = w + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        _check_state(g, s + h, T, blowup_norm)
+        _check_state(g, grid[k] + h, T, blowup_norm)
         gs[k + 1], ws[k + 1] = g, w
     return grid, gs, ws
 
@@ -501,15 +413,15 @@ def _rk4_fixed(f, g0, w0, T, steps, blowup_norm):
 def _rk4_fixed_scalar(params, coeffs, u0, w0, T, steps, blowup_norm):
     """Dimension-1 specialization of the constant-coefficient fast path."""
     s = float(params.sigma[0, 0])
-    q = 4.0 * s * float(np.asarray(coeffs.c_zz(0.0)).reshape(())) * s
-    ll = float(script_L(params, coeffs, 0.0)[0, 0])
+    q = 4.0 * s * float(coeffs.c_zz.reshape(())) * s
+    ll = float(script_L(params, coeffs)[0, 0])
     if isinstance(params.drift, HFormDrift):
         lin = 2.0 * (ll + float(params.drift.h[0, 0]))
     else:
         lin = 2.0 * ll + float(params.drift.adjoint(np.ones((1, 1)))[0, 0])
-    con = float(script_C(params, coeffs, 0.0)[0, 0])
-    cy = float(coeffs.c_y(0.0))
-    w_const = float(coeffs.c_t(0.0)) + float(np.trace(coeffs.a @ np.asarray(coeffs.o1(0.0))))
+    con = float(script_C(params, coeffs)[0, 0])
+    cy = coeffs.c_y
+    w_const = coeffs.c_t + float(np.trace(coeffs.a @ coeffs.o1))
     b_eff = float(params.b[0, 0])
     if params.m.n:
         b_eff += float(np.dot(params.m.weights, params.m.xis[:, 0, 0]))
@@ -544,7 +456,6 @@ def _rk4_fixed_scalar(params, coeffs, u0, w0, T, steps, blowup_norm):
 
 
 # Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     [],
     [1 / 5],
@@ -578,7 +489,7 @@ def _rk45_adaptive(f, g0, w0, T, tol, blowup_norm):
                 if aij:
                     gi = gi + h * aij * kg[j]
                     wi = wi + h * aij * kw[j]
-            tg, tw = f(s + _DP_C[i] * h, symmetrize(gi), wi)
+            tg, tw = f(symmetrize(gi), wi)
             kg.append(tg)
             kw.append(tw)
         g5 = g + h * sum(b * k for b, k in zip(_DP_B5, kg) if b)
@@ -636,21 +547,13 @@ def backward_flow(step_exp: np.ndarray, steps: int) -> np.ndarray:
     return flows
 
 
-def _varpi_grid(params: AffineParams, coeffs: GeneratorCoeffs, grid: np.ndarray,
-                gammas: np.ndarray) -> np.ndarray:
-    """varpi(t_k, Gamma_k, 0) at every knot, bit for bit varpi_eval's value.
+def _varpi_grid(params: AffineParams, coeffs: GeneratorCoeffs, gammas: np.ndarray) -> np.ndarray:
+    """varpi(Gamma_k, 0) at every knot, bit for bit varpi_eval's value.
 
     The Gamma terms take one call over the whole stack; the jump callables
-    (g_y, g_t) and time-dependent c_y, c_t, o1 are still evaluated per knot.
+    (g_y, g_t) are still evaluated per knot and atom.
     """
-    def head(t):
-        val = float(coeffs.c_y(t)) * 0.0 + float(coeffs.c_t(t))
-        return val + float(np.trace(coeffs.a @ np.asarray(coeffs.o1(t))))
-
-    if coeffs.c_y.is_constant and coeffs.c_t.is_constant and coeffs.o1.is_constant:
-        val = head(0.0)
-    else:
-        val = np.array([head(t) for t in grid])
+    val = coeffs.c_y * 0.0 + coeffs.c_t + float(np.trace(coeffs.a @ coeffs.o1))
     val = val + (gammas * params.b).reshape(len(gammas), -1).sum(axis=1)
     if params.m.n:
         wts = params.m.weights
@@ -663,7 +566,7 @@ def _varpi_grid(params: AffineParams, coeffs: GeneratorCoeffs, grid: np.ndarray,
         # varpi_eval adds v * (g_y sum) at v = 0: a NaN or a sign of zero survives it
         for g, scale in ((coeffs.g_y, 0.0), (coeffs.g_t, 1.0)):
             if g is not None:
-                val = val + scale * wdot([[g(t, kk) for kk in row] for t, row in zip(grid, ks)])
+                val = val + scale * wdot([[g(kk) for kk in row] for row in ks])
     if not np.all(np.isfinite(val)):
         raise FloatingPointError("varpi produced a non-finite value")
     return val
@@ -671,15 +574,15 @@ def _varpi_grid(params: AffineParams, coeffs: GeneratorCoeffs, grid: np.ndarray,
 
 def varpi_quadrature(params: AffineParams, coeffs: GeneratorCoeffs, grid: np.ndarray,
                      gammas: np.ndarray, terminal_v: float) -> np.ndarray:
-    """w on a uniform grid from -dw/dt = varpi(t, Gamma(t), w), w(T) = terminal_v.
+    """w on a uniform grid from -dw/dt = varpi(Gamma(t), w), w(T) = terminal_v.
 
-    varpi = c_y w + varpi(t, Gamma, 0): the second part is integrated along
+    varpi = c_y w + varpi(Gamma, 0): the second part is integrated along
     Gamma by the Simpson chain with the integrating factor exp(c_y t), which
     is exactly 1 (so changes no bit) when c_y = 0.
     """
     steps = len(grid) - 1
-    base = _varpi_grid(params, coeffs, grid, gammas)
-    cy = float(coeffs.c_y(0.0))
+    base = _varpi_grid(params, coeffs, gammas)
+    cy = coeffs.c_y
     integral = simpson_cumulative_backward(np.exp(cy * grid) * base, grid[-1] / steps,
                                            np.exp(cy * grid[-1]) * terminal_v)
     return np.exp(-cy * grid) * integral
@@ -736,9 +639,9 @@ def solve_block_exp(
 ) -> RiccatiSolution:
     """Closed-form Riccati solution Gamma(t) = A_22(t)^{-1} A_21(t), terminal 0.
 
-    Requires H-form linear drift, time-constant coefficients, no linear-jump
-    atoms and no jump coefficient functions besides g_t; the terminal value is
-    zero.  The Riccati flow linearizes as
+    Requires H-form linear drift, no linear-jump atoms and no jump coefficient
+    functions besides g_t; the terminal value is zero.  The Riccati flow
+    linearizes as
 
         -d/dt (G  J) = (G  J) @ [[L^T + H,  -4 S^T c_zz S], [C,  -L - H^T]],
 
@@ -750,8 +653,6 @@ def solve_block_exp(
     """
     if not isinstance(params.drift, HFormDrift):
         raise ValueError("closed form requires an H-form linear drift")
-    if not coeffs.all_time_constant:
-        raise ValueError("closed form requires time-constant coefficients")
     if params.mu.n:
         raise ValueError("closed form requires no linear-jump atoms")
     if coeffs.has_jump_matrix_terms or coeffs.g_y is not None:
@@ -761,9 +662,9 @@ def solve_block_exp(
 
     d = params.d
     s = params.sigma
-    q4 = 4.0 * s.T @ np.asarray(coeffs.c_zz(0.0)) @ s
-    ll = script_L(params, coeffs, 0.0)
-    cc = script_C(params, coeffs, 0.0)
+    q4 = 4.0 * s.T @ coeffs.c_zz @ s
+    ll = script_L(params, coeffs)
+    cc = script_C(params, coeffs)
     h_drift = params.drift.h
     aeff = ll + h_drift.T
     m_block = np.zeros((2 * d, 2 * d))
@@ -800,7 +701,6 @@ class AssumptionCheck:
 @dataclass(frozen=True)
 class AssumptionReport:
     checks: dict
-    t_samples: np.ndarray
     k_grid: np.ndarray
     tol: float
 
@@ -841,32 +741,30 @@ def validate_assumptions(
     params: AffineParams,
     coeffs: GeneratorCoeffs,
     which=None,
-    T: float = 1.0,
     tol: float = 1e-9,
 ) -> AssumptionReport:
     """Sampling-based validation of the existence assumptions A1 -- A7.
 
-    Cone and sign conditions are checked exactly at sampled times/arguments;
-    monotonicity uses the PSD order on a k-grid; growth (A5/A6) reports the
-    smallest sampled linear-growth constants and flags ratios that are still
-    climbing at the edge of the grid; A7 reports finite-difference Lipschitz
-    estimates.  The report records sampling counts and tolerances; it never
-    raises.
+    Cone and sign conditions are checked exactly on the constant coefficients
+    and at sampled jump arguments; monotonicity uses the PSD order on a k-grid;
+    growth (A5/A6) reports the smallest sampled linear-growth constants and
+    flags ratios that are still climbing at the edge of the grid; A7 reports
+    finite-difference Lipschitz estimates.  The report records the k-grid and
+    the tolerance; it never raises.
     """
-    n_t, k_max, n_k = 5, 5.0, 21  # sampled times; k-grids of n_k points up to |k| = k_max
+    k_max, n_k = 5.0, 21  # k-grids of n_k points up to |k| = k_max
     all_names = ["A1", "A2p", "A2m", "A3p", "A3m", "A4p", "A4m", "A5p", "A5m", "A6p", "A6m", "A7"]
     names = list(which) if which else all_names
-    ts = np.linspace(0.0, T, n_t)
     kg_pos = np.linspace(0.0, k_max, n_k)
     kg_neg = -kg_pos[::-1]
     checks: dict = {}
     s = params.sigma
 
-    def sample_matrix(g, karr, t):
-        return [np.asarray(g(t, kk)) for kk in karr]
+    def sample_matrix(g, karr):
+        return [np.asarray(g(kk)) for kk in karr]
 
-    def sample_scalar(g, karr, t):
-        return [float(g(t, kk)) for kk in karr]
+    def sample_scalar(g, karr):
+        return [float(g(kk)) for kk in karr]
 
     if "A1" in names:
         ok = isinstance(params.drift, HFormDrift)
@@ -876,8 +774,8 @@ def validate_assumptions(
     for tag, cone_czz, cone_C in (("A2p", "-", "+"), ("A2m", "+", "-")):
         if tag not in names:
             continue
-        czz_ok = all(_cone_ok(np.asarray(coeffs.c_zz(t)), cone_czz, tol) for t in ts)
-        c_ok = all(_cone_ok(script_C(params, coeffs, t), cone_C, tol) for t in ts)
+        czz_ok = _cone_ok(coeffs.c_zz, cone_czz, tol)
+        c_ok = _cone_ok(script_C(params, coeffs), cone_C, tol)
         checks[tag] = AssumptionCheck(
             czz_ok and c_ok, {"c_zz": czz_ok, "script_C": c_ok},
             f"c_zz in S^{cone_czz}, C in S^{cone_C}",
@@ -887,63 +785,59 @@ def validate_assumptions(
         if tag not in names:
             continue
         detail = {}
-        ok = True
-        for t in ts:
-            if coeffs.g_M is not None:
-                vals = sample_scalar(coeffs.g_M, kg, t)
-                detail["g_M_monotone"] = _monotone(vals, "up", tol)
-                detail["g_M_sign"] = all((v >= -tol) if sgn == "+" else (v <= tol) for v in vals)
-            if coeffs.g_x is not None:
-                vals = sample_matrix(coeffs.g_x, kg, t)
-                detail["g_x_monotone"] = _monotone(vals, "up", tol)
-                detail["g_x_cone"] = all(_cone_ok(v, sgn, tol) for v in vals)
-            if coeffs.g_zsqrtx is not None or coeffs.g_y is not None:
-                direction = "up" if sgn == "+" else "down"
-                if coeffs.g_zsqrtx is not None:
-                    detail["g_zsqrtx_monotone"] = _monotone(sample_matrix(coeffs.g_zsqrtx, kg, t), direction, tol)
-                if coeffs.g_y is not None:
-                    detail["g_y_monotone"] = _monotone(sample_scalar(coeffs.g_y, kg, t), direction, tol)
-                combos = []
-                for kk in kg:
-                    gz = np.asarray(coeffs.g_zsqrtx(t, kk)) if coeffs.g_zsqrtx else np.zeros((params.d,) * 2)
-                    gy = float(coeffs.g_y(t, kk)) if coeffs.g_y else 0.0
-                    combos.append(s.T @ gz + gz.T @ s + gy * np.eye(params.d))
-                detail["combo_psd"] = all(_cone_ok(v, "+", tol) for v in combos)
-            ok = ok and all(bool(v) for v in detail.values())
+        if coeffs.g_M is not None:
+            vals = sample_scalar(coeffs.g_M, kg)
+            detail["g_M_monotone"] = _monotone(vals, "up", tol)
+            detail["g_M_sign"] = all((v >= -tol) if sgn == "+" else (v <= tol) for v in vals)
+        if coeffs.g_x is not None:
+            vals = sample_matrix(coeffs.g_x, kg)
+            detail["g_x_monotone"] = _monotone(vals, "up", tol)
+            detail["g_x_cone"] = all(_cone_ok(v, sgn, tol) for v in vals)
+        if coeffs.g_zsqrtx is not None or coeffs.g_y is not None:
+            direction = "up" if sgn == "+" else "down"
+            if coeffs.g_zsqrtx is not None:
+                detail["g_zsqrtx_monotone"] = _monotone(sample_matrix(coeffs.g_zsqrtx, kg), direction, tol)
+            if coeffs.g_y is not None:
+                detail["g_y_monotone"] = _monotone(sample_scalar(coeffs.g_y, kg), direction, tol)
+            combos = []
+            for kk in kg:
+                gz = np.asarray(coeffs.g_zsqrtx(kk)) if coeffs.g_zsqrtx else np.zeros((params.d,) * 2)
+                gy = float(coeffs.g_y(kk)) if coeffs.g_y else 0.0
+                combos.append(s.T @ gz + gz.T @ s + gy * np.eye(params.d))
+            detail["combo_psd"] = all(_cone_ok(v, "+", tol) for v in combos)
+        ok = all(bool(v) for v in detail.values())
         checks[tag] = AssumptionCheck(ok, detail, "jump coefficients entering theta's drift part")
 
+    sta = coeffs.sigma.T @ coeffs.a.T
     for tag, kg, sgn in (("A4p", kg_pos, "+"), ("A4m", kg_neg, "-")):
         if tag not in names:
             continue
         detail = {}
-        ok = True
-        sta0 = np.asarray(coeffs.sigma(0.0)).T @ coeffs.a.T
-        for t in ts:
-            if coeffs.g_hzhz is not None:
-                vals = sample_matrix(coeffs.g_hzhz, kg, t)
-                detail["g_hzhz_monotone"] = _monotone(vals, "up", tol)
-                if sgn == "+":
-                    detail["g_hzhz_cone"] = all(_cone_ok(v, "+", tol) for v in vals)
-            if coeffs.g_hzz is not None:
-                direction = "up" if sgn == "+" else "down"
-                vals = sample_matrix(coeffs.g_hzz, kg, t)
-                detail["g_hzz_monotone"] = _monotone(vals, direction, tol)
-                detail["g_hzz_combo"] = all(
-                    _cone_ok(sta0 @ v @ s + s.T @ v.T @ sta0.T, "+", tol) for v in vals
-                )
-            if coeffs.g_hzsqrtx is not None:
-                vals = sample_matrix(coeffs.g_hzsqrtx, kg, t)
-                detail["g_hzsqrtx_monotone"] = _monotone(vals, "up", tol)
-                detail["g_hzsqrtx_cone"] = all(
-                    _cone_ok(symmetrize(sta0 @ v), sgn, tol) for v in vals
-                )
-            ok = ok and all(bool(v) for v in detail.values())
+        if coeffs.g_hzhz is not None:
+            vals = sample_matrix(coeffs.g_hzhz, kg)
+            detail["g_hzhz_monotone"] = _monotone(vals, "up", tol)
+            if sgn == "+":
+                detail["g_hzhz_cone"] = all(_cone_ok(v, "+", tol) for v in vals)
+        if coeffs.g_hzz is not None:
+            direction = "up" if sgn == "+" else "down"
+            vals = sample_matrix(coeffs.g_hzz, kg)
+            detail["g_hzz_monotone"] = _monotone(vals, direction, tol)
+            detail["g_hzz_combo"] = all(
+                _cone_ok(sta @ v @ s + s.T @ v.T @ sta.T, "+", tol) for v in vals
+            )
+        if coeffs.g_hzsqrtx is not None:
+            vals = sample_matrix(coeffs.g_hzsqrtx, kg)
+            detail["g_hzsqrtx_monotone"] = _monotone(vals, "up", tol)
+            detail["g_hzsqrtx_cone"] = all(
+                _cone_ok(symmetrize(sta @ v), sgn, tol) for v in vals
+            )
+        ok = all(bool(v) for v in detail.values())
         checks[tag] = AssumptionCheck(ok, detail, "jump coefficients of the auxiliary control")
 
     def growth_ratios(g, kg, matrix: bool):
         out = []
         for kk in kg:
-            v = g(0.0, kk)
+            v = g(kk)
             mag = frobenius(v) if matrix else abs(float(v))
             out.append(mag / (abs(kk) + 1.0))
         return np.array(out)
@@ -953,7 +847,7 @@ def validate_assumptions(
             continue
         detail = {}
         cone = "-" if flip > 0 else "+"
-        detail["c_zz_cone"] = all(_cone_ok(np.asarray(coeffs.c_zz(t)), cone, tol) for t in ts)
+        detail["c_zz_cone"] = _cone_ok(coeffs.c_zz, cone, tol)
         for gname, matrix in (("g_M", False), ("g_x", True)):
             g = getattr(coeffs, gname)
             if g is None:
@@ -965,7 +859,7 @@ def validate_assumptions(
             g = getattr(coeffs, gname)
             if g is None:
                 continue
-            mags = [frobenius(g(0.0, kk)) if matrix else abs(float(g(0.0, kk))) for kk in kg]
+            mags = [frobenius(g(kk)) if matrix else abs(float(g(kk))) for kk in kg]
             detail[f"{gname}_bounded"] = bool(max(mags) <= max(mags[: max(1, len(mags) // 2)]) * 2.0 + tol)
         ok = all(bool(v) for k, v in detail.items() if not k.endswith("_const"))
         checks[tag] = AssumptionCheck(ok, detail, "growth control for the comparison bound")
@@ -982,7 +876,7 @@ def validate_assumptions(
             detail[f"{gname}_growth_const"] = float(r.max()) if r.size else 0.0
             detail[f"{gname}_growth_bounded"] = bool(r.size < 4 or r[-1] <= 2.0 * r[: max(1, r.size // 2)].max() + tol)
         if coeffs.g_hzz is not None:
-            mags = [frobenius(coeffs.g_hzz(0.0, kk)) for kk in kg]
+            mags = [frobenius(coeffs.g_hzz(kk)) for kk in kg]
             detail["g_hzz_bounded"] = bool(max(mags) <= max(mags[: max(1, len(mags) // 2)]) * 2.0 + tol)
         ok = all(bool(v) for k, v in detail.items() if not k.endswith("_const"))
         checks[tag] = AssumptionCheck(ok, detail, "growth control for the auxiliary jump terms")
@@ -996,13 +890,13 @@ def validate_assumptions(
                 continue
             lip = 0.0
             for kk in np.linspace(-k_max, k_max, n_k):
-                d1 = np.asarray(g(0.0, kk + dk), dtype=float) - np.asarray(g(0.0, kk), dtype=float)
+                d1 = np.asarray(g(kk + dk), dtype=float) - np.asarray(g(kk), dtype=float)
                 lip = max(lip, float(np.max(np.abs(d1))) / dk)
             detail[f"{gname}_lipschitz_est"] = lip
         ok = all(np.isfinite(v) for v in detail.values())
         checks["A7"] = AssumptionCheck(ok, detail, "finite-difference Lipschitz estimates")
 
-    return AssumptionReport(checks=checks, t_samples=ts, k_grid=kg_pos, tol=tol)
+    return AssumptionReport(checks=checks, k_grid=kg_pos, tol=tol)
 
 
 # -- quasi-monotonicity probe ---------------------------------------------------------
@@ -1018,12 +912,11 @@ class QuasiMonotoneProbe:
 def quasi_monotone_probe(
     params: AffineParams,
     coeffs: GeneratorCoeffs,
-    t: float = 0.0,
     n_samples: int = 200,
     seed: int = 0,
     scale: float = 1.0,
 ) -> QuasiMonotoneProbe:
-    """Probe Tr((theta(t, w+v) - theta(t, v)) x) >= 0 for Tr(w x) = 0.
+    """Probe Tr((theta(w+v) - theta(v)) x) >= 0 for Tr(w x) = 0.
 
     A positive-definite increment w forces x = 0, so the probe draws boundary
     increments: w = Q diag(l_1..l_{d-1}, 0) Q^T of rank d-1 and x = q q^T from
@@ -1043,7 +936,7 @@ def quasi_monotone_probe(
         x = np.outer(q[:, -1], q[:, -1])
         gv = rng.standard_normal((d, d))
         v = symmetrize(gv @ gv.T * (scale / d) + 0.05 * scale * np.eye(d))
-        val = trace_inner(theta_eval(params, coeffs, t, w + v) - theta_eval(params, coeffs, t, v), x)
+        val = trace_inner(theta_eval(params, coeffs, w + v) - theta_eval(params, coeffs, v), x)
         if val < worst:
             worst = val
             witness = (w, v, x)

@@ -247,7 +247,7 @@ def test_criterion_08_cone_invariants(presets):
     exp_min = float(np.min(presets["heston-exp-d2"].solve.riccati.min_eigenvalues()))
     bns_max = float(np.max(presets["bns-power-d2"].solve.riccati.max_eigenvalues()))
     params, coeffs, _ = quasi_monotone_jump_instance()
-    probe = quasi_monotone_probe(params, coeffs, t=0.3, n_samples=500, seed=77)
+    probe = quasi_monotone_probe(params, coeffs, n_samples=500, seed=77)
     ok = exp_min >= -1e-9 and bns_max <= 1e-9 and probe.min_value >= -1e-9
     _report(8, "cone invariants", ok,
             f"exp lambda_min = {exp_min:.2e}, bns lambda_max = {bns_max:.2e}, "

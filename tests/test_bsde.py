@@ -47,11 +47,11 @@ def jump_drift_match_instance(rng, with_feedback=True):
         c_x=0.15 * rand_sym(rng, d),
         c_y=0.3 if with_feedback else 0.0,
         c_t=0.1,
-        g_M=lambda t, y: 0.2 * np.tanh(y) + 0.01 * t,
-        g_t=lambda t, y: -0.1 * (np.expm1(-y) + y),
-        g_y=(lambda t, y: 0.05 * np.cos(y)) if with_feedback else None,
-        g_zsqrtx=lambda t, y: 0.04 * np.sin(y) * eye,
-        g_x=lambda t, y: 0.06 * y * eye,
+        g_M=lambda y: 0.2 * np.tanh(y),
+        g_t=lambda y: -0.1 * (np.expm1(-y) + y),
+        g_y=(lambda y: 0.05 * np.cos(y)) if with_feedback else None,
+        g_zsqrtx=lambda y: 0.04 * np.sin(y) * eye,
+        g_x=lambda y: 0.06 * y * eye,
     )
     return params, coeffs
 
@@ -103,7 +103,7 @@ class TestEvalGenerator:
         d = 2
         params = AffineParams(alpha=np.eye(d), b=np.eye(d), drift=HFormDrift(np.zeros((d, d))))
         coeffs = GeneratorCoeffs.build(d)
-        val = eval_generator(coeffs, params, 0.1, rand_psd(rng, d), 1.0,
+        val = eval_generator(coeffs, params, rand_psd(rng, d), 1.0,
                              rng.standard_normal((d, d)), rng.standard_normal((d, d)),
                              lambda xi: 0.0)
         assert val == 0.0
@@ -114,7 +114,7 @@ class TestEvalGenerator:
         for _ in range(10):
             r = float(rng.uniform(0.05, 2.0))
             z = float(rng.standard_normal())
-            val = eval_generator(coeffs, params, 0.0, np.array([[r]]), 0.0,
+            val = eval_generator(coeffs, params, np.array([[r]]), 0.0,
                                  np.array([[z]]), np.zeros((1, 1)), lambda xi: 0.0)
             expected = (0.5 * gamma * (rho**2 - 1.0) * z**2
                         + eta**2 * r / (2.0 * gamma**3)
@@ -130,23 +130,22 @@ class TestEvalGenerator:
         gam = rand_sym(rng, 2)
         k = lambda xi: trace_inner(gam, xi)
         sx = psd_sqrt(x)
-        t = 0.3
-        expected = float(np.trace(z @ np.asarray(coeffs.c_zz(t)) @ z.T))
-        expected += float(np.trace(z @ np.asarray(coeffs.c_zsqrtx(t)) @ sx))
-        expected += float(np.trace(np.asarray(coeffs.c_x(t)) @ x))
-        expected += float(coeffs.c_y(t)) * y + float(coeffs.c_t(t))
+        expected = float(np.trace(z @ coeffs.c_zz @ z.T))
+        expected += float(np.trace(z @ coeffs.c_zsqrtx @ sx))
+        expected += float(np.trace(coeffs.c_x @ x))
+        expected += coeffs.c_y * y + coeffs.c_t
         for i in range(params.mu.n):
             kk = k(params.mu.xis[i])
             den = min(np.linalg.norm(params.mu.xis[i]) ** 2, 1.0)
-            expected += coeffs.g_M(t, kk) * trace_inner(x, params.mu.us[i]) / den
+            expected += coeffs.g_M(kk) * trace_inner(x, params.mu.us[i]) / den
         for i in range(params.m.n):
             w = params.m.weights[i]
             kk = k(params.m.xis[i])
-            expected += w * float(np.trace(z @ coeffs.g_zsqrtx(t, kk) @ sx))
-            expected += w * float(np.sum(x * coeffs.g_x(t, kk)))
-            expected += w * coeffs.g_t(t, kk)
-            expected += w * y * coeffs.g_y(t, kk)
-        val = eval_generator(coeffs, params, t, x, y, z, zh, k)
+            expected += w * float(np.trace(z @ coeffs.g_zsqrtx(kk) @ sx))
+            expected += w * float(np.sum(x * coeffs.g_x(kk)))
+            expected += w * coeffs.g_t(kk)
+            expected += w * y * coeffs.g_y(kk)
+        val = eval_generator(coeffs, params, x, y, z, zh, k)
         assert val == pytest.approx(expected, rel=1e-11)
 
     def test_quadratic_growth_in_z(self, rng):
@@ -155,9 +154,9 @@ class TestEvalGenerator:
         z0 = rng.standard_normal((2, 2))
         zero = np.zeros((2, 2))
         ss = np.linspace(-2.0, 2.0, 9)
-        vals = [eval_generator(coeffs, params, 0.2, x, 0.0, s * z0, zero, lambda xi: 0.0)
+        vals = [eval_generator(coeffs, params, x, 0.0, s * z0, zero, lambda xi: 0.0)
                 for s in ss]
-        base = eval_generator(coeffs, params, 0.2, x, 0.0, zero, zero, lambda xi: 0.0)
+        base = eval_generator(coeffs, params, x, 0.0, zero, zero, lambda xi: 0.0)
         diffs = np.array(vals) - base
         fit = np.polynomial.polynomial.polyfit(ss, diffs, 2)
         resid = diffs - np.polynomial.polynomial.polyval(ss, fit)

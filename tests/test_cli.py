@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affinebsde.cli import (
     EXIT_CONFIG,
@@ -116,6 +120,17 @@ class TestRiccatiSolveCommand:
         summary = json.loads((tmp_path / "riccati_summary.json").read_text())
         assert summary["blow_up"] is not None
         assert 0.0 <= summary["blow_up"]["time"] <= 1.0
+
+    def test_non_finite_state_reports_infinite_norm(self, tmp_path):
+        # c_zsqrtx = 1e200 turns the RK4 state NaN within one step of T
+        base = riccati_1d_degenerate_config()
+        base["generator"] = {"c_zz": [[0.0]], "c_zsqrtx": [[1e200]], "c_x": [[-0.5]]}
+        cfg = write_config(tmp_path, base)
+        rc = main(["riccati-solve", "--config", cfg, "--out", str(tmp_path), "--steps", "20"])
+        assert rc == EXIT_NUMERICAL
+        text = (tmp_path / "riccati_summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject_constant)
+        assert summary["blow_up"]["norm"] == "Infinity"
 
     def test_block_exp_pole_exit_code(self, tmp_path, capsys):
         base = riccati_1d_degenerate_config()
@@ -630,6 +645,14 @@ class TestExitCodes:
         assert f"{what} is not finite" in line
         assert not os.listdir(tmp_path / "out")  # nothing is written before the check
 
+    def test_non_finite_transform_check_is_numerical_failure(self, tmp_path, capsys):
+        # r0 x 1e200 overflows the Euler paths: the Monte Carlo mean is NaN
+        cfg = scaled_shipped_config("heston_verify_transform.json", "r0", 1e200)
+        line = self.run_failing(tmp_path, capsys, "verify", cfg, EXIT_NUMERICAL,
+                                "--paths", "16394", "--steps", "20")
+        assert "transform check is not finite" in line
+        assert not os.listdir(tmp_path / "out")
+
     def test_linalg_failure_is_numerical_not_config(self, tmp_path, capsys):
         cfg = scaled_shipped_config("heston_power_portfolio.json", "drift_h", 1e8)
         line = self.run_failing(tmp_path, capsys, "portfolio", cfg, EXIT_NUMERICAL)
@@ -673,6 +696,60 @@ class TestExitCodes:
         cfg = with_value(make_cfg(), section, 5)
         line = self.run_failing(tmp_path, capsys, command, cfg, EXIT_CONFIG)
         assert line == f"configuration error: '{section}' must be an object"
+
+
+SHIPPED_COMMANDS = {
+    "bns_exp_verify_martingale.json": "verify",
+    "heston_exp_swap_price.json": "price",
+    "heston_numeraire_price.json": "price",
+    "heston_power_portfolio.json": "portfolio",
+    "heston_power_verify_drift_match.json": "verify",
+    "heston_verify_transform.json": "verify",
+    "riccati_degenerate_1d.json": "riccati-solve",
+}
+# integer counts and seeds have their own exit-code cases; scaled up, a count
+# such as verification.samples only makes a run long
+COUNT_KEYS = {"schema_version", "steps", "paths", "seed", "samples", "n_perturbed"}
+
+
+def numeric_leaves(node, path=()):
+    """Paths to the numbers of a JSON tree, skipping the integer counts."""
+    if isinstance(node, dict):
+        return [leaf for key, value in node.items() if key not in COUNT_KEYS
+                for leaf in numeric_leaves(value, path + (key,))]
+    if isinstance(node, list):
+        return [leaf for i, value in enumerate(node) for leaf in numeric_leaves(value, path + (i,))]
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return [path]
+    return []
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(sorted(SHIPPED_COMMANDS)))
+def test_scaled_shipped_config_keeps_the_exit_contract(data, name):
+    """Any config one or two scaled leaves away from a shipped one exits 0/2/3/4, cleanly."""
+    cfg = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+    leaves = numeric_leaves(cfg)
+    picked = data.draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=2, unique=True))
+    for path in picked:
+        factor = data.draw(st.sampled_from([-1.0, 0.0, 1e-9, 0.5, 3.0, 10.0, 1e8, 1e200]))
+        *parents, key = path
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = factor * node[key]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        out = pathlib.Path(tmp) / "out"
+        rc = main([SHIPPED_COMMANDS[name], "--config", write_config(pathlib.Path(tmp), cfg),
+                   "--out", str(out), "--paths", "64", "--steps", "20"])
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VERIFY_FAIL)
+        assert "Traceback" not in err.getvalue()
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=reject_constant)
 
 
 class TestWarnings:

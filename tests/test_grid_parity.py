@@ -24,7 +24,6 @@ from affinebsde.portfolio import (
 from affinebsde.riccati import (
     BlockExpSingularError,
     GeneratorCoeffs,
-    TimeFn,
     _check_a22_regular,
     _compile_backward_rhs,
     simpson_cumulative_backward,
@@ -52,8 +51,8 @@ def assert_bitwise(a, b):
 
 def varpi_quadrature_ref(params, coeffs, grid, gammas, terminal_v):
     steps = len(grid) - 1
-    base = np.array([varpi_eval(params, coeffs, grid[k], gammas[k], 0.0) for k in range(steps + 1)])
-    cy = float(coeffs.c_y(0.0))
+    base = np.array([varpi_eval(params, coeffs, gammas[k], 0.0) for k in range(steps + 1)])
+    cy = coeffs.c_y
     integral = simpson_cumulative_backward(np.exp(cy * grid) * base, grid[-1] / steps,
                                            np.exp(cy * grid[-1]) * terminal_v)
     return np.exp(-cy * grid) * integral
@@ -77,12 +76,10 @@ def varpi_cases():
         "atoms-g_y-g_t": (jump_params, jump_coeffs),
         "c_y": (heston.params, GeneratorCoeffs.build(2, c_y=0.5, c_t=-0.1, a=0.3 * np.eye(2),
                                                      o1=np.array([[0.02, 0.01], [0.0, 0.03]]))),
-        "d3-atoms-c_y": (d3, GeneratorCoeffs.build(3, c_y=-0.3, c_t=0.2, g_t=lambda t, y: 0.1 * y * y)),
-        "time-dependent": (d3, GeneratorCoeffs.build(
-            3, c_y=TimeFn.piecewise_linear([0.0, 1.0], [0.2, -0.4]),
-            c_t=lambda t: 0.1 + t, a=0.5 * np.eye(3),
-            o1=TimeFn.piecewise_linear([0.0, 0.5, 1.0], [np.eye(3), 2.0 * np.eye(3), 0.5 * np.eye(3)]),
-            g_t=lambda t, y: t * y)),
+        "d3-atoms-c_y": (d3, GeneratorCoeffs.build(3, c_y=-0.3, c_t=0.2, g_t=lambda y: 0.1 * y * y)),
+        "d3-atoms-c_y-o1-g_t": (d3, GeneratorCoeffs.build(
+            3, c_y=0.2, c_t=0.6, a=0.5 * np.eye(3), o1=np.diag([1.0, 2.0, 0.5]),
+            g_t=lambda y: 0.7 * y)),
     }
 
 
@@ -203,22 +200,20 @@ def d3_linear_jump_config(rng):
 def general_cases(rng):
     params, coeffs = d3_linear_jump_config(rng)
     jump_params, jump_coeffs, _ = quasi_monotone_jump_instance()
-    timed = GeneratorCoeffs.build(
-        3, c_zz=TimeFn.piecewise_linear([0.0, 1.0], [0.1 * np.eye(3), 0.3 * np.eye(3)]),
-        c_x=lambda t: (0.1 + t) * np.eye(3), c_y=0.1, a=0.2 * np.eye(3), sigma=0.3 * np.eye(3),
-        c_hzz=0.1 * np.ones((3, 3)))
-    return [(params, coeffs), (jump_params, jump_coeffs), (params, timed)]
+    aux = GeneratorCoeffs.build(
+        3, c_zz=0.2 * np.eye(3), c_x=0.4 * np.eye(3), c_y=0.1, a=0.2 * np.eye(3), sigma=0.3 * np.eye(3),
+        c_hzz=0.1 * np.ones((3, 3)), g_t=lambda y: 0.5 * y)
+    return [(params, coeffs), (jump_params, jump_coeffs), (params, aux)]
 
 
 def test_compiled_general_rhs_matches_theta_eval(rng):
     for params, coeffs in general_cases(rng):
         rhs, fast = _compile_backward_rhs(params, coeffs)
         assert not fast
-        for t in (0.0, 0.37, 1.0):
-            u = rand_sym(rng, params.d, 0.5)
-            th, om = rhs(t, u, 0.3)
-            assert_bitwise(th, theta_eval(params, coeffs, t, u))
-            assert_bitwise(om, varpi_eval(params, coeffs, t, u, 0.3))
+        u = rand_sym(rng, params.d, 0.5)
+        th, om = rhs(u, 0.3)
+        assert_bitwise(th, theta_eval(params, coeffs, u))
+        assert_bitwise(om, varpi_eval(params, coeffs, u, 0.3))
 
 
 # -- A_22 singularity check -----------------------------------------------------------

@@ -21,7 +21,6 @@ from affinebsde.riccati import (
     BlockExpSingularError,
     GeneratorCoeffs,
     RiccatiBlowUpError,
-    TimeFn,
     quasi_monotone_probe,
     script_C,
     script_L,
@@ -35,72 +34,53 @@ from affinebsde.symcone import frobenius, symmetrize, trace_inner
 from conftest import rand_pd, rand_psd, rand_sym
 
 
-def theta_oracle(params, coeffs, t, u):
+def theta_oracle(params, coeffs, u):
     """Term-by-term re-implementation with explicit loops (test-side oracle)."""
     s = params.sigma
     d = params.d
-    sig = np.asarray(coeffs.sigma(t))
-    sta = sig.T @ coeffs.a.T
-    out = 4.0 * u @ s.T @ np.asarray(coeffs.c_zz(t)) @ s @ u
-    ll = 0.5 * float(coeffs.c_y(t)) * np.eye(d) + np.asarray(coeffs.c_zsqrtx(t)).T @ s
-    ll = ll + sta @ np.asarray(coeffs.c_hzz(t)) @ s
+    sta = coeffs.sigma.T @ coeffs.a.T
+    out = 4.0 * u @ s.T @ coeffs.c_zz @ s @ u
+    ll = 0.5 * coeffs.c_y * np.eye(d) + coeffs.c_zsqrtx.T @ s
+    ll = ll + sta @ coeffs.c_hzz @ s
     out = out + ll @ u + u @ ll.T + params.drift.adjoint(u)
-    out = out + np.asarray(coeffs.c_x(t)) + sta @ np.asarray(coeffs.c_hzhz(t)) @ sta.T
-    out = out + sta @ np.asarray(coeffs.c_hzsqrtx(t)) + coeffs.a @ np.asarray(coeffs.o2(t))
+    out = out + coeffs.c_x + sta @ coeffs.c_hzhz @ sta.T
+    out = out + sta @ coeffs.c_hzsqrtx + coeffs.a @ coeffs.o2
     for k in range(params.mu.n):
         xi, umat = params.mu.xis[k], params.mu.us[k]
         kk = trace_inner(u, xi)
         den = min(frobenius(xi) ** 2, 1.0)
         val = trace_inner(u, xi - truncation(xi, params.trunc_radius))
         if coeffs.g_M is not None:
-            val += coeffs.g_M(t, kk)
+            val += coeffs.g_M(kk)
         out = out + val / den * umat
     for k in range(params.m.n):
         w, xi = params.m.weights[k], params.m.xis[k]
         kk = trace_inner(u, xi)
         term = np.zeros((d, d))
         if coeffs.g_zsqrtx is not None:
-            gz = np.asarray(coeffs.g_zsqrtx(t, kk))
+            gz = np.asarray(coeffs.g_zsqrtx(kk))
             term = term + u @ s.T @ gz + gz.T @ s @ u
         if coeffs.g_y is not None:
-            term = term + u * float(coeffs.g_y(t, kk))
+            term = term + u * float(coeffs.g_y(kk))
         if coeffs.g_x is not None:
-            term = term + np.asarray(coeffs.g_x(t, kk))
+            term = term + np.asarray(coeffs.g_x(kk))
         if coeffs.g_hzhz is not None:
-            term = term + sta @ np.asarray(coeffs.g_hzhz(t, kk)) @ sta.T
+            term = term + sta @ np.asarray(coeffs.g_hzhz(kk)) @ sta.T
         if coeffs.g_hzz is not None:
-            gh = np.asarray(coeffs.g_hzz(t, kk))
+            gh = np.asarray(coeffs.g_hzz(kk))
             term = term + sta @ gh @ s @ u + u @ s.T @ gh.T @ sta.T
         if coeffs.g_hzsqrtx is not None:
-            term = term + sta @ np.asarray(coeffs.g_hzsqrtx(t, kk))
+            term = term + sta @ np.asarray(coeffs.g_hzsqrtx(kk))
         out = out + w * term
     return symmetrize(out)
-
-
-class TestTimeFn:
-    def test_constant(self):
-        f = TimeFn.constant(np.eye(2))
-        assert f.is_constant
-        assert np.array_equal(f(0.3), np.eye(2))
-
-    def test_piecewise_linear(self):
-        f = TimeFn.piecewise_linear([0.0, 1.0], np.array([[0.0], [2.0]]))
-        assert f(0.25) == pytest.approx(0.5)
-        assert f(-1.0) == pytest.approx(0.0)
-        assert f(2.0) == pytest.approx(2.0)
-
-    def test_callable(self):
-        f = TimeFn.from_callable(lambda t: t * np.eye(1))
-        assert not f.is_constant
-        assert f(0.5)[0, 0] == 0.5
 
 
 class TestThetaEval:
     def test_reduces_to_script_C_at_zero(self, rng):
         params, coeffs, _ = quasi_monotone_jump_instance()
-        # kill the jump coefficients at k = 0 paths: theta(t, 0) = C(t) + g-at-zero terms
-        th = theta_eval(params, coeffs, 0.1, np.zeros((2, 2)))
-        expected = symmetrize(script_C(params, coeffs, 0.1))
+        # kill the jump coefficients at k = 0 paths: theta(0) = C + g-at-zero terms
+        th = theta_eval(params, coeffs, np.zeros((2, 2)))
+        expected = symmetrize(script_C(params, coeffs))
         # jump g's vanish at k = Tr(0 xi) = 0 for this instance (g(., 0) = 0)
         assert np.allclose(th, expected, atol=1e-14)
 
@@ -112,7 +92,7 @@ class TestThetaEval:
         c = eta**2 / (2.0 * gamma**3)
         for u in (0.0, 0.3, -0.7, 1.5):
             um = np.array([[u]])
-            assert theta_eval(params, coeffs, 0.0, um)[0, 0] == pytest.approx(
+            assert theta_eval(params, coeffs, um)[0, 0] == pytest.approx(
                 q * u * u + l * u + c, rel=1e-12, abs=1e-14
             )
 
@@ -120,16 +100,16 @@ class TestThetaEval:
         params, coeffs, _ = quasi_monotone_jump_instance()
         for _ in range(10):
             u = rand_sym(rng, 2)
-            assert np.allclose(theta_eval(params, coeffs, 0.2, u),
-                               theta_oracle(params, coeffs, 0.2, u), atol=1e-12)
+            assert np.allclose(theta_eval(params, coeffs, u),
+                               theta_oracle(params, coeffs, u), atol=1e-12)
 
     def test_asymmetry_diagnostic(self, rng):
         params, coeffs, _ = quasi_monotone_jump_instance()
         u = rand_sym(rng, 2)
-        th, asym = theta_eval(params, coeffs, 0.0, u, with_asymmetry=True)
+        th, asym = theta_eval(params, coeffs, u, with_asymmetry=True)
         assert np.array_equal(th, th.T)
         assert asym >= 0.0
-        assert np.array_equal(th, theta_eval(params, coeffs, 0.0, u))
+        assert np.array_equal(th, theta_eval(params, coeffs, u))
 
 
 class TestVarpiEval:
@@ -137,7 +117,7 @@ class TestVarpiEval:
         params, coeffs, _ = quasi_monotone_jump_instance()
         z = np.zeros((2, 2))
         # u = 0, v = 0: only c_t, Tr(a o1) and g-at-zero survive; all zero here
-        assert varpi_eval(params, coeffs, 0.0, z, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert varpi_eval(params, coeffs, z, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_formula_reduction_no_jumps(self, rng):
         d = 2
@@ -148,21 +128,20 @@ class TestVarpiEval:
         coeffs = GeneratorCoeffs.build(d, c_t=0.7, a=a, o1=o1)
         u = rand_sym(rng, d)
         expected = 0.7 + float(np.trace(a @ o1)) + trace_inner(u, params.b)
-        assert varpi_eval(params, coeffs, 0.1, u, 5.0) == pytest.approx(expected, rel=1e-12)
+        assert varpi_eval(params, coeffs, u, 5.0) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_atom_oracle(self, rng):
         params, coeffs, _ = quasi_monotone_jump_instance()
         u = rand_psd(rng, 2)
         v = 0.8
-        t = 0.4
-        expected = float(coeffs.c_y(t)) * v + float(coeffs.c_t(t))
-        expected += float(np.trace(coeffs.a @ np.asarray(coeffs.o1(t))))
+        expected = coeffs.c_y * v + coeffs.c_t
+        expected += float(np.trace(coeffs.a @ coeffs.o1))
         expected += trace_inner(u, params.b)
         for k in range(params.m.n):
             kk = trace_inner(u, params.m.xis[k])
             w = params.m.weights[k]
-            expected += w * (kk + coeffs.g_y(t, kk) * v + coeffs.g_t(t, kk))
-        assert varpi_eval(params, coeffs, t, u, v) == pytest.approx(expected, rel=1e-12)
+            expected += w * (kk + coeffs.g_y(kk) * v + coeffs.g_t(kk))
+        assert varpi_eval(params, coeffs, u, v) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSolveRk:
@@ -359,13 +338,13 @@ class TestAssumptions:
 class TestQuasiMonotone:
     def test_compliant_instance_non_negative(self):
         params, coeffs, _ = quasi_monotone_jump_instance()
-        probe = quasi_monotone_probe(params, coeffs, t=0.0, n_samples=200, seed=1)
+        probe = quasi_monotone_probe(params, coeffs, n_samples=200, seed=1)
         assert probe.min_value >= -1e-9
 
     def test_no_jump_psd_script_c(self, rng):
         model = _heston_model_d2()
         coeffs = GeneratorCoeffs.build(2, c_zz=-0.3 * np.eye(2), c_x=0.4 * np.eye(2))
-        probe = quasi_monotone_probe(model.params, coeffs, t=0.0, n_samples=150, seed=2)
+        probe = quasi_monotone_probe(model.params, coeffs, n_samples=150, seed=2)
         assert probe.min_value >= -1e-9
 
     def test_adversarial_decreasing_g_x_detected(self):
@@ -374,8 +353,8 @@ class TestQuasiMonotone:
             alpha=np.zeros((d, d)), b=np.zeros((d, d)), drift=HFormDrift(np.zeros((d, d))),
             m=ConstantJumps.from_atoms([(0.3 * np.eye(d), 1.0)]),
         )
-        coeffs = GeneratorCoeffs.build(d, g_x=lambda t, y: -0.5 * y * np.eye(d))
-        probe = quasi_monotone_probe(params, coeffs, t=0.0, n_samples=100, seed=3)
+        coeffs = GeneratorCoeffs.build(d, g_x=lambda y: -0.5 * y * np.eye(d))
+        probe = quasi_monotone_probe(params, coeffs, n_samples=100, seed=3)
         assert probe.min_value < -1e-6
 
 
@@ -396,10 +375,10 @@ class TestConePreservationAndGrowth:
             d,
             c_zz=0.4 * eye,
             c_x=-0.3 * eye,
-            g_M=lambda t, y: 0.1 * y,
-            g_x=lambda t, y: 0.08 * y * eye,
-            g_zsqrtx=lambda t, y: -0.03 * np.tanh(y) * eye,
-            g_y=lambda t, y: -0.01 * np.tanh(y),
+            g_M=lambda y: 0.1 * y,
+            g_x=lambda y: 0.08 * y * eye,
+            g_zsqrtx=lambda y: -0.03 * np.tanh(y) * eye,
+            g_y=lambda y: -0.01 * np.tanh(y),
         )
         report = validate_assumptions(params, coeffs)
         assert report.checks["A2m"].passed and report.checks["A3m"].passed
