@@ -290,15 +290,7 @@ def parse_model(p: _Parser):
         if kind == "bns":
             lam = p.matrix(cfg, "lambda0", "model", symmetric=True)
             d = lam.shape[0]
-            atoms_cfg = cfg.get("atoms", [])
-            if atoms_cfg:
-                atoms = ConstantJumps.from_atoms(
-                    [(p.matrix(a, "xi", f"model.atoms[{i}]", d=d, symmetric=True),
-                      p.number(a, "weight", f"model.atoms[{i}]", positive=True))
-                     for i, a in enumerate(atoms_cfg)]
-                )
-            else:
-                atoms = ConstantJumps.empty(d)
+            atoms = _constant_jumps(p, cfg, "atoms", d)
             spec = BnsJumpSpec(
                 lam=lam,
                 lam_op=HFormDrift(p.matrix(cfg, "drift_h", "model", d=d)),
@@ -321,16 +313,7 @@ def parse_model(p: _Parser):
         else:
             p.fail("'model.drift' needs 'h' or 'betas'")
             drift = HFormDrift(np.zeros((d, d)))
-        m_atoms = cfg.get("m_atoms", [])
-        m = (
-            ConstantJumps.from_atoms(
-                [(p.matrix(a, "xi", f"model.m_atoms[{i}]", d=d, symmetric=True),
-                  p.number(a, "weight", f"model.m_atoms[{i}]", positive=True))
-                 for i, a in enumerate(m_atoms)]
-            )
-            if m_atoms
-            else ConstantJumps.empty(d)
-        )
+        m = _constant_jumps(p, cfg, "m_atoms", d)
         mu_atoms = cfg.get("mu_atoms", [])
         mu = (
             LinearJumps.from_atoms(
@@ -347,6 +330,18 @@ def parse_model(p: _Parser):
     except (ValueError, TypeError) as exc:
         p.fail(f"model construction failed: {exc}")
         _finish_parse(p)
+
+
+def _constant_jumps(p: _Parser, cfg: dict, key: str, d: int) -> ConstantJumps:
+    """The constant-jump atoms ``model.<key>``, a list of {xi, weight}."""
+    atoms = cfg.get(key, [])
+    if not atoms:
+        return ConstantJumps.empty(d)
+    return ConstantJumps.from_atoms(
+        [(p.matrix(a, "xi", f"model.{key}[{i}]", d=d, symmetric=True),
+          p.number(a, "weight", f"model.{key}[{i}]", positive=True))
+         for i, a in enumerate(atoms)]
+    )
 
 
 def parse_generator(p: _Parser, d: int) -> GeneratorCoeffs:
@@ -540,6 +535,16 @@ def _build_preset(p: _Parser, args, model, horizon, kind, gamma):
         )
 
 
+def _write_hedge(out_dir: str, solve) -> None:
+    """hedge.csv of a solve with an endowment hedge: t and delta_i on the Riccati grid."""
+    if solve.hedge is None:
+        return
+    grid = solve.riccati.grid
+    hs = solve.hedge_grid(grid)
+    write_csv(os.path.join(out_dir, "hedge.csv"), ["t"] + [f"delta_{i}" for i in range(hs.shape[1])],
+              np.column_stack([grid, hs]))
+
+
 def cmd_portfolio(cfg: dict, args) -> int:
     p = _Parser(cfg)
     _check_schema(p)
@@ -562,19 +567,12 @@ def cmd_portfolio(cfg: dict, args) -> int:
     grid = solve.riccati.grid
     pis = solve.strategy_grid(grid)
     write_json(os.path.join(args.out, "portfolio.json"), out)
-    d = pis.shape[1]
     write_csv(
         os.path.join(args.out, "strategy.csv"),
-        ["t"] + [f"pi_{i}" for i in range(d)],
+        ["t"] + [f"pi_{i}" for i in range(pis.shape[1])],
         np.column_stack([grid, pis]),
     )
-    if solve.hedge is not None:
-        hs = solve.hedge_grid(grid)
-        write_csv(
-            os.path.join(args.out, "hedge.csv"),
-            ["t"] + [f"delta_{i}" for i in range(d)],
-            np.column_stack([grid, hs]),
-        )
+    _write_hedge(args.out, solve)
     print(f"portfolio: {solve.kind} V(1) = {solve.value_at(1.0):.10g}"
           + (f", price = {solve.price:.10g}" if solve.price is not None else ""))
     return EXIT_OK
@@ -615,12 +613,7 @@ def cmd_price(cfg: dict, args) -> int:
     _require_finite("price", [price])
     payload = {"kind": "variance_swap", "price": price}
     write_json(os.path.join(args.out, "price.json"), payload)
-    if solve.hedge is not None:
-        grid = solve.riccati.grid
-        hs = solve.hedge_grid(grid)
-        write_csv(os.path.join(args.out, "hedge.csv"),
-                  ["t"] + [f"delta_{i}" for i in range(hs.shape[1])],
-                  np.column_stack([grid, hs]))
+    _write_hedge(args.out, solve)
     print(f"price: variance swap p = {price:.10g}")
     return EXIT_OK
 
@@ -632,6 +625,11 @@ def _verify_transform(args, p: _Parser) -> tuple[dict, bool]:
     n_paths, seed, n_steps = _sampling_opts(p, "verification", args, paths=100000, steps=500)
     if isinstance(model, AffineParams):
         params, r0 = model, p.matrix(p.section("model"), "r0", "model", d=model.d, symmetric=True)
+        # the paths are those of heston_functionals or, with m_atoms, of the jump-OU engine
+        if model.mu.n:
+            p.fail("the transform check cannot simulate 'model.mu_atoms'")
+        elif model.m.n and np.any(model.alpha):
+            p.fail("the transform check cannot simulate 'model.alpha' together with 'model.m_atoms'")
     elif isinstance(model, HestonModel):
         params, r0 = model.params, model.r0
     else:
@@ -763,8 +761,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         stream = simulator.simulate_bns(model.spec, model.r0, model.eta_eff,
                                         horizon, n_steps, n_paths, seed)
     else:
-        print("simulate requires model.kind heston or bns", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(["simulate requires model.kind heston or bns"])
     d = model.d
     iu = np.triu_indices(d)
     header = (["path", "t"] + [f"r_{i}{j}" for i, j in zip(*iu)] + [f"n_{i}" for i in range(d)]

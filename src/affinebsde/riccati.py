@@ -22,8 +22,7 @@ with
 
 where S is the diffusion factor (S S^T = alpha), s the auxiliary-process
 volatility, a its terminal weight, and B* the adjoint of the linear drift.
-Every theta output is symmetrized; the pre-symmetrization asymmetry is
-available as a diagnostic.
+Every theta output is symmetrized.
 
 Two solvers are provided: a closed-form route via a 2d x 2d block matrix
 exponential (H-form drift, zero terminal value) and Runge-Kutta integration
@@ -153,17 +152,12 @@ def _theta_consts(params: AffineParams, coeffs: GeneratorCoeffs):
     return q, script_L(params, coeffs), script_C(params, coeffs), sta
 
 
-def theta_eval(
-    params: AffineParams,
-    coeffs: GeneratorCoeffs,
-    u,
-    with_asymmetry: bool = False,
-):
-    """Right-hand side theta(u); symmetrized, with optional asymmetry diagnostic."""
-    return _theta(params, coeffs, as_sym(u), _theta_consts(params, coeffs), with_asymmetry)
+def theta_eval(params: AffineParams, coeffs: GeneratorCoeffs, u) -> np.ndarray:
+    """Right-hand side theta(u), symmetrized."""
+    return _theta(params, coeffs, as_sym(u), _theta_consts(params, coeffs))
 
 
-def _theta(params, coeffs, ua, consts, with_asymmetry=False):
+def _theta(params, coeffs, ua, consts):
     """theta(ua) given the factors ``_theta_consts(params, coeffs)``."""
     q, ll, cc, sta = consts
     s = params.sigma
@@ -204,10 +198,7 @@ def _theta(params, coeffs, ua, consts, with_asymmetry=False):
 
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("theta produced non-finite entries (coefficient blow-up?)")
-    sym = symmetrize(out)
-    if with_asymmetry:
-        return sym, 0.5 * float(np.linalg.norm(out - out.T))
-    return sym
+    return symmetrize(out)
 
 
 def varpi_eval(params: AffineParams, coeffs: GeneratorCoeffs, u, v: float) -> float:
@@ -914,7 +905,6 @@ def quasi_monotone_probe(
     coeffs: GeneratorCoeffs,
     n_samples: int = 200,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> QuasiMonotoneProbe:
     """Probe Tr((theta(w+v) - theta(v)) x) >= 0 for Tr(w x) = 0.
 
@@ -930,12 +920,12 @@ def quasi_monotone_probe(
     witness = None
     for _ in range(n_samples):
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        lams = rng.uniform(0.1, 1.0, size=d) * scale
+        lams = rng.uniform(0.1, 1.0, size=d)
         lams[-1] = 0.0
         w = symmetrize((q * lams) @ q.T)
         x = np.outer(q[:, -1], q[:, -1])
         gv = rng.standard_normal((d, d))
-        v = symmetrize(gv @ gv.T * (scale / d) + 0.05 * scale * np.eye(d))
+        v = symmetrize(gv @ gv.T * (1.0 / d) + 0.05 * np.eye(d))
         val = trace_inner(theta_eval(params, coeffs, w + v) - theta_eval(params, coeffs, v), x)
         if val < worst:
             worst = val

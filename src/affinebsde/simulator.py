@@ -12,6 +12,9 @@ Engines
   jump marks drawn from exponential clocks are conjugated by the flow over the
   remaining sub-interval; plain Euler handles general Lambda.
 
+Each engine steps an RNG block in one iterator (``_EulerPaths``,
+``_JumpOuPaths``) that the audits and the path bundles loop over.
+
 Randomness: Philox4x64-10 counter-based bit generator, one stream per fixed
 block of ``STREAM_BLOCK`` path indices with key (seed, block start).
 ``_BlockStream`` owns that contract: every draw covers the whole block and
@@ -53,7 +56,6 @@ STREAM_BLOCK = 16384
 # Steps of Gaussian draws a block holds at once: the step being simulated and
 # the one its helper thread draws ahead.
 AHEAD_DEPTH = 2
-PROJECTION_WARN_FRACTION = 1e-3
 JUMP_MARK_BUDGET = 1e8
 # Paths x (steps + 1) that simulate_wishart and simulate_bns may stream.  The
 # simulate command writes each bundle (one block of paths) to paths.csv as it
@@ -173,10 +175,11 @@ def _run_blocks(worker: Callable[[_BlockStream], object], seed: int, n_paths: in
         return [f.result() for f in futures]
 
 
-def mean_stderr(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    n = x.shape[axis]
-    m = np.mean(x, axis=axis)
-    se = np.std(x, axis=axis, ddof=1) / np.sqrt(n)
+def mean_stderr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over the leading (path) axis."""
+    n = x.shape[0]
+    m = np.mean(x, axis=0)
+    se = np.std(x, axis=0, ddof=1) / np.sqrt(n)
     return m, se
 
 
@@ -267,6 +270,38 @@ class CorrelationSpec:
         return float(np.sqrt(max(1.0 - float(self.rho @ self.rho), 0.0)))
 
 
+class _EulerPaths:
+    """Euler steps of the square-root diffusion for one RNG block, clamped onto the PSD cone.
+
+    Iterating yields, per step, ``(r, sr, dq, dqh)`` before the step: the
+    state, its square root, dQ = dW rho + sqrt(1 - rho'rho) dD and dQhat (None
+    unless ``need_qhat``, which also drops it from the stream).  The arrays
+    are valid until the next step is requested.  Afterwards ``r`` is the state
+    at T and ``n_clamped`` counts the path-steps whose clamp removed a negative
+    part above 1e-13 (Frobenius).
+    """
+
+    def __init__(self, params: AffineParams, r0: np.ndarray, corr: CorrelationSpec, dt: float,
+                 n_steps: int, stream: _BlockStream, need_qhat: bool):
+        self.params, self.r0, self.corr, self.dt, self.n_steps = params, r0, corr, dt, n_steps
+        self.stream, self.need_qhat = stream, need_qhat
+        self.r = None
+        self.n_clamped = 0
+
+    def __iter__(self):
+        params, corr, dt = self.params, self.corr, self.dt
+        d = params.d
+        r, sr, _ = project_and_sqrt_psd_batch(np.broadcast_to(self.r0, (self.stream.count, d, d)).copy())
+        shapes = [(d, d), (d,), (d, d)] if self.need_qhat else [(d, d), (d,)]
+        for dw, dd, *dqh in self.stream.normals_ahead(shapes, np.sqrt(dt), self.n_steps):
+            dq = _batch_const(dw, corr.rho) + corr.orth * dd
+            yield r, sr, dq, (dqh[0] if dqh else None)
+            r = _euler_update(r, sr, params, dt, dw)
+            r, sr, shift = project_and_sqrt_psd_batch(r)
+            self.n_clamped += int(np.count_nonzero(shift > 1e-13))
+        self.r = r
+
+
 # -- full-storage bundles -----------------------------------------------------------
 
 
@@ -275,18 +310,16 @@ class PathBundle:
     """One batch of simulated paths on the time grid ``times``.
 
     Arrays carry a leading batch axis; ``path_offset`` is the absolute index
-    of the first path.  ``projection_shift`` logs the Frobenius magnitude of
-    each PSD clamp; ``step_warning`` flags any clamp exceeding
-    PROJECTION_WARN_FRACTION of the state norm.
+    of the first path.  ``projection_fraction`` is the share of the bundle's
+    path-steps whose PSD clamp fired, as in ``PathFunctionals``.
     """
 
     times: np.ndarray
     r: np.ndarray  # (B, n+1, d, d)
     n_log: np.ndarray  # (B, n+1, d)
     o: np.ndarray  # (B, n+1, d, d)
-    projection_shift: np.ndarray  # (B, n)
     path_offset: int
-    step_warning: bool
+    projection_fraction: float
 
 
 def simulate_wishart(
@@ -304,7 +337,8 @@ def simulate_wishart(
 ) -> Iterator[PathBundle]:
     """Stream PathBundles of the continuous matrix diffusion (Euler + clamp).
 
-    Deterministic given ``seed``; one bundle per RNG block.
+    Deterministic given ``seed``; one bundle per RNG block.  Every step draws
+    dQhat, so the paths are those of ``heston_functionals`` with ``o_sigma`` set.
     """
     _check_path_step_budget(n_paths, n_steps)
     if not params.continuous:
@@ -316,31 +350,21 @@ def simulate_wishart(
     o1 = np.zeros((d, d)) if o1 is None else np.asarray(o1, dtype=float)
     o2 = np.zeros((d, d)) if o2 is None else np.asarray(o2, dtype=float)
     dt = T / n_steps
-    sdt = np.sqrt(dt)
     times = np.linspace(0.0, T, n_steps + 1)
 
     for start, count in _blocks(n_paths):
-        stream = _BlockStream(seed, start, count)
-        r = np.broadcast_to(r0, (count, d, d)).copy()
-        r, sr, _ = project_and_sqrt_psd_batch(r)
-        n_log = np.zeros((count, d))
-        o = np.zeros((count, d, d))
+        paths = _EulerPaths(params, r0, corr, dt, n_steps, _BlockStream(seed, start, count), True)
         rs = np.empty((count, n_steps + 1, d, d))
-        ns = np.empty((count, n_steps + 1, d))
-        os_ = np.empty((count, n_steps + 1, d, d))
-        shifts = np.empty((count, n_steps))
-        rs[:, 0], ns[:, 0], os_[:, 0] = r, n_log, o
-        for k, (dw, dd, dqh) in enumerate(stream.normals_ahead([(d, d), (d,), (d, d)], sdt, n_steps)):
-            dq = _batch_const(dw, corr.rho) + corr.orth * dd
-            n_log = n_log + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
-            o = o + _const_batch(sig_o, np.matmul(sr, dqh)) + (o1 + _const_batch(o2, r)) * dt
-            r = _euler_update(r, sr, params, dt, dw)
-            r, sr, shift = project_and_sqrt_psd_batch(r)
-            shifts[:, k] = shift
-            rs[:, k + 1], ns[:, k + 1], os_[:, k + 1] = r, n_log, o
-        warn = bool(np.any(shifts > PROJECTION_WARN_FRACTION * (1.0 + np.linalg.norm(rs[:, :-1], axis=(2, 3)))))
-        yield PathBundle(times=times, r=rs, n_log=ns, o=os_, projection_shift=shifts,
-                         path_offset=start, step_warning=warn)
+        ns = np.zeros((count, n_steps + 1, d))
+        os_ = np.zeros((count, n_steps + 1, d, d))
+        for k, (r, sr, dq, dqh) in enumerate(paths):
+            rs[:, k] = r
+            ns[:, k + 1] = ns[:, k] + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
+            os_[:, k + 1] = (os_[:, k] + _const_batch(sig_o, np.matmul(sr, dqh))
+                             + (o1 + _const_batch(o2, r)) * dt)
+        rs[:, n_steps] = paths.r
+        yield PathBundle(times=times, r=rs, n_log=ns, o=os_, path_offset=start,
+                         projection_fraction=paths.n_clamped / (count * n_steps))
 
 
 # -- jump-OU (BNS-type) engine --------------------------------------------------------
@@ -426,43 +450,46 @@ def _bns_flow(spec: BnsJumpSpec, T: float, n_steps: int, n_paths: int) -> Option
     return None
 
 
-def _bns_block_core(
-    spec: BnsJumpSpec,
-    r0: np.ndarray,
-    dt: float,
-    n_steps: int,
-    stream: _BlockStream,
-    on_step: Callable,
-    flow: Optional[_AffineFlow],
-) -> np.ndarray:
-    """Common stepping loop for one RNG block; only the used paths are evolved.
+class _JumpOuPaths:
+    """Steps of the jump-OU process for one RNG block: flow or Euler drift, then jumps.
 
-    ``on_step(k, r, sr)`` consumes the pre-step state; ``flow`` is ``_bns_flow``'s.
-    Returns the state at T.
+    Iterating yields, per step, ``(r, sr, dd)`` before the step: the state,
+    its square root and the price noise dD, drawn before the step's jumps,
+    which are drawn and applied when the next step is requested.  ``flow`` is
+    ``_bns_flow``'s; without one the drift is an Euler step.  Afterwards ``r``
+    is the state at T.
     """
-    d = spec.d
-    exact = flow is not None
-    const = spec.lam + spec.b_j
-    lam_tot = spec.total_intensity
-    cdf = np.cumsum(spec.m_j.weights) / lam_tot if lam_tot > 0 else None
-    r = np.broadcast_to(r0, (stream.count, d, d)).copy()
 
-    for k in range(n_steps):
-        _, sr, _ = project_and_sqrt_psd_batch(r)
-        on_step(k, r, sr)
-        if exact:
-            r = _batch_const(_const_batch(flow.e_dt, r), flow.e_dt.T) + flow.d_dt
-        else:
-            r = r + (const + _drift_apply_batch(spec.lam_op, r)) * dt
-        if lam_tot > 0:
-            ids, taus, marks = stream.jumps(lam_tot * dt, cdf, dt)
-            if ids.size:
-                xis = spec.m_j.xis[marks]
-                if exact:
-                    props = flow.propagators(dt - taus)
-                    xis = np.matmul(np.matmul(props, xis), props.transpose(0, 2, 1))
-                np.add.at(r, ids, xis)
-    return r
+    def __init__(self, spec: BnsJumpSpec, r0: np.ndarray, dt: float, n_steps: int,
+                 stream: _BlockStream, flow: Optional[_AffineFlow]):
+        self.spec, self.r0, self.dt, self.n_steps = spec, r0, dt, n_steps
+        self.stream, self.flow = stream, flow
+        self.r = None
+
+    def __iter__(self):
+        spec, dt, stream, flow = self.spec, self.dt, self.stream, self.flow
+        d = spec.d
+        sdt = np.sqrt(dt)
+        const = spec.lam + spec.b_j
+        lam_tot = spec.total_intensity
+        cdf = np.cumsum(spec.m_j.weights) / lam_tot if lam_tot > 0 else None
+        r = np.broadcast_to(self.r0, (stream.count, d, d)).copy()
+        for _ in range(self.n_steps):
+            _, sr, _ = project_and_sqrt_psd_batch(r)
+            yield r, sr, stream.normal((d,), sdt)
+            if flow is not None:
+                r = _batch_const(_const_batch(flow.e_dt, r), flow.e_dt.T) + flow.d_dt
+            else:
+                r = r + (const + _drift_apply_batch(spec.lam_op, r)) * dt
+            if lam_tot > 0:
+                ids, taus, marks = stream.jumps(lam_tot * dt, cdf, dt)
+                if ids.size:
+                    xis = spec.m_j.xis[marks]
+                    if flow is not None:
+                        props = flow.propagators(dt - taus)
+                        xis = np.matmul(np.matmul(props, xis), props.transpose(0, 2, 1))
+                    np.add.at(r, ids, xis)
+        self.r = r
 
 
 def simulate_bns(
@@ -480,25 +507,20 @@ def simulate_bns(
     r0 = as_sym(r0)
     eta = np.asarray(eta, dtype=float)
     dt = T / n_steps
-    sdt = np.sqrt(dt)
     times = np.linspace(0.0, T, n_steps + 1)
     flow = _bns_flow(spec, T, n_steps, n_paths)
 
     for start, count in _blocks(n_paths):
-        stream = _BlockStream(seed, start, count)
+        paths = _JumpOuPaths(spec, r0, dt, n_steps, _BlockStream(seed, start, count), flow)
         rs = np.empty((count, n_steps + 1, d, d))
         ns = np.zeros((count, n_steps + 1, d))
         os_ = np.zeros((count, n_steps + 1, d, d))
-
-        def on_step(k, r, sr):
+        for k, (r, sr, dd) in enumerate(paths):
             rs[:, k] = r
-            dd = stream.normal((d,), sdt)
             ns[:, k + 1] = ns[:, k] + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
             os_[:, k + 1] = os_[:, k] + r * dt
-
-        rs[:, n_steps] = _bns_block_core(spec, r0, dt, n_steps, stream, on_step, flow)
-        yield PathBundle(times=times, r=rs, n_log=ns, o=os_,
-                         projection_shift=np.zeros((count, n_steps)), path_offset=start, step_warning=False)
+        rs[:, n_steps] = paths.r
+        yield PathBundle(times=times, r=rs, n_log=ns, o=os_, path_offset=start, projection_fraction=0.0)
 
 
 # -- terminal functionals for audits ---------------------------------------------------
@@ -562,19 +584,14 @@ def heston_functionals(
     o2m = np.zeros((d, d)) if o2 is None else np.asarray(o2, dtype=float)
     need_qhat = bool(np.any(sig_o))
     dt = T / n_steps
-    sdt = np.sqrt(dt)
 
     def worker(stream):
         count = stream.count
-        r = np.broadcast_to(r0, (count, d, d)).copy()
-        r, sr, _ = project_and_sqrt_psd_batch(r)
         i_dn = np.zeros((count, n_strat))
         i_quad = np.zeros((n_strat, count))
         o = np.zeros((count, d, d))
-        n_proj = 0
-        shapes = [(d, d), (d,), (d, d)] if need_qhat else [(d, d), (d,)]
-        for k, (dw, dd, *dqh) in enumerate(stream.normals_ahead(shapes, sdt, n_steps)):
-            dq = _batch_const(dw, corr.rho) + corr.orth * dd
+        paths = _EulerPaths(params, r0, corr, dt, n_steps, stream, need_qhat)
+        for k, (r, sr, dq, dqh) in enumerate(paths):
             dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
             pk = pis[:, k, :]
             i_dn += dn @ pk.T
@@ -582,15 +599,12 @@ def heston_functionals(
             if need_o:
                 o += (o1m + _const_batch(o2m, r)) * dt
                 if need_qhat:
-                    o += _const_batch(sig_o, np.matmul(sr, dqh[0]))
-            r = _euler_update(r, sr, params, dt, dw)
-            r, sr, shift = project_and_sqrt_psd_batch(r)
-            n_proj += int(np.count_nonzero(shift > 1e-13))
-        return (i_dn, i_quad.T.copy(), o, r, n_proj)
+                    o += _const_batch(sig_o, np.matmul(sr, dqh))
+        return (i_dn, i_quad.T.copy(), o, paths.r, paths.n_clamped)
 
-    *parts, n_proj = zip(*_run_blocks(worker, seed, n_paths, threads))
+    *parts, n_clamped = zip(*_run_blocks(worker, seed, n_paths, threads))
     return PathFunctionals(*map(np.concatenate, parts),
-                           projection_fraction=sum(n_proj) / (n_paths * n_steps))
+                           projection_fraction=sum(n_clamped) / (n_paths * n_steps))
 
 
 def bns_functionals(
@@ -611,7 +625,6 @@ def bns_functionals(
     pis = _strategies_on_grid(strategies, n_steps, d)
     n_strat = pis.shape[0]
     dt = T / n_steps
-    sdt = np.sqrt(dt)
     flow = _bns_flow(spec, T, n_steps, n_paths)
 
     def worker(stream):
@@ -619,17 +632,14 @@ def bns_functionals(
         i_dn = np.zeros((count, n_strat))
         i_quad = np.zeros((n_strat, count))
         o = np.zeros((count, d, d))
-
-        def on_step(k, r, sr):
-            dd = stream.normal((d,), sdt)
+        paths = _JumpOuPaths(spec, r0, dt, n_steps, stream, flow)
+        for k, (r, sr, dd) in enumerate(paths):
             dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
             pk = pis[:, k, :]
-            i_dn[:, :] += dn @ pk.T
-            i_quad[:, :] += _quad_forms(r, pk) * dt
-            o[:, :] += r * dt
-
-        r_final = _bns_block_core(spec, r0, dt, n_steps, stream, on_step, flow)
-        return (i_dn, i_quad.T.copy(), o, r_final)
+            i_dn += dn @ pk.T
+            i_quad += _quad_forms(r, pk) * dt
+            o += r * dt
+        return (i_dn, i_quad.T.copy(), o, paths.r)
 
     parts = zip(*_run_blocks(worker, seed, n_paths, threads))
     return PathFunctionals(*map(np.concatenate, parts), projection_fraction=0.0)

@@ -553,6 +553,8 @@ class TestExitCodes:
                      id="simulate-paths"),
         pytest.param("simulate", with_section(heston_config(), "simulate", seed=-1),
                      id="simulate-seed"),
+        # simulate has no engine for a raw affine model
+        pytest.param("simulate", riccati_1d_degenerate_config(), id="simulate-raw-affine"),
         pytest.param("portfolio", with_section(heston_config(), "solver", steps=2.5),
                      id="solver-steps-fraction"),
         pytest.param("riccati-solve", with_section(riccati_1d_degenerate_config(), "solver",
@@ -598,6 +600,35 @@ class TestExitCodes:
         cfg = json.loads((CONFIGS / config).read_text(encoding="utf-8"))
         line = self.run_failing(tmp_path, capsys, command, cfg, EXIT_CONFIG, *flags)
         assert f"'{bad}' must be >=" in line
+        assert not os.listdir(tmp_path / "out")
+
+    @pytest.mark.parametrize("diffusion, mu_atoms, message", [
+        # the jump-OU paths have no diffusion, so they would check alpha = 0 (a false FAIL)
+        (True, [], "'model.alpha' together with 'model.m_atoms'"),
+        # the paths have no linear jumps, so they would check another model (a false PASS)
+        (False, [{"xi": [[0.1, 0.02], [0.02, 0.08]], "u": [[0.002, 0.0], [0.0, 0.002]]}],
+         "'model.mu_atoms'"),
+    ], ids=["alpha-with-m-atoms", "mu-atoms"])
+    def test_transform_check_refuses_what_it_cannot_simulate(self, tmp_path, capsys, diffusion,
+                                                             mu_atoms, message):
+        heston = heston_config()["model"]
+        cfg = {
+            "schema_version": 1,
+            "horizon": 1.0,
+            "model": {
+                "kind": "raw-affine",
+                "alpha": heston["alpha"] if diffusion else [[0.0, 0.0], [0.0, 0.0]],
+                "b": heston["b"],
+                "drift": {"h": heston["drift_h"]},
+                "r0": heston["r0"],
+                "m_atoms": [{"xi": [[0.1, 0.02], [0.02, 0.08]], "weight": 0.8}],
+                "mu_atoms": mu_atoms,
+            },
+            "verification": {"which": "transform", "paths": 40000, "steps": 200, "seed": 3,
+                             "u": [[0.8, 0.2], [0.2, 0.6]]},
+        }
+        line = self.run_failing(tmp_path, capsys, "verify", cfg, EXIT_CONFIG)
+        assert message in line
         assert not os.listdir(tmp_path / "out")
 
     def test_block_exp_on_general_drift_is_config_error(self, tmp_path, capsys):

@@ -202,7 +202,7 @@ class TestPrefetchParity:
             bundles = simulate_wishart(small_wishart(), R0, CorrelationSpec(np.array([-0.4, -0.2])),
                                        np.array([0.6, 0.3]), 1.0, 3, self.N, seed=9,
                                        o_sigma=0.3 * np.eye(2), o1=0.02 * np.eye(2), o2=0.05 * np.eye(2))
-            return [a for b in bundles for a in (b.r, b.n_log, b.o, b.projection_shift)]
+            return [a for b in bundles for a in (b.r, b.n_log, b.o, b.projection_fraction)]
 
         self.compare(monkeypatch, run)
 
@@ -315,12 +315,54 @@ class TestReplay:
             assert np.allclose(n, bundle.n_log[:, k + 1], rtol=1e-12, atol=1e-13)
             assert np.allclose(o, bundle.o[:, k + 1], rtol=1e-12, atol=1e-13)
 
-    def test_projection_shift_logged(self):
+    def test_projection_fraction_logged(self):
         params = small_wishart()
         bundle = next(simulate_wishart(params, R0, CorrelationSpec(np.zeros(2)),
                                        np.zeros(2), 1.0, 30, 8, seed=3))
-        assert bundle.projection_shift.shape == (8, 30)
-        assert np.all(bundle.projection_shift >= 0.0)
+        clamped = bundle.projection_fraction * 8 * 30
+        assert 0.0 <= bundle.projection_fraction <= 1.0
+        assert clamped == pytest.approx(round(clamped), abs=1e-9)
+
+
+class TestEngineParity:
+    """The audits and the path dumps step the same paths: bitwise, across a block boundary."""
+
+    N = STREAM_BLOCK + 100
+
+    @staticmethod
+    def assert_bitwise(a, b):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_heston_functionals_and_simulate_wishart(self):
+        # two steps of dt = 0.5 from a near-singular state make the clamp fire on some paths
+        params, r0, n_steps = small_wishart(), np.diag([0.02, 0.3]), 2
+        corr, eta = CorrelationSpec(np.array([-0.4, -0.2])), np.array([0.6, 0.3])
+        fn = heston_functionals(params, r0, corr, eta, 1.0, n_steps, np.zeros((1, 2)), self.N, seed=21,
+                                o_sigma=0.3 * np.eye(2))
+        bundles = list(simulate_wishart(params, r0, corr, eta, 1.0, n_steps, self.N, seed=21))
+        assert len(bundles) == 2
+        self.assert_bitwise(fn.r_terminal, np.concatenate([b.r[:, -1] for b in bundles]))
+        counts = [round(b.projection_fraction * len(b.r) * n_steps) for b in bundles]
+        assert sum(counts) > 0
+        assert fn.projection_fraction == sum(counts) / (self.N * n_steps)
+
+    @pytest.mark.parametrize("general_drift", [False, True], ids=["flow", "euler"])
+    def test_bns_functionals_and_simulate_bns(self, general_drift):
+        h = np.array([[-0.6, 0.05], [0.02, -0.4]])
+        lam_op = HFormDrift(h)
+        if general_drift:
+            eye = np.eye(2)
+            lam_op = GeneralFormDrift(np.einsum("ki,jl->ijkl", h, eye) + np.einsum("ik,lj->ijkl", eye, h))
+        spec = BnsJumpSpec(lam=np.array([[0.05, 0.0], [0.0, 0.04]]), lam_op=lam_op,
+                           b_j=np.array([[0.03, 0.0], [0.0, 0.02]]),
+                           m_j=ConstantJumps.from_atoms([(np.array([[0.2, 0.05], [0.05, 0.15]]), 2.0)]))
+        eta = np.array([0.6, 0.3])
+        fn = bns_functionals(spec, R0, eta, 1.0, 3, np.zeros((1, 2)), self.N, seed=23)
+        bundles = list(simulate_bns(spec, R0, eta, 1.0, 3, self.N, seed=23))
+        assert len(bundles) == 2
+        self.assert_bitwise(fn.r_terminal, np.concatenate([b.r[:, -1] for b in bundles]))
+        assert fn.projection_fraction == 0.0 and all(b.projection_fraction == 0.0 for b in bundles)
 
 
 class TestWishartStatistics:
