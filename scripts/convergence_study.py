@@ -23,8 +23,11 @@ def main():
     u = np.array([[0.8, 0.2], [0.2, 0.6]])
     exact = solve_transform(model.params, u, 1.0, steps=2000).laplace(model.r0)
     print(f"Euler weak error, exact Laplace value {exact:.8f}")
-    res = wishart_weak_errors(model.params, model.r0, u, 1.0, args.levels,
-                              args.paths, args.seed, exact)
+    try:
+        res = wishart_weak_errors(model.params, model.r0, u, 1.0, args.levels,
+                                  args.paths, args.seed, exact)
+    except ValueError as exc:  # bad --levels or --paths, refused before any draw
+        ap.error(str(exc))
     for s in args.levels:
         v = res[s]
         print(f"  steps {s:>5}: mc {v['mean']:.8f}  se {v['stderr']:.2e}  "

@@ -24,12 +24,14 @@ which never depends on the simulated state, so one helper thread per block
 fills the next step's draws (``_BlockStream.normals_ahead``, ``AHEAD_DEPTH``
 buffers reused for the whole block) while the block's worker does the step's
 arithmetic; the helper is the block's only caller of its stream and draws in
-the serial order, so the stream order is unchanged.  Path generation
-parallelizes over blocks (``threads``);
-per-block results are reduced in block order, which keeps every output
-bit-identical regardless of the thread count.  Products of a path batch with a
-constant matrix or vector (``_const_batch``, ``_batch_const``) are single BLAS
-calls whose bitwise equality with stacked ``matmul`` a test of the suite pins.
+the serial order, so the stream order is unchanged.  The weak-error study
+draws in its own serial loop; its d = 2 path ``fill``s one reused buffer per
+step and steps and clamps in place, so it allocates no array memory per step.
+Path generation parallelizes over blocks (``threads``); per-block results are
+reduced in block order, which keeps every output bit-identical regardless of
+the thread count.  Products of a path batch with a constant matrix or vector
+(``_const_batch``, ``_batch_const``) are single BLAS calls whose bitwise
+equality with stacked ``matmul`` a test of the suite pins.
 """
 
 from __future__ import annotations
@@ -90,25 +92,40 @@ class _BlockStream:
         """scale * N(0, 1) draws of per-path ``shape``, used paths only."""
         return self.rng.standard_normal((STREAM_BLOCK,) + tuple(shape))[: self.count] * scale
 
+    def fill(self, buf: np.ndarray) -> np.ndarray:
+        """One step's N(0, 1) draws over the whole block, into the flat ``buf``.
+
+        ``buf`` holds ``STREAM_BLOCK`` times the per-path sizes of the step's
+        shapes; one ``standard_normal`` call fills it in the serial stream
+        order, without allocating and without the GIL.
+        """
+        return self.rng.standard_normal(out=buf)
+
+    def used_rows(self, raw: np.ndarray, shapes, scale: float) -> tuple:
+        """The used paths' rows of each per-path shape in a ``fill``-ed buffer, scaled in place.
+
+        The shapes lie in turn in ``raw``, each over the whole block; the
+        arrays are views of ``raw``, bitwise ``normal(shape, scale)``.
+        """
+        step, lo = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            x = raw[lo: lo + self.count * size].reshape((self.count,) + tuple(shape))
+            step.append(np.multiply(x, scale, out=x))
+            lo += STREAM_BLOCK * size
+        return tuple(step)
+
     def normals_ahead(self, shapes, scale: float, n: int) -> Iterator[tuple]:
         """Per step, for n steps, scale * N(0, 1) draws of each per-path shape, used paths only.
 
-        A step's draws are one ``standard_normal`` call over the whole block,
-        the shapes in turn, so they are bitwise the block's serial draws.  The
-        helper of ``_ahead`` makes that call into one of ``AHEAD_DEPTH`` buffers
-        reused for every step, so it draws without allocating and without the
-        GIL; the used rows are scaled in place here.  A step's arrays are views
-        of its buffer, valid until the next step is requested.
+        The helper of ``_ahead`` ``fill``s each step into one of
+        ``AHEAD_DEPTH`` buffers reused for every step; the used rows are
+        scaled here.  A step's arrays are views of its buffer, valid until the
+        next step is requested.
         """
-        sizes = [math.prod(shape) for shape in shapes]
-        ring = np.empty((AHEAD_DEPTH, STREAM_BLOCK * sum(sizes)))
-        for raw in _ahead(lambda slot: self.rng.standard_normal(out=ring[slot]), n):
-            step, lo = [], 0
-            for shape, size in zip(shapes, sizes):
-                x = raw[lo: lo + self.count * size].reshape((self.count,) + tuple(shape))
-                step.append(np.multiply(x, scale, out=x))
-                lo += STREAM_BLOCK * size
-            yield tuple(step)
+        ring = np.empty((AHEAD_DEPTH, STREAM_BLOCK * sum(math.prod(shape) for shape in shapes)))
+        for raw in _ahead(lambda slot: self.fill(ring[slot]), n):
+            yield self.used_rows(raw, shapes, scale)
 
     def jumps(self, rate: float, cdf: np.ndarray, dt: float):
         """(path ids, times in [0, dt), atom marks by ``cdf``) of Poisson(rate) jumps."""
@@ -648,35 +665,74 @@ def bns_functionals(
 # -- weak-error study with common random numbers ----------------------------------------
 
 
-def _proj_sqrt_components_2x2(a, bb, c):
-    """PSD clamp + sqrt of symmetric 2x2 matrices given as component arrays."""
-    mean = 0.5 * (a + c)
-    disc = np.sqrt(0.25 * (a - c) ** 2 + bb * bb)
-    l1 = mean + disc
-    l2 = mean - disc
-    l1c = np.maximum(l1, 0.0)
-    l2c = np.maximum(l2, 0.0)
-    s1 = np.sqrt(l1c)
-    s2 = np.sqrt(l2c)
-    scale = np.abs(a) + np.abs(c) + np.abs(bb)
-    degen = disc <= 1e-14 * (1.0 + scale)
-    inv = 1.0 / np.where(degen, 1.0, 2.0 * disc)
-    # proj = [l1c (R - l2 I) + l2c (l1 I - R)] / (2 disc), same pattern for sqrt
-    pa = (l1c * (a - l2) + l2c * (l1 - a)) * inv
-    pb = bb * (l1c - l2c) * inv
-    pc = (l1c * (c - l2) + l2c * (l1 - c)) * inv
-    qa = (s1 * (a - l2) + s2 * (l1 - a)) * inv
-    qb = bb * (s1 - s2) * inv
-    qc = (s1 * (c - l2) + s2 * (l1 - c)) * inv
-    md = np.maximum(mean, 0.0)
-    smd = np.sqrt(md)
-    pa = np.where(degen, md, pa)
-    pb = np.where(degen, 0.0, pb)
-    pc = np.where(degen, md, pc)
-    qa = np.where(degen, smd, qa)
-    qb = np.where(degen, 0.0, qb)
-    qc = np.where(degen, smd, qc)
-    return pa, pb, pc, qa, qb, qc
+# Rows of the scratch array that _proj_sqrt_components_2x2 works in; the d = 2
+# weak-error step keeps its nine temporaries in the first rows of the same array.
+CLAMP_2X2_ROWS = 11
+
+
+def _proj_sqrt_components_2x2(a, bb, c, out, work, degen):
+    """PSD clamp + sqrt of symmetric 2x2 matrices given as component arrays.
+
+    Writes (pa, pb, pc, qa, qb, qc), the components of the projection and of
+    its square root, into the rows of ``out`` and returns it.  ``work``
+    (``CLAMP_2X2_ROWS`` rows) and the bool ``degen`` are scratch; no buffer may
+    overlap a, bb or c.  Each entry is one fixed sequence of ufuncs, so the
+    bits do not depend on the buffers.
+    """
+    mean, disc, l1, l2, s1, s2, a_l2, l1_a, c_l2, l1_c, x = work
+    pa, pb, pc, qa, qb, qc = out
+    np.add(a, c, out=mean)
+    np.multiply(0.5, mean, out=mean)
+    np.subtract(a, c, out=disc)
+    np.square(disc, out=disc)
+    np.multiply(0.25, disc, out=disc)
+    np.multiply(bb, bb, out=x)
+    np.add(disc, x, out=disc)
+    np.sqrt(disc, out=disc)
+    np.add(mean, disc, out=l1)
+    np.subtract(mean, disc, out=l2)
+    # R - l2 I and l1 I - R, shared by the projection and the root
+    np.subtract(a, l2, out=a_l2)
+    np.subtract(l1, a, out=l1_a)
+    np.subtract(c, l2, out=c_l2)
+    np.subtract(l1, c, out=l1_c)
+    l1p, l2p = np.maximum(l1, 0.0, out=l1), np.maximum(l2, 0.0, out=l2)
+    np.sqrt(l1p, out=s1)
+    np.sqrt(l2p, out=s2)
+    # degenerate where disc <= 1e-14 (1 + |a| + |c| + |bb|)
+    np.abs(a, out=pa)
+    np.abs(c, out=x)
+    np.add(pa, x, out=pa)
+    np.abs(bb, out=x)
+    np.add(pa, x, out=pa)
+    np.add(1.0, pa, out=pa)
+    np.multiply(1e-14, pa, out=pa)
+    np.less_equal(disc, pa, out=degen)
+    any_degen = degen.any()
+    inv = np.multiply(2.0, disc, out=disc)
+    if any_degen:
+        np.copyto(inv, 1.0, where=degen)
+    np.divide(1.0, inv, out=inv)
+    # proj = [l1p (R - l2 I) + l2p (l1 I - R)] / (2 disc) with l1p, l2p the
+    # clamped eigenvalues; sqrt likewise with their roots s1, s2
+    for lo, hi, ra, rb, rc in ((l1p, l2p, pa, pb, pc), (s1, s2, qa, qb, qc)):
+        np.multiply(lo, a_l2, out=ra)
+        np.multiply(hi, l1_a, out=x)
+        np.add(ra, x, out=ra)
+        np.multiply(ra, inv, out=ra)
+        np.subtract(lo, hi, out=x)
+        np.multiply(bb, x, out=rb)
+        np.multiply(rb, inv, out=rb)
+        np.multiply(lo, c_l2, out=rc)
+        np.multiply(hi, l1_c, out=x)
+        np.add(rc, x, out=rc)
+        np.multiply(rc, inv, out=rc)
+    if any_degen:
+        md = np.maximum(mean, 0.0, out=mean)
+        smd = np.sqrt(md, out=x)
+        for row, value in ((pa, md), (pb, 0.0), (pc, md), (qa, smd), (qb, 0.0), (qc, smd)):
+            np.copyto(row, value, where=degen)
+    return out
 
 
 def wishart_weak_errors(
@@ -696,13 +752,23 @@ def wishart_weak_errors(
     (common random numbers), so level-to-level *differences* of the estimator
     carry almost no Monte Carlo noise and the O(h) Euler bias ordering is
     measurable far below the marginal standard error.  Every step count must
-    divide the finest one.  Returns per-level mean/stderr/abs_error plus the
-    consecutive-level differences with their own standard errors.
+    divide the finest one; the step counts must be distinct and positive and
+    ``n_paths`` at least 2 (``ValueError`` otherwise, before any draw).
+    Returns per-level mean/stderr/abs_error plus the consecutive-level
+    differences with their own standard errors.
 
-    A component-arithmetic fast path handles d = 2 (H-form drift); the
-    batched-matrix route covers the general case.
+    A component-arithmetic fast path handles d = 2 (H-form drift): each block
+    allocates its states, accumulators (component-major, one contiguous row
+    per dW entry) and step temporaries once, draws each fine step into one
+    reused buffer (``_BlockStream.fill``), and steps and clamps in place
+    (``_proj_sqrt_components_2x2``).  The batched-matrix route covers the
+    general case.  Both draw in their own serial loop, with no helper thread.
     """
     steps_list = sorted(int(s) for s in steps_list)
+    if not steps_list or steps_list[0] < 1 or len(set(steps_list)) < len(steps_list):
+        raise ValueError(f"step counts must be distinct and positive, got {steps_list}")
+    if n_paths < 2:
+        raise ValueError(f"the standard errors need at least 2 paths, got {n_paths}")
     n_fine = steps_list[-1]
     for s in steps_list:
         if n_fine % s:
@@ -740,42 +806,73 @@ def wishart_weak_errors(
         h00, h01, h10, h11 = h[0, 0], h[0, 1], h[1, 0], h[1, 1]
         g00, g01, g10, g11 = sg[0, 0], sg[0, 1], sg[1, 0], sg[1, 1]
         b00, b01, b11 = params.b[0, 0], params.b[0, 1], params.b[1, 1]
-        states = {}
-        for s in steps_list:
-            a0 = np.full(count, r0[0, 0])
-            bb0 = np.full(count, r0[0, 1])
-            c0 = np.full(count, r0[1, 1])
-            states[s] = _proj_sqrt_components_2x2(a0, bb0, c0)
-        acc = {s: np.zeros((count, 4)) for s in steps_list}
+        # every array of the block is allocated here, once
+        states = np.empty((len(steps_list), 6, count))  # per level: pa, pb, pc, qa, qb, qc
+        accs = np.empty((len(steps_list), 4, count))  # per level: w00, w01, w10, w11
+        work = np.empty((CLAMP_2X2_ROWS, count))
+        degen = np.empty(count, dtype=bool)
+        raw = np.empty(STREAM_BLOCK * 4)
+        na, nb, nc = np.empty((3, count))
+        t00, t01, t10, t11, m00, m01, m10, m11, x = work[:9]
+        hr00, hr01, hr10, hr11 = t00, t01, t10, t11  # the t rows are free once M is formed
+        na.fill(r0[0, 0])
+        nb.fill(r0[0, 1])
+        nc.fill(r0[1, 1])
+        for state in states:
+            _proj_sqrt_components_2x2(na, nb, nc, state, work, degen)
         for k in range(n_fine):
-            dw = stream.normal((2, 2), sdt).reshape(count, 4)
-            for s in steps_list:
-                acc[s] += dw
-                if (k + 1) % strides[s] == 0:
-                    pa, pb, pc, qa, qb, qc = states[s]
-                    dt = T / s
-                    w00, w01, w10, w11 = acc[s][:, 0], acc[s][:, 1], acc[s][:, 2], acc[s][:, 3]
-                    # M = sqrt(R) dW Sigma, R update = drift dt + M + M^T
-                    t00 = qa * w00 + qb * w10
-                    t01 = qa * w01 + qb * w11
-                    t10 = qb * w00 + qc * w10
-                    t11 = qb * w01 + qc * w11
-                    m00 = t00 * g00 + t01 * g10
-                    m01 = t00 * g01 + t01 * g11
-                    m10 = t10 * g00 + t11 * g10
-                    m11 = t10 * g01 + t11 * g11
-                    hr00 = h00 * pa + h01 * pb
-                    hr01 = h00 * pb + h01 * pc
-                    hr10 = h10 * pa + h11 * pb
-                    hr11 = h10 * pb + h11 * pc
-                    na = pa + (b00 + 2.0 * hr00) * dt + 2.0 * m00
-                    nb = pb + (b01 + hr01 + hr10) * dt + m01 + m10
-                    nc = pc + (b11 + 2.0 * hr11) * dt + 2.0 * m11
-                    states[s] = _proj_sqrt_components_2x2(na, nb, nc)
-                    acc[s][:] = 0.0
+            (dw,) = stream.used_rows(stream.fill(raw), [(4,)], sdt)
+            for s, state, acc in zip(steps_list, states, accs):
+                if k % strides[s]:
+                    acc += dw.T
+                else:  # a window's first step: 0 + dW, as if the sum were reset to 0
+                    np.add(0.0, dw.T, out=acc)
+                if (k + 1) % strides[s]:
+                    continue
+                pa, pb, pc, qa, qb, qc = state
+                w00, w01, w10, w11 = acc
+                dt = T / s
+                # M = sqrt(R) dW Sigma, R update = drift dt + M + M^T; each line
+                # is formed left to right as written in the comment above it
+                # t00 = qa w00 + qb w10, t01 = qa w01 + qb w11,
+                # t10 = qb w00 + qc w10, t11 = qb w01 + qc w11
+                for t, q0, q1, v0, v1 in ((t00, qa, qb, w00, w10), (t01, qa, qb, w01, w11),
+                                          (t10, qb, qc, w00, w10), (t11, qb, qc, w01, w11)):
+                    np.multiply(q0, v0, out=t)
+                    np.multiply(q1, v1, out=x)
+                    np.add(t, x, out=t)
+                # m00 = t00 g00 + t01 g10, m01 = t00 g01 + t01 g11,
+                # m10 = t10 g00 + t11 g10, m11 = t10 g01 + t11 g11
+                for m, u0, u1, f0, f1 in ((m00, t00, t01, g00, g10), (m01, t00, t01, g01, g11),
+                                          (m10, t10, t11, g00, g10), (m11, t10, t11, g01, g11)):
+                    np.multiply(u0, f0, out=m)
+                    np.multiply(u1, f1, out=x)
+                    np.add(m, x, out=m)
+                # hr00 = h00 pa + h01 pb, hr01 = h00 pb + h01 pc,
+                # hr10 = h10 pa + h11 pb, hr11 = h10 pb + h11 pc
+                for hr, f0, f1, p0, p1 in ((hr00, h00, h01, pa, pb), (hr01, h00, h01, pb, pc),
+                                           (hr10, h10, h11, pa, pb), (hr11, h10, h11, pb, pc)):
+                    np.multiply(f0, p0, out=hr)
+                    np.multiply(f1, p1, out=x)
+                    np.add(hr, x, out=hr)
+                # na = pa + (b00 + 2 hr00) dt + 2 m00, nc likewise
+                for n, p, b_, hr, m in ((na, pa, b00, hr00, m00), (nc, pc, b11, hr11, m11)):
+                    np.multiply(2.0, hr, out=x)
+                    np.add(b_, x, out=x)
+                    np.multiply(x, dt, out=x)
+                    np.add(p, x, out=n)
+                    np.multiply(2.0, m, out=x)
+                    np.add(n, x, out=n)
+                # nb = pb + (b01 + hr01 + hr10) dt + m01 + m10
+                np.add(b01, hr01, out=x)
+                np.add(x, hr10, out=x)
+                np.multiply(x, dt, out=x)
+                np.add(pb, x, out=nb)
+                np.add(nb, m01, out=nb)
+                np.add(nb, m10, out=nb)
+                _proj_sqrt_components_2x2(na, nb, nc, state, work, degen)
         out = {}
-        for s in steps_list:
-            pa, pb, pc, _, _, _ = states[s]
+        for s, (pa, pb, pc, _, _, _) in zip(steps_list, states):
             out[s] = np.exp(-(ua[0, 0] * pa + 2.0 * ua[0, 1] * pb + ua[1, 1] * pc))
         return out
 

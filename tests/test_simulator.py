@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affinebsde.affine_model import (
     AffineParams,
@@ -421,17 +422,202 @@ class TestWishartStatistics:
     def test_weak_error_steps_only_used_paths(self, monkeypatch, general_drift):
         from affinebsde import simulator
 
+        # The clamp is called through the module global with the batch first
+        # and its buffers positional, as bench/tracing.py wraps and reads it;
+        # inlining it or binding it to a local name would show in the count.
         name = "project_and_sqrt_psd_batch" if general_drift else "_proj_sqrt_components_2x2"
         clamp = getattr(simulator, name)
-        batch_sizes = set()
+        batch_sizes = []
 
         def spy(*arrays):
-            batch_sizes.add(arrays[0].shape[0])
+            batch_sizes.append(arrays[0].shape[0])
             return clamp(*arrays)
 
         monkeypatch.setattr(simulator, name, spy)
-        wishart_weak_errors(small_wishart(general_drift), R0, 0.5 * np.eye(2), 1.0, [2, 4], 100, 3, 1.0)
-        assert batch_sizes == {100}
+        levels, n_paths = [2, 4], 100
+        wishart_weak_errors(small_wishart(general_drift), R0, 0.5 * np.eye(2), 1.0, levels, n_paths, 3, 1.0)
+        assert set(batch_sizes) == {n_paths}
+        blocks = -(-n_paths // STREAM_BLOCK)
+        assert len(batch_sizes) == blocks * (len(levels) + sum(levels))
+
+
+
+class TestWeakErrorInputs:
+    """Bad step lists and path counts are refused before any draw."""
+
+    @pytest.mark.parametrize("levels, n_paths", [
+        ([4, 4], 100),  # a duplicate would add each draw twice to one shared sum
+        ([-2, 4], 100),  # a negative step count runs with dt < 0
+        ([0, 4], 100),  # zero steps
+        ([], 100),
+        ([2, 4], 1),  # one path has no standard error
+    ])
+    def test_refused_before_any_draw(self, monkeypatch, levels, n_paths):
+        from affinebsde import simulator
+
+        def no_draw(*args):
+            raise AssertionError("drew before checking the inputs")
+
+        monkeypatch.setattr(simulator, "_block_rng", no_draw)
+        with pytest.raises(ValueError):
+            wishart_weak_errors(small_wishart(), R0, 0.5 * np.eye(2), 1.0, levels, n_paths, 3, 1.0)
+
+    def test_two_paths_suffice(self):
+        res = wishart_weak_errors(small_wishart(), R0, 0.5 * np.eye(2), 1.0, [2, 4], 2, 3, 1.0)
+        assert np.isfinite(res[4]["stderr"])
+
+
+def _frozen_proj_sqrt_components_2x2(a, bb, c):
+    """The allocating d = 2 component clamp the in-place one replaced, kept as its oracle."""
+    mean = 0.5 * (a + c)
+    disc = np.sqrt(0.25 * (a - c) ** 2 + bb * bb)
+    l1 = mean + disc
+    l2 = mean - disc
+    l1c = np.maximum(l1, 0.0)
+    l2c = np.maximum(l2, 0.0)
+    s1 = np.sqrt(l1c)
+    s2 = np.sqrt(l2c)
+    scale = np.abs(a) + np.abs(c) + np.abs(bb)
+    degen = disc <= 1e-14 * (1.0 + scale)
+    inv = 1.0 / np.where(degen, 1.0, 2.0 * disc)
+    pa = (l1c * (a - l2) + l2c * (l1 - a)) * inv
+    pb = bb * (l1c - l2c) * inv
+    pc = (l1c * (c - l2) + l2c * (l1 - c)) * inv
+    qa = (s1 * (a - l2) + s2 * (l1 - a)) * inv
+    qb = bb * (s1 - s2) * inv
+    qc = (s1 * (c - l2) + s2 * (l1 - c)) * inv
+    md = np.maximum(mean, 0.0)
+    smd = np.sqrt(md)
+    pa = np.where(degen, md, pa)
+    pb = np.where(degen, 0.0, pb)
+    pc = np.where(degen, md, pc)
+    qa = np.where(degen, smd, qa)
+    qb = np.where(degen, 0.0, qb)
+    qc = np.where(degen, smd, qc)
+    return pa, pb, pc, qa, qb, qc
+
+
+def _frozen_worker_2x2(params, r0, ua, T, steps_list, sdt):
+    """The allocating d = 2 weak-error block worker the in-place one replaced."""
+    n_fine = steps_list[-1]
+    strides = {s: n_fine // s for s in steps_list}
+
+    def worker(stream):
+        count = stream.count
+        h = params.drift.h
+        sg = params.sigma
+        h00, h01, h10, h11 = h[0, 0], h[0, 1], h[1, 0], h[1, 1]
+        g00, g01, g10, g11 = sg[0, 0], sg[0, 1], sg[1, 0], sg[1, 1]
+        b00, b01, b11 = params.b[0, 0], params.b[0, 1], params.b[1, 1]
+        states = {}
+        for s in steps_list:
+            a0 = np.full(count, r0[0, 0])
+            bb0 = np.full(count, r0[0, 1])
+            c0 = np.full(count, r0[1, 1])
+            states[s] = _frozen_proj_sqrt_components_2x2(a0, bb0, c0)
+        acc = {s: np.zeros((count, 4)) for s in steps_list}
+        for k in range(n_fine):
+            dw = stream.normal((2, 2), sdt).reshape(count, 4)
+            for s in steps_list:
+                acc[s] += dw
+                if (k + 1) % strides[s] == 0:
+                    pa, pb, pc, qa, qb, qc = states[s]
+                    dt = T / s
+                    w00, w01, w10, w11 = acc[s][:, 0], acc[s][:, 1], acc[s][:, 2], acc[s][:, 3]
+                    t00 = qa * w00 + qb * w10
+                    t01 = qa * w01 + qb * w11
+                    t10 = qb * w00 + qc * w10
+                    t11 = qb * w01 + qc * w11
+                    m00 = t00 * g00 + t01 * g10
+                    m01 = t00 * g01 + t01 * g11
+                    m10 = t10 * g00 + t11 * g10
+                    m11 = t10 * g01 + t11 * g11
+                    hr00 = h00 * pa + h01 * pb
+                    hr01 = h00 * pb + h01 * pc
+                    hr10 = h10 * pa + h11 * pb
+                    hr11 = h10 * pb + h11 * pc
+                    na = pa + (b00 + 2.0 * hr00) * dt + 2.0 * m00
+                    nb = pb + (b01 + hr01 + hr10) * dt + m01 + m10
+                    nc = pc + (b11 + 2.0 * hr11) * dt + 2.0 * m11
+                    states[s] = _frozen_proj_sqrt_components_2x2(na, nb, nc)
+                    acc[s][:] = 0.0
+        out = {}
+        for s in steps_list:
+            pa, pb, pc, _, _, _ = states[s]
+            out[s] = np.exp(-(ua[0, 0] * pa + 2.0 * ua[0, 1] * pb + ua[1, 1] * pc))
+        return out
+
+    return worker
+
+
+_CLAMP_SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300, -1e-300, 5e-324, 1e300]
+_clamp_floats = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(_CLAMP_SPECIALS),
+)
+
+
+@st.composite
+def _clamp_entry(draw):
+    kind = draw(st.sampled_from(["any", "degenerate", "negative"]))
+    a, bb, c = draw(_clamp_floats), draw(_clamp_floats), draw(_clamp_floats)
+    if kind == "degenerate":  # a multiple of I, up to the sign of a zero
+        bb, c = draw(st.sampled_from([0.0, -0.0])), a
+    elif kind == "negative":  # one or two negative eigenvalues
+        a, c = draw(st.floats(-1.0, 0.1)), draw(st.floats(-1.0, 0.1))
+        bb = draw(st.floats(-1.0, 1.0))
+    return a, bb, c
+
+
+class TestWeakErrorInPlaceParity:
+    """The in-place d = 2 clamp and block worker keep every bit of the allocating ones."""
+
+    @staticmethod
+    def assert_bitwise(got, ref):
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_clamp_entry(), min_size=1, max_size=40))
+    def test_clamp_matches_frozen_expression(self, entries):
+        from affinebsde.simulator import CLAMP_2X2_ROWS, _proj_sqrt_components_2x2
+
+        a, bb, c = (np.array(col, dtype=float) for col in zip(*entries))
+        n = len(entries)
+        # stale contents in the buffers must not reach the result
+        out, work = np.full((6, n), np.nan), np.full((CLAMP_2X2_ROWS, n), -1.0)
+        degen = np.ones(n, dtype=bool)
+        with np.errstate(all="ignore"):
+            ref = _frozen_proj_sqrt_components_2x2(a, bb, c)
+            got = _proj_sqrt_components_2x2(a, bb, c, out, work, degen)
+        assert got is out
+        for g, r in zip(got, ref, strict=True):
+            self.assert_bitwise(g, r)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("r0", [R0, 0.3 * np.eye(2)], ids=["r0", "degenerate-r0"])
+    def test_per_path_values_match_frozen_worker(self, monkeypatch, threads, r0):
+        from affinebsde import simulator
+
+        params, u, T = small_wishart(), np.array([[0.8, 0.2], [0.2, 0.6]]), 1.0
+        levels, n_paths, seed = [3, 6, 12], STREAM_BLOCK + 100, 11
+        run_blocks = simulator._run_blocks
+        got = []
+
+        def spy(worker, *args):
+            got.append(run_blocks(worker, *args))
+            return got[-1]
+
+        monkeypatch.setattr(simulator, "_run_blocks", spy)
+        wishart_weak_errors(params, r0, u, T, levels, n_paths, seed, 1.0, threads=threads)
+        ref = run_blocks(_frozen_worker_2x2(params, r0, u, T, levels, np.sqrt(T / levels[-1])), seed, n_paths,
+                         threads)
+        (blocks,) = got
+        assert [len(b[levels[0]]) for b in blocks] == [STREAM_BLOCK, 100]
+        for block, ref_block in zip(blocks, ref, strict=True):
+            for s in levels:
+                self.assert_bitwise(block[s], ref_block[s])
 
 
 def bns_spec_d2():
