@@ -12,10 +12,11 @@ simulate        dump simulated paths to CSV
 Flags: --config PATH, --out DIR, --seed N, --paths N, --steps N, --threads N,
 --format {csv,json}; a given --seed/--paths/--steps replaces its configuration
 value and gets the same check, and --threads (RNG blocks simulated at once,
-default 1) must be >= 1.  Exit codes: 0 pass, 2 configuration error,
-3 numerical failure (blow-up, singular block exponential, route cross-check,
-non-finite theta/varpi, non-finite shipped values, failed linear algebra),
-4 verification FAIL.  Errors are mapped to exit codes once, in ``main``, with
+default 1) must be >= 1.  Exit codes: 0 pass, 2 configuration error (this
+includes a model that fails ``validate_admissibility``, which every command
+runs once, in ``parse_model``), 3 numerical failure (blow-up, singular block
+exponential, route cross-check, non-finite theta/varpi, non-finite shipped
+values, failed linear algebra), 4 verification FAIL.  Errors are mapped to exit codes once, in ``main``, with
 one stderr line per error and no traceback.
 
 Configuration schema (version 1)
@@ -70,6 +71,7 @@ from .affine_model import (
     HFormDrift,
     LinearJumps,
     solve_transform,
+    validate_admissibility,
 )
 from .bsde import classify_ratio, orient_ratio
 from .portfolio import (
@@ -263,7 +265,12 @@ def load_config(path: str) -> dict:
 
 
 def parse_model(p: _Parser):
-    """The configured model; raises ConfigError when none can be built."""
+    """The configured model; raises ConfigError when none can be built or it is not admissible.
+
+    Every command reads its model here, so each runs ``validate_admissibility``
+    once: on the raw-affine parameters, the Heston ``params`` or the BNS
+    ``spec.affine_params()``.  A failure names every failed check on one line.
+    """
     cfg = p.section("model", required=True)
     if cfg is None:
         _finish_parse(p)
@@ -280,14 +287,14 @@ def parse_model(p: _Parser):
                 b=p.matrix(cfg, "b", "model", d=d, symmetric=True),
                 drift=HFormDrift(p.matrix(cfg, "drift_h", "model", d=d)),
             )
-            return HestonModel(
+            model = HestonModel(
                 params=params,
                 eta=p.vector(cfg, "eta", "model", d=d),
                 corr=CorrelationSpec(p.vector(cfg, "rho", "model", d=d)),
                 r0=p.matrix(cfg, "r0", "model", d=d, symmetric=True),
                 ordinary_exponential=bool(cfg.get("ordinary_exponential", False)),
             )
-        if kind == "bns":
+        elif kind == "bns":
             lam = p.matrix(cfg, "lambda0", "model", symmetric=True)
             d = lam.shape[0]
             atoms = _constant_jumps(p, cfg, "atoms", d)
@@ -297,39 +304,49 @@ def parse_model(p: _Parser):
                 b_j=p.matrix(cfg, "b_jump", "model", d=d, symmetric=True),
                 m_j=atoms,
             )
-            return BnsModel(
+            model = BnsModel(
                 spec=spec,
                 eta=p.vector(cfg, "eta", "model", d=d),
                 r0=p.matrix(cfg, "r0", "model", d=d, symmetric=True),
                 ordinary_exponential=bool(cfg.get("ordinary_exponential", False)),
             )
-        alpha = p.matrix(cfg, "alpha", "model", symmetric=True)
-        d = alpha.shape[0]
-        drift_cfg = p.section("drift", cfg, "model") or {}
-        if "h" in drift_cfg:
-            drift = HFormDrift(p.matrix(drift_cfg, "h", "model.drift", d=d))
-        elif "betas" in drift_cfg:
-            drift = GeneralFormDrift(np.array(drift_cfg["betas"], dtype=float))
+            params = spec.affine_params()
         else:
-            p.fail("'model.drift' needs 'h' or 'betas'")
-            drift = HFormDrift(np.zeros((d, d)))
-        m = _constant_jumps(p, cfg, "m_atoms", d)
-        mu_atoms = cfg.get("mu_atoms", [])
-        mu = (
-            LinearJumps.from_atoms(
-                [(p.matrix(a, "xi", f"model.mu_atoms[{i}]", d=d, symmetric=True),
-                  p.matrix(a, "u", f"model.mu_atoms[{i}]", d=d, symmetric=True))
-                 for i, a in enumerate(mu_atoms)]
+            alpha = p.matrix(cfg, "alpha", "model", symmetric=True)
+            d = alpha.shape[0]
+            drift_cfg = p.section("drift", cfg, "model") or {}
+            if "h" in drift_cfg:
+                drift = HFormDrift(p.matrix(drift_cfg, "h", "model.drift", d=d))
+            elif "betas" in drift_cfg:
+                drift = GeneralFormDrift(np.array(drift_cfg["betas"], dtype=float))
+            else:
+                p.fail("'model.drift' needs 'h' or 'betas'")
+                drift = HFormDrift(np.zeros((d, d)))
+            m = _constant_jumps(p, cfg, "m_atoms", d)
+            mu_atoms = cfg.get("mu_atoms", [])
+            mu = (
+                LinearJumps.from_atoms(
+                    [(p.matrix(a, "xi", f"model.mu_atoms[{i}]", d=d, symmetric=True),
+                      p.matrix(a, "u", f"model.mu_atoms[{i}]", d=d, symmetric=True))
+                     for i, a in enumerate(mu_atoms)]
+                )
+                if mu_atoms
+                else LinearJumps.empty(d)
             )
-            if mu_atoms
-            else LinearJumps.empty(d)
-        )
-        return AffineParams(alpha=alpha, b=p.matrix(cfg, "b", "model", d=d, symmetric=True),
-                            drift=drift, m=m, mu=mu,
-                            trunc_radius=p.number(cfg, "trunc_radius", "model", default=1.0))
+            model = params = AffineParams(
+                alpha=alpha, b=p.matrix(cfg, "b", "model", d=d, symmetric=True), drift=drift, m=m,
+                mu=mu, trunc_radius=p.number(cfg, "trunc_radius", "model", default=1.0))
     except (ValueError, TypeError) as exc:
         p.fail(f"model construction failed: {exc}")
         _finish_parse(p)
+    if p.errors:  # the model holds placeholders, and the errors are reported later
+        return model
+    report = validate_admissibility(params)
+    if not report.passed:
+        p.fail("the model is not admissible: " + "; ".join(
+            f"{name} ({c.detail})" for name, c in report.checks.items() if not c.passed))
+        _finish_parse(p)
+    return model
 
 
 def _constant_jumps(p: _Parser, cfg: dict, key: str, d: int) -> ConstantJumps:

@@ -752,8 +752,9 @@ def wishart_weak_errors(
     (common random numbers), so level-to-level *differences* of the estimator
     carry almost no Monte Carlo noise and the O(h) Euler bias ordering is
     measurable far below the marginal standard error.  Every step count must
-    divide the finest one; the step counts must be distinct and positive and
-    ``n_paths`` at least 2 (``ValueError`` otherwise, before any draw).
+    divide the finest one; the step counts must be distinct positive whole
+    numbers and ``n_paths`` at least 2 (``ValueError`` otherwise, before any
+    draw).
     Returns per-level mean/stderr/abs_error plus the consecutive-level
     differences with their own standard errors.
 
@@ -764,6 +765,8 @@ def wishart_weak_errors(
     (``_proj_sqrt_components_2x2``).  The batched-matrix route covers the
     general case.  Both draw in their own serial loop, with no helper thread.
     """
+    if not all(float(s).is_integer() for s in steps_list):  # int() would truncate 2.7 to 2
+        raise ValueError(f"step counts must be whole numbers, got {list(steps_list)}")
     steps_list = sorted(int(s) for s in steps_list)
     if not steps_list or steps_list[0] < 1 or len(set(steps_list)) < len(steps_list):
         raise ValueError(f"step counts must be distinct and positive, got {steps_list}")

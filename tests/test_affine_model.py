@@ -212,11 +212,48 @@ class TestSolveTransform:
         assert 0.0 < exc.value.time <= 1.0
 
 
+def inward_value(report) -> float:
+    """The inward-drift minimum, as the report's detail prints it (exactly, via repr)."""
+    return float(report.checks["inward_drift"].detail.rsplit("= ", 1)[1])
+
+
+def sampled_inward_minimum(params, n_boundary=200, seed=0) -> float:
+    """The sampled inward-drift check the exact one replaced, kept as its oracle.
+
+    Random (x, u) with Tr(x u) = 0 from complementary eigenspaces of a random
+    orthogonal matrix; the value Tr(B(x) u) - sum_k Tr(chi(xi_k) u) M(x, xi_k).
+    """
+    rng = np.random.default_rng(seed)
+    d = params.d
+    worst = np.inf
+    for _ in range(n_boundary):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        r = int(rng.integers(1, d))
+        x = symmetrize((q[:, :r] * rng.uniform(0.2, 2.0, size=r)) @ q[:, :r].T)
+        u = symmetrize((q[:, r:] * rng.uniform(0.2, 2.0, size=d - r)) @ q[:, r:].T)
+        val = trace_inner(params.drift.apply(x), u)
+        if params.mu.n:
+            val -= float(np.dot(params.chi_traces(u, params.mu), params.mu.kernel_weights(x)))
+        worst = min(worst, val)
+    return worst
+
+
+def random_h_form_model(rng, d):
+    """An H-form model with constant jumps and a linear-jump atom outside the truncation ball."""
+    alpha = rand_pd(rng, d, scale=0.3)
+    xi = rand_psd(rng, d, ridge=0.02)
+    return AffineParams(
+        alpha=alpha, b=(d + 0.5) * alpha, drift=HFormDrift(rng.standard_normal((d, d))),
+        m=ConstantJumps.from_atoms([(rand_psd(rng, d, ridge=0.02), 0.7)]),
+        mu=LinearJumps.from_atoms([((1.5 / frobenius(xi)) * xi, rand_psd(rng, d, ridge=0.02))]),
+    )
+
+
 class TestAdmissibility:
     def test_wishart_set_accepted(self, rng):
         sig = rand_pd(rng, 2, 0.5)
         params = wishart_params(sig, k=2.5, h=rng.standard_normal((2, 2)))
-        report = validate_admissibility(params, seed=5)
+        report = validate_admissibility(params)
         assert report.passed, str(report)
 
     def test_b_below_threshold_rejected(self, rng):
@@ -233,8 +270,44 @@ class TestAdmissibility:
             betas[i, i] = -np.eye(d)
         alpha = np.eye(d)
         params = AffineParams(alpha=alpha, b=2.0 * alpha, drift=GeneralFormDrift(betas))
-        report = validate_admissibility(params, seed=3)
+        report = validate_admissibility(params)
         assert not report.checks["inward_drift"].passed
+        assert inward_value(report) == -1.0  # -Tr(v v^T) Tr(w w^T) for every unit pair
+
+    @pytest.mark.parametrize("h", [np.zeros((2, 2)), np.array([[0.3, -1.2], [0.7, 2.0]])])
+    def test_linear_jump_inside_ball_closed_form_witness(self, h):
+        # xi = e1 e1^T / 2, U = e2 e2^T: the value -(w^T xi w / 0.25)(v^T U v) = -2 w1^2 v2^2
+        # is least, -2, at w = e1, v = e2; the H-form drift adds nothing on w-perp
+        e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        params = AffineParams(alpha=np.eye(2), b=2.0 * np.eye(2), drift=HFormDrift(h),
+                              mu=LinearJumps.from_atoms([(0.5 * e1, e2)]))
+        report = validate_admissibility(params)
+        check = report.checks["inward_drift"]
+        assert not check.passed
+        assert inward_value(report) == -2.0
+        x, u = check.witness
+        assert np.array_equal(x, e2) and np.array_equal(u, e1)
+
+    def test_large_h_form_drift_passes_without_round_off(self):
+        # drift_h x 1e8: the sampled check saw -3.7e-8 from round-off alone and failed it
+        from affinebsde.portfolio import preset_heston_power
+
+        params = preset_heston_power(steps=10).params
+        big = AffineParams(alpha=params.alpha, b=params.b, drift=HFormDrift(1e8 * params.drift.h))
+        report = validate_admissibility(big)
+        assert report.passed, str(report)
+        assert inward_value(report) == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_h_form_minimum_is_exactly_zero(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            params = random_h_form_model(rng, d)
+            report = validate_admissibility(params)
+            assert report.passed, str(report)
+            assert inward_value(report) == 0.0
+            # the sampled check only ever saw round-off around the exact 0
+            assert abs(sampled_inward_minimum(params)) <= 1e-14 * (1.0 + frobenius(params.drift.h))
 
     def test_big_jump_mass_reported(self, rng):
         params = jump_params(rng)

@@ -235,6 +235,11 @@ class TestMartingaleAudit:
         r_bad, _ = orient_ratio(-0.9, 0.01, -1.0)
         assert r_bad > 1.0
 
+    @pytest.mark.parametrize("mean_lt, se_lt", [(np.inf, 0.0), (1.0, np.nan)])
+    def test_non_finite_sample_is_refused(self, mean_lt, se_lt):
+        with pytest.raises(FloatingPointError, match=r"E\[L_T\] estimate is not finite"):
+            orient_ratio(mean_lt, se_lt, 1.0)
+
     def test_classify(self):
         assert classify_ratio(1.001, 0.001) == "MARTINGALE"
         assert classify_ratio(0.99, 0.001) == "SUPERMARTINGALE_OK"

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from affinebsde.cli import (
     parse_model,
     write_csv,
 )
+from affinebsde.affine_model import validate_admissibility
 from affinebsde.portfolio import HestonModel
 from affinebsde.simulator import STREAM_BLOCK, simulate_bns, simulate_wishart
 
@@ -605,8 +607,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("diffusion, mu_atoms, message", [
         # the jump-OU paths have no diffusion, so they would check alpha = 0 (a false FAIL)
         (True, [], "'model.alpha' together with 'model.m_atoms'"),
-        # the paths have no linear jumps, so they would check another model (a false PASS)
-        (False, [{"xi": [[0.1, 0.02], [0.02, 0.08]], "u": [[0.002, 0.0], [0.0, 0.002]]}],
+        # the paths have no linear jumps, so they would check another model (a false PASS);
+        # the atom lies outside the truncation ball (||xi||_F > 1), so the model is admissible
+        (False, [{"xi": [[1.5, 0.3], [0.3, 1.2]], "u": [[0.002, 0.0], [0.0, 0.002]]}],
          "'model.mu_atoms'"),
     ], ids=["alpha-with-m-atoms", "mu-atoms"])
     def test_transform_check_refuses_what_it_cannot_simulate(self, tmp_path, capsys, diffusion,
@@ -655,7 +658,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("factor, message", [
         (1e4, "oriented ratio is not finite"),  # E[L_T]^2 underflows
-        (-1e4, "E[L_T] estimate is not finite"),  # the L_T sample overflows
     ])
     def test_degenerate_martingale_ratio_is_numerical_failure(self, tmp_path, capsys, factor,
                                                                message):
@@ -663,6 +665,33 @@ class TestExitCodes:
         line = self.run_failing(tmp_path, capsys, "verify", cfg, EXIT_NUMERICAL,
                                 "--paths", "64", "--steps", "20")
         assert message in line
+
+    @pytest.mark.parametrize("command, cfg, check", [
+        # alpha x 10 breaks b >= (d-1) alpha; before the check these exited 0, 0 and 4
+        pytest.param("portfolio", scaled_shipped_config("heston_power_portfolio.json", "alpha", 10.0),
+                     "b_dominates", id="portfolio-alpha-x10"),
+        pytest.param("price", scaled_shipped_config("heston_exp_swap_price.json", "alpha", 10.0),
+                     "b_dominates", id="price-alpha-x10"),
+        pytest.param("verify", scaled_shipped_config("heston_verify_transform.json", "alpha", 10.0),
+                     "b_dominates", id="verify-transform-alpha-x10"),
+        # lambda0 x -1e4 makes the BNS constant drift b = lambda0 + b_jump negative definite
+        pytest.param("verify", scaled_shipped_config("bns_exp_verify_martingale.json", "lambda0", -1e4),
+                     "b_dominates", id="verify-martingale-bns-lambda0-x-1e4"),
+        # a linear-jump atom inside the truncation ball pulls the drift out of the cone
+        pytest.param("riccati-solve", {
+            "schema_version": 1, "horizon": 1.0,
+            "model": {"kind": "raw-affine", "alpha": heston_config()["model"]["alpha"],
+                      "b": heston_config()["model"]["b"],
+                      "drift": {"h": heston_config()["model"]["drift_h"]},
+                      "mu_atoms": [{"xi": [[0.1, 0.02], [0.02, 0.08]], "u": [[0.002, 0.0], [0.0, 0.002]]}]},
+            "solver": {"steps": 50},
+        }, "inward_drift", id="riccati-solve-mu-atom-inside-ball"),
+    ])
+    def test_inadmissible_model_is_config_error(self, tmp_path, capsys, command, cfg, check):
+        line = self.run_failing(tmp_path, capsys, command, cfg, EXIT_CONFIG,
+                                "--paths", "64", "--steps", "20")
+        assert "not admissible" in line and check in line
+        assert not os.listdir(tmp_path / "out")
 
     @pytest.mark.parametrize("command, name, key, what", [
         ("price", "heston_numeraire_price.json", "b", "price"),
@@ -738,6 +767,37 @@ SHIPPED_COMMANDS = {
     "heston_verify_transform.json": "verify",
     "riccati_degenerate_1d.json": "riccati-solve",
 }
+
+
+class TestBenchmarkInputsAreAdmissible:
+    """The models the benchmark runs pass the check, so none of its operations exits 2."""
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_COMMANDS))
+    def test_shipped_config(self, name):
+        cfg = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+        parse_model(_Parser(cfg))  # raises ConfigError, naming the failed check, otherwise
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        """bench/workloads.py, loaded by path: bench/ is not a package."""
+        spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                      CONFIGS.parent / "bench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up
+        try:
+            spec.loader.exec_module(module)
+            yield module
+        finally:
+            del sys.modules[spec.name]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_configs_have_exactly_inward_drift(self, workloads, seed):
+        for tag, (cfg, _) in workloads.generated_configs(seed, 10).items():
+            report = validate_admissibility(parse_model(_Parser(cfg)))  # raw-affine parameters
+            assert report.passed, f"{tag}: {report}"
+            assert report.checks["inward_drift"].detail.endswith("min = 0.0"), tag
+
+
 # integer counts and seeds have their own exit-code cases; scaled up, a count
 # such as verification.samples only makes a run long
 COUNT_KEYS = {"schema_version", "steps", "paths", "seed", "samples", "n_perturbed"}

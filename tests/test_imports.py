@@ -32,7 +32,6 @@ UNREACHED_ALLOWED = {
     "terminal_value": "oracle: test_bsde's terminal identity compares against it",
     "pi_opt": "oracle: the golden 1-d strategy that test_portfolio compares the solvers against",
     "wishart_params": "public constructor of the Wishart parameter set",
-    "validate_admissibility": "the admissibility check the CLI is to run on every model it builds",
     "truncation": "oracle: test_riccati's reference theta spells out chi(xi) with it",
 }
 

@@ -451,6 +451,7 @@ class TestWeakErrorInputs:
         ([0, 4], 100),  # zero steps
         ([], 100),
         ([2, 4], 1),  # one path has no standard error
+        ([2.7, 4], 100),  # int() would run 2.7 steps as 2
     ])
     def test_refused_before_any_draw(self, monkeypatch, levels, n_paths):
         from affinebsde import simulator
