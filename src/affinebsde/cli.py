@@ -14,9 +14,11 @@ Flags: --config PATH, --out DIR, --seed N, --paths N, --steps N, --threads N,
 value and gets the same check, and --threads (RNG blocks simulated at once,
 default 1) must be >= 1.  Exit codes: 0 pass, 2 configuration error (this
 includes a model that fails ``validate_admissibility``, which every command
-runs once, in ``parse_model``), 3 numerical failure (blow-up, singular block
-exponential, route cross-check, non-finite theta/varpi, non-finite shipped
-values, failed linear algebra), 4 verification FAIL.  Errors are mapped to exit codes once, in ``main``, with
+runs once, in ``parse_model``, and a nonzero ``terminal.u`` under the
+block-exp method, whose closed form has Gamma(T) = 0), 3 numerical failure
+(blow-up, singular block exponential, route cross-check, non-finite
+theta/varpi, non-finite shipped values, failed linear algebra), 4
+verification FAIL.  Errors are mapped to exit codes once, in ``main``, with
 one stderr line per error and no traceback.
 
 Configuration schema (version 1)
@@ -482,13 +484,15 @@ def cmd_riccati_solve(cfg: dict, args) -> int:
     u = p.matrix(term, "u", "terminal", d=model.d, symmetric=True, default=np.zeros((model.d, model.d)))
     v = p.number(term, "v", "terminal", default=0.0)
     solver = _solver_opts(p, args)
+    if solver["method"] == "block-exp" and np.any(u):
+        p.fail("'terminal.u' must be 0 for solver.method block-exp")
     _finish_parse(p)
 
     summary = {"method": solver["method"], "horizon": horizon, "blow_up": None}
     try:
         with _solver_hypotheses():
             if solver["method"] == "block-exp":
-                sol = solve_block_exp(model, coeffs, horizon, steps=solver["steps"])
+                sol = solve_block_exp(model, coeffs, horizon, steps=solver["steps"], terminal_v=v)
             else:
                 sol = solve_rk(model, coeffs, u, v, horizon, steps=solver["steps"],
                                method=solver["method"], blowup_norm=solver["blowup_norm"])

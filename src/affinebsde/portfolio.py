@@ -288,7 +288,6 @@ def _bns_solve(params: AffineParams, coeffs: GeneratorCoeffs, terminal_v: float,
         return RiccatiSolution(
             grid=grid, gammas=gammas, w=w, terminal_u=zero,
             terminal_v=terminal_v, method="LinearExp",
-            diagnostics={"steps": steps},
         )
     return solve_rk(params, coeffs, zero, terminal_v, T, steps=steps)
 
@@ -450,13 +449,16 @@ def heston_exp_solve(
     price = None
     hedge = None
     if swap_asset:
-        base = heston_exp_solve(model, gamma, T, swap_asset=0, steps=steps)
-        price = y0 - base.diagnostics["y0"]
+        # the pure investment problem: no payoff weight, w(T) = -strike = -0.0
+        zero = np.zeros((model.d, model.d))
+        base = solve_rk(model.params, heston_exp_coeffs(model, gamma, zero), zero, -0.0, T, steps=steps)
+        base_y0 = trace_inner(base.gammas[0], model.r0) + base.w[0]
+        price = y0 - base_y0
 
         def hedge(t) -> np.ndarray:
-            return -2.0 * (sol.gamma_at(t) - base.riccati.gamma_at(t)) @ s_rho
+            return -2.0 * (sol.gamma_at(t) - base.gamma_at(t)) @ s_rho
 
-        diagnostics["base_y0"] = base.diagnostics["y0"]
+        diagnostics["base_y0"] = base_y0
 
     return UtilitySolveResult(
         kind="heston_exp", gamma=gamma, horizon=T, riccati=sol, coeffs=coeffs,
@@ -555,9 +557,10 @@ def bns_exp_solve(
 
     price = None
     if swap_asset:
-        base = bns_exp_solve(model, gamma, T, swap_asset=0, steps=steps)
-        price = y0 - base.diagnostics["y0"]
-        diagnostics["base_y0"] = base.diagnostics["y0"]
+        # the pure investment problem: no payoff weight, w(T) = -strike = -0.0
+        base = _bns_solve(params, bns_exp_coeffs(model, gamma, np.zeros((model.d, model.d))), -0.0, T, steps)
+        diagnostics["base_y0"] = trace_inner(base.gammas[0], model.r0) + base.w[0]
+        price = y0 - diagnostics["base_y0"]
 
     return UtilitySolveResult(
         kind="bns_exp", gamma=gamma, horizon=T, riccati=sol, coeffs=coeffs, params=params,
@@ -754,14 +757,10 @@ class UtilityPreset:
                  threads: int = 1) -> PathFunctionals:
         arr = np.stack(strategies)
         if self.kind.startswith("heston"):
-            endow = self.endow
             return heston_functionals(
                 self.params, self.model.r0, self.model.corr, self.model.eta_eff,
                 self.horizon, n_steps, arr, n_paths, seed,
-                o_sigma=endow.sigma if np.any(endow.sigma) else None,
-                o1=endow.o1 if np.any(endow.o1) else None,
-                o2=endow.o2 if np.any(endow.o2) else None,
-                threads=threads,
+                o_sigma=self.endow.sigma, o1=self.endow.o1, o2=self.endow.o2, threads=threads,
             )
         return bns_functionals(
             self.model.spec, self.model.r0, self.model.eta_eff, self.horizon,

@@ -33,7 +33,7 @@ finite time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -232,7 +232,6 @@ class RiccatiSolution:
     terminal_u: np.ndarray
     terminal_v: float
     method: str
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def d(self) -> int:
@@ -367,7 +366,7 @@ def solve_rk(
     w[-1] = float(terminal_v)
     return RiccatiSolution(
         grid=grid_t, gammas=gammas, w=w, terminal_u=u, terminal_v=float(terminal_v),
-        method=method.upper(), diagnostics={"steps": len(grid_t) - 1},
+        method=method.upper(),
     )
 
 
@@ -627,20 +626,20 @@ def solve_block_exp(
     coeffs: GeneratorCoeffs,
     T: float,
     steps: int = 2000,
+    terminal_v: float = 0.0,
 ) -> RiccatiSolution:
-    """Closed-form Riccati solution Gamma(t) = A_22(t)^{-1} A_21(t), terminal 0.
+    """Closed-form Riccati solution Gamma(t) = A_22(t)^{-1} A_21(t), terminal (0, terminal_v).
 
     Requires H-form linear drift, no linear-jump atoms and no jump coefficient
-    functions besides g_t; the terminal value is zero.  The Riccati flow
-    linearizes as
+    functions besides g_t; Gamma(T) is zero.  The Riccati flow linearizes as
 
         -d/dt (G  J) = (G  J) @ [[L^T + H,  -4 S^T c_zz S], [C,  -L - H^T]],
 
     (H-form B(x) = Hx + xH^T, so B* contributes through H^T) with terminal
     (0, I); exponentiating gives the block rows A_21, A_22 of
     A(t) = exp((T-t) M) and Gamma = A_22^{-1} A_21.  w is recovered by
-    composite-Simpson quadrature of varpi along Gamma (integrating factor
-    exp(c_y s) when c_y != 0).
+    composite-Simpson quadrature of varpi along Gamma from w(T) =
+    ``terminal_v`` (integrating factor exp(c_y s) when c_y != 0).
     """
     if not isinstance(params.drift, HFormDrift):
         raise ValueError("closed form requires an H-form linear drift")
@@ -671,11 +670,11 @@ def solve_block_exp(
     gammas = symmetrize(np.linalg.solve(a22s, flows[:, d:, :d]))
     gammas[-1] = 0.0
     _check_no_pole(grid, a22s, gammas)
-    w = varpi_quadrature(params, coeffs, grid, gammas, 0.0)
+    w = varpi_quadrature(params, coeffs, grid, gammas, float(terminal_v))
 
     return RiccatiSolution(
-        grid=grid, gammas=gammas, w=w, terminal_u=np.zeros((d, d)), terminal_v=0.0,
-        method="BlockExp", diagnostics={"steps": steps},
+        grid=grid, gammas=gammas, w=w, terminal_u=np.zeros((d, d)), terminal_v=float(terminal_v),
+        method="BlockExp",
     )
 
 

@@ -12,8 +12,14 @@ Engines
   jump marks drawn from exponential clocks are conjugated by the flow over the
   remaining sub-interval; plain Euler handles general Lambda.
 
-Each engine steps an RNG block in one iterator (``_EulerPaths``,
-``_JumpOuPaths``) that the audits and the path bundles loop over.
+Each engine steps the (R, O) state of one RNG block in one iterator
+(``_EulerPaths``, ``_JumpOuPaths``): it yields ``(r, o, sr, dq)`` before each
+step (the state, sqrt(R) and the price noise dQ, valid until the next step is
+requested) and afterwards exposes ``r`` and ``o`` at T and ``n_clamped`` (0
+for the jump-OU engine, which stays in the cone).  One audit loop
+(``_audit``: strategy integrals, quadratic variation, terminal R and O, clamp
+count) and one bundle loop (``_bundles``: R, N and O per step) serve both
+engines.  The public ``simulate_wishart`` keeps O at 0.
 
 Randomness: Philox4x64-10 counter-based bit generator, one stream per fixed
 block of ``STREAM_BLOCK`` path indices with key (seed, block start).
@@ -288,35 +294,42 @@ class CorrelationSpec:
 
 
 class _EulerPaths:
-    """Euler steps of the square-root diffusion for one RNG block, clamped onto the PSD cone.
+    """Euler steps of (R, O) for one RNG block, R clamped onto the PSD cone after each step.
 
-    Iterating yields, per step, ``(r, sr, dq, dqh)`` before the step: the
-    state, its square root, dQ = dW rho + sqrt(1 - rho'rho) dD and dQhat (None
-    unless ``need_qhat``, which also drops it from the stream).  The arrays
-    are valid until the next step is requested.  Afterwards ``r`` is the state
-    at T and ``n_clamped`` counts the path-steps whose clamp removed a negative
+    O moves by dO = (o1 + o2 R) dt + o_sigma sqrt(R) dQhat, added in that
+    order, when ``o_terms`` = (o_sigma, o1, o2) has a nonzero entry, and stays
+    0 otherwise.  dQhat is drawn when o_sigma is nonzero or ``draw_qhat`` is
+    set.  ``n_clamped`` counts the path-steps whose clamp removed a negative
     part above 1e-13 (Frobenius).
     """
 
     def __init__(self, params: AffineParams, r0: np.ndarray, corr: CorrelationSpec, dt: float,
-                 n_steps: int, stream: _BlockStream, need_qhat: bool):
+                 n_steps: int, stream: _BlockStream, o_terms=(), draw_qhat: bool = False):
         self.params, self.r0, self.corr, self.dt, self.n_steps = params, r0, corr, dt, n_steps
-        self.stream, self.need_qhat = stream, need_qhat
-        self.r = None
+        self.stream = stream
+        self.o_terms = o_terms if any(map(np.any, o_terms)) else None
+        self.draw_qhat = draw_qhat or (self.o_terms is not None and bool(np.any(o_terms[0])))
+        self.r = self.o = None
         self.n_clamped = 0
 
     def __iter__(self):
         params, corr, dt = self.params, self.corr, self.dt
         d = params.d
         r, sr, _ = project_and_sqrt_psd_batch(np.broadcast_to(self.r0, (self.stream.count, d, d)).copy())
-        shapes = [(d, d), (d,), (d, d)] if self.need_qhat else [(d, d), (d,)]
+        o = np.zeros((self.stream.count, d, d))
+        shapes = [(d, d), (d,), (d, d)] if self.draw_qhat else [(d, d), (d,)]
         for dw, dd, *dqh in self.stream.normals_ahead(shapes, np.sqrt(dt), self.n_steps):
             dq = _batch_const(dw, corr.rho) + corr.orth * dd
-            yield r, sr, dq, (dqh[0] if dqh else None)
+            yield r, o, sr, dq
+            if self.o_terms is not None:
+                o_sigma, o1, o2 = self.o_terms
+                o += (o1 + _const_batch(o2, r)) * dt
+                if dqh:  # drawn for a nonzero o_sigma
+                    o += _const_batch(o_sigma, np.matmul(sr, dqh[0]))
             r = _euler_update(r, sr, params, dt, dw)
             r, sr, shift = project_and_sqrt_psd_batch(r)
             self.n_clamped += int(np.count_nonzero(shift > 1e-13))
-        self.r = r
+        self.r, self.o = r, o
 
 
 # -- full-storage bundles -----------------------------------------------------------
@@ -339,6 +352,28 @@ class PathBundle:
     projection_fraction: float
 
 
+def _bundles(paths_of: Callable[[_BlockStream], Iterator], d: int, eta, T: float, n_steps: int,
+             n_paths: int, seed: int) -> Iterator[PathBundle]:
+    """PathBundles of R, N and O, one per RNG block, stepped by the engine ``paths_of(stream)``."""
+    _check_path_step_budget(n_paths, n_steps)
+    eta = np.asarray(eta, dtype=float)
+    dt = T / n_steps
+    times = np.linspace(0.0, T, n_steps + 1)
+    for start, count in _blocks(n_paths):
+        paths = paths_of(_BlockStream(seed, start, count))
+        rs = np.empty((count, n_steps + 1, d, d))
+        ns = np.zeros((count, n_steps + 1, d))
+        os_ = np.empty((count, n_steps + 1, d, d))
+        for k, (r, o, sr, dq) in enumerate(paths):
+            rs[:, k] = r
+            os_[:, k] = o
+            ns[:, k + 1] = ns[:, k] + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
+        rs[:, n_steps] = paths.r
+        os_[:, n_steps] = paths.o
+        yield PathBundle(times=times, r=rs, n_log=ns, o=os_, path_offset=start,
+                         projection_fraction=paths.n_clamped / (count * n_steps))
+
+
 def simulate_wishart(
     params: AffineParams,
     r0,
@@ -348,40 +383,18 @@ def simulate_wishart(
     n_steps: int,
     n_paths: int,
     seed: int,
-    o_sigma=None,
-    o1=None,
-    o2=None,
 ) -> Iterator[PathBundle]:
-    """Stream PathBundles of the continuous matrix diffusion (Euler + clamp).
+    """Stream PathBundles of the continuous matrix diffusion (Euler + clamp); O stays 0.
 
     Deterministic given ``seed``; one bundle per RNG block.  Every step draws
     dQhat, so the paths are those of ``heston_functionals`` with ``o_sigma`` set.
     """
-    _check_path_step_budget(n_paths, n_steps)
     if not params.continuous:
         raise ValueError("simulate_wishart expects a continuous parameter set")
-    d = params.d
     r0 = as_sym(r0)
-    eta = np.asarray(eta, dtype=float)
-    sig_o = np.zeros((d, d)) if o_sigma is None else np.asarray(o_sigma, dtype=float)
-    o1 = np.zeros((d, d)) if o1 is None else np.asarray(o1, dtype=float)
-    o2 = np.zeros((d, d)) if o2 is None else np.asarray(o2, dtype=float)
     dt = T / n_steps
-    times = np.linspace(0.0, T, n_steps + 1)
-
-    for start, count in _blocks(n_paths):
-        paths = _EulerPaths(params, r0, corr, dt, n_steps, _BlockStream(seed, start, count), True)
-        rs = np.empty((count, n_steps + 1, d, d))
-        ns = np.zeros((count, n_steps + 1, d))
-        os_ = np.zeros((count, n_steps + 1, d, d))
-        for k, (r, sr, dq, dqh) in enumerate(paths):
-            rs[:, k] = r
-            ns[:, k + 1] = ns[:, k] + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
-            os_[:, k + 1] = (os_[:, k] + _const_batch(sig_o, np.matmul(sr, dqh))
-                             + (o1 + _const_batch(o2, r)) * dt)
-        rs[:, n_steps] = paths.r
-        yield PathBundle(times=times, r=rs, n_log=ns, o=os_, path_offset=start,
-                         projection_fraction=paths.n_clamped / (count * n_steps))
+    yield from _bundles(lambda stream: _EulerPaths(params, r0, corr, dt, n_steps, stream, draw_qhat=True),
+                        params.d, eta, T, n_steps, n_paths, seed)
 
 
 # -- jump-OU (BNS-type) engine --------------------------------------------------------
@@ -459,29 +472,22 @@ class _AffineFlow:
         return np.array([mat_exp(self.h * dl) for dl in deltas])
 
 
-def _bns_flow(spec: BnsJumpSpec, T: float, n_steps: int, n_paths: int) -> Optional[_AffineFlow]:
-    """Check the jump budget; the exact flow over one step of an H-form drift, else None."""
-    _check_jump_budget(spec.total_intensity, T, n_paths)
-    if isinstance(spec.lam_op, HFormDrift):
-        return _AffineFlow(spec.lam_op.h, spec.lam + spec.b_j, T / n_steps)
-    return None
-
-
 class _JumpOuPaths:
-    """Steps of the jump-OU process for one RNG block: flow or Euler drift, then jumps.
+    """Steps of (R, O) of the jump-OU model for one RNG block: flow or Euler drift, then jumps.
 
-    Iterating yields, per step, ``(r, sr, dd)`` before the step: the state,
-    its square root and the price noise dD, drawn before the step's jumps,
-    which are drawn and applied when the next step is requested.  ``flow`` is
-    ``_bns_flow``'s; without one the drift is an Euler step.  Afterwards ``r``
-    is the state at T.
+    O accumulates realized covariance, O += R dt.  The price noise dQ = dD is
+    drawn before the step's jumps.  ``flow`` is the exact flow over one step
+    of an H-form drift; without one the drift is an Euler step.  R stays in
+    the cone, so ``n_clamped`` is 0.
     """
+
+    n_clamped = 0
 
     def __init__(self, spec: BnsJumpSpec, r0: np.ndarray, dt: float, n_steps: int,
                  stream: _BlockStream, flow: Optional[_AffineFlow]):
         self.spec, self.r0, self.dt, self.n_steps = spec, r0, dt, n_steps
         self.stream, self.flow = stream, flow
-        self.r = None
+        self.r = self.o = None
 
     def __iter__(self):
         spec, dt, stream, flow = self.spec, self.dt, self.stream, self.flow
@@ -491,9 +497,11 @@ class _JumpOuPaths:
         lam_tot = spec.total_intensity
         cdf = np.cumsum(spec.m_j.weights) / lam_tot if lam_tot > 0 else None
         r = np.broadcast_to(self.r0, (stream.count, d, d)).copy()
+        o = np.zeros((stream.count, d, d))
         for _ in range(self.n_steps):
             _, sr, _ = project_and_sqrt_psd_batch(r)
-            yield r, sr, stream.normal((d,), sdt)
+            yield r, o, sr, stream.normal((d,), sdt)
+            o += r * dt
             if flow is not None:
                 r = _batch_const(_const_batch(flow.e_dt, r), flow.e_dt.T) + flow.d_dt
             else:
@@ -506,7 +514,16 @@ class _JumpOuPaths:
                         props = flow.propagators(dt - taus)
                         xis = np.matmul(np.matmul(props, xis), props.transpose(0, 2, 1))
                     np.add.at(r, ids, xis)
-        self.r = r
+        self.r, self.o = r, o
+
+
+def _jump_ou_engine(spec: BnsJumpSpec, r0, T: float, n_steps: int,
+                    n_paths: int) -> Callable[[_BlockStream], _JumpOuPaths]:
+    """The ``_JumpOuPaths`` of each block stream; checks the jump budget and builds the flow once."""
+    _check_jump_budget(spec.total_intensity, T, n_paths)
+    r0, dt = as_sym(r0), T / n_steps
+    flow = _AffineFlow(spec.lam_op.h, spec.lam + spec.b_j, dt) if isinstance(spec.lam_op, HFormDrift) else None
+    return lambda stream: _JumpOuPaths(spec, r0, dt, n_steps, stream, flow)
 
 
 def simulate_bns(
@@ -519,25 +536,8 @@ def simulate_bns(
     seed: int,
 ) -> Iterator[PathBundle]:
     """Stream PathBundles of the jump-OU model; O accumulates realized covariance."""
-    _check_path_step_budget(n_paths, n_steps)
-    d = spec.d
-    r0 = as_sym(r0)
-    eta = np.asarray(eta, dtype=float)
-    dt = T / n_steps
-    times = np.linspace(0.0, T, n_steps + 1)
-    flow = _bns_flow(spec, T, n_steps, n_paths)
-
-    for start, count in _blocks(n_paths):
-        paths = _JumpOuPaths(spec, r0, dt, n_steps, _BlockStream(seed, start, count), flow)
-        rs = np.empty((count, n_steps + 1, d, d))
-        ns = np.zeros((count, n_steps + 1, d))
-        os_ = np.zeros((count, n_steps + 1, d, d))
-        for k, (r, sr, dd) in enumerate(paths):
-            rs[:, k] = r
-            ns[:, k + 1] = ns[:, k] + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
-            os_[:, k + 1] = os_[:, k] + r * dt
-        rs[:, n_steps] = paths.r
-        yield PathBundle(times=times, r=rs, n_log=ns, o=os_, path_offset=start, projection_fraction=0.0)
+    yield from _bundles(_jump_ou_engine(spec, r0, T, n_steps, n_paths), spec.d, eta, T, n_steps,
+                        n_paths, seed)
 
 
 # -- terminal functionals for audits ---------------------------------------------------
@@ -572,6 +572,28 @@ def _strategies_on_grid(strategies, n_steps: int, d: int) -> np.ndarray:
     return arr
 
 
+def _audit(paths_of: Callable[[_BlockStream], Iterator], pis: np.ndarray, eta, dt: float,
+           n_paths: int, seed: int, threads: int) -> PathFunctionals:
+    """PathFunctionals of the strategies ``pis`` (K, n_steps, d) on the paths of ``paths_of(stream)``."""
+    eta = np.asarray(eta, dtype=float)
+    n_strat, n_steps = pis.shape[:2]
+
+    def worker(stream):
+        i_dn = np.zeros((stream.count, n_strat))
+        i_quad = np.zeros((n_strat, stream.count))
+        paths = paths_of(stream)
+        for k, (r, _, sr, dq) in enumerate(paths):
+            dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
+            pk = pis[:, k, :]
+            i_dn += dn @ pk.T
+            i_quad += _quad_forms(r, pk) * dt
+        return (i_dn, i_quad.T.copy(), paths.o, paths.r, paths.n_clamped)
+
+    *parts, n_clamped = zip(*_run_blocks(worker, seed, n_paths, threads))
+    return PathFunctionals(*map(np.concatenate, parts),
+                           projection_fraction=sum(n_clamped) / (n_paths * n_steps))
+
+
 def heston_functionals(
     params: AffineParams,
     r0,
@@ -587,41 +609,19 @@ def heston_functionals(
     o2=None,
     threads: int = 1,
 ) -> PathFunctionals:
-    """Vectorized terminal functionals of the continuous model (no trajectory storage)."""
+    """Vectorized terminal functionals of the continuous model (no trajectory storage).
+
+    O follows dO = o_sigma sqrt(R) dQhat + (o1 + o2 R) dt; an absent term is 0.
+    """
     if not params.continuous:
         raise ValueError("heston_functionals expects a continuous parameter set")
     d = params.d
     r0 = as_sym(r0)
-    eta = np.asarray(eta, dtype=float)
     pis = _strategies_on_grid(strategies, n_steps, d)
-    n_strat = pis.shape[0]
-    need_o = any(x is not None for x in (o_sigma, o1, o2))
-    sig_o = np.zeros((d, d)) if o_sigma is None else np.asarray(o_sigma, dtype=float)
-    o1m = np.zeros((d, d)) if o1 is None else np.asarray(o1, dtype=float)
-    o2m = np.zeros((d, d)) if o2 is None else np.asarray(o2, dtype=float)
-    need_qhat = bool(np.any(sig_o))
+    o_terms = [np.zeros((d, d)) if x is None else np.asarray(x, dtype=float) for x in (o_sigma, o1, o2)]
     dt = T / n_steps
-
-    def worker(stream):
-        count = stream.count
-        i_dn = np.zeros((count, n_strat))
-        i_quad = np.zeros((n_strat, count))
-        o = np.zeros((count, d, d))
-        paths = _EulerPaths(params, r0, corr, dt, n_steps, stream, need_qhat)
-        for k, (r, sr, dq, dqh) in enumerate(paths):
-            dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
-            pk = pis[:, k, :]
-            i_dn += dn @ pk.T
-            i_quad += _quad_forms(r, pk) * dt
-            if need_o:
-                o += (o1m + _const_batch(o2m, r)) * dt
-                if need_qhat:
-                    o += _const_batch(sig_o, np.matmul(sr, dqh))
-        return (i_dn, i_quad.T.copy(), o, paths.r, paths.n_clamped)
-
-    *parts, n_clamped = zip(*_run_blocks(worker, seed, n_paths, threads))
-    return PathFunctionals(*map(np.concatenate, parts),
-                           projection_fraction=sum(n_clamped) / (n_paths * n_steps))
+    return _audit(lambda stream: _EulerPaths(params, r0, corr, dt, n_steps, stream, o_terms),
+                  pis, eta, dt, n_paths, seed, threads)
 
 
 def bns_functionals(
@@ -636,30 +636,9 @@ def bns_functionals(
     threads: int = 1,
 ) -> PathFunctionals:
     """Terminal functionals of the jump-OU model; O is realized covariance int R dt."""
-    d = spec.d
-    r0 = as_sym(r0)
-    eta = np.asarray(eta, dtype=float)
-    pis = _strategies_on_grid(strategies, n_steps, d)
-    n_strat = pis.shape[0]
-    dt = T / n_steps
-    flow = _bns_flow(spec, T, n_steps, n_paths)
-
-    def worker(stream):
-        count = stream.count
-        i_dn = np.zeros((count, n_strat))
-        i_quad = np.zeros((n_strat, count))
-        o = np.zeros((count, d, d))
-        paths = _JumpOuPaths(spec, r0, dt, n_steps, stream, flow)
-        for k, (r, sr, dd) in enumerate(paths):
-            dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
-            pk = pis[:, k, :]
-            i_dn += dn @ pk.T
-            i_quad += _quad_forms(r, pk) * dt
-            o += r * dt
-        return (i_dn, i_quad.T.copy(), o, paths.r)
-
-    parts = zip(*_run_blocks(worker, seed, n_paths, threads))
-    return PathFunctionals(*map(np.concatenate, parts), projection_fraction=0.0)
+    pis = _strategies_on_grid(strategies, n_steps, spec.d)
+    return _audit(_jump_ou_engine(spec, r0, T, n_steps, n_paths), pis, eta, T / n_steps, n_paths, seed,
+                  threads)
 
 
 # -- weak-error study with common random numbers ----------------------------------------

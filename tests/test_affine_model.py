@@ -16,13 +16,21 @@ from affinebsde.affine_model import (
     validate_admissibility,
     wishart_params,
 )
-from affinebsde.symcone import frobenius, mat_exp, symmetrize, trace_inner
+from affinebsde.symcone import frobenius, mat_exp, psd_sqrt, symmetrize, trace_inner
 from conftest import rand_pd, rand_psd, rand_sym
 
 
 def random_general_drift(rng, d):
     betas = rng.standard_normal((d, d, d, d))
     return GeneralFormDrift(betas)  # constructor symmetrizes
+
+
+def test_sigma_is_the_psd_root_of_alpha(rng):
+    alpha = rand_pd(rng, 3, 0.5)
+    params = AffineParams(alpha=alpha, b=3.0 * alpha, drift=HFormDrift(np.zeros((3, 3))))
+    assert np.array_equal(params.sigma, psd_sqrt(params.alpha))
+    with pytest.raises(TypeError):  # not a constructor argument
+        AffineParams(alpha=alpha, b=3.0 * alpha, drift=HFormDrift(np.zeros((3, 3))), sigma=np.eye(3))
 
 
 class TestTruncation:
@@ -309,7 +317,7 @@ class TestAdmissibility:
             # the sampled check only ever saw round-off around the exact 0
             assert abs(sampled_inward_minimum(params)) <= 1e-14 * (1.0 + frobenius(params.drift.h))
 
-    def test_big_jump_mass_reported(self, rng):
-        params = jump_params(rng)
-        detail = validate_admissibility(params).checks["m_integrable"].detail
-        assert "big-jump mass" in detail
+    def test_reports_only_checks_that_can_fail(self, rng):
+        # alpha PSD, U_k PSD and the integrability of m hold by construction
+        for params in (jump_params(rng), random_h_form_model(rng, 3)):
+            assert set(validate_admissibility(params).checks) == {"b_dominates", "inward_drift"}

@@ -148,6 +148,21 @@ class TestRiccatiSolveCommand:
             times[method] = json.loads((out / "riccati_summary.json").read_text())["blow_up"]["time"]
         assert times["block-exp"] == pytest.approx(times["rk4"], abs=0.01)
 
+    def test_block_exp_honours_terminal_v(self, tmp_path):
+        cfg = riccati_1d_degenerate_config()
+        cfg["generator"]["c_y"] = 0.2  # the integrating factor carries w(T) back to t = 0
+        cfg["terminal"] = {"u": [[0.0]], "v": 1.5}
+        w0 = {}
+        for method in ("rk4", "block-exp"):
+            cfg["solver"] = {"steps": 2000, "method": method}
+            out = tmp_path / method
+            rc = main(["riccati-solve", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+            assert rc == EXIT_OK
+            summary = json.loads((out / "riccati_summary.json").read_text())
+            assert summary["terminal_v"] == 1.5
+            w0[method] = summary["w0"]
+        assert w0["block-exp"] == pytest.approx(w0["rk4"], abs=1e-12)
+
     def test_invalid_config_lists_all_errors(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema_version": 99, "model": {"kind": "nope"}})
         rc = main(["riccati-solve", "--config", cfg, "--out", str(tmp_path)])
@@ -632,6 +647,14 @@ class TestExitCodes:
         }
         line = self.run_failing(tmp_path, capsys, "verify", cfg, EXIT_CONFIG)
         assert message in line
+        assert not os.listdir(tmp_path / "out")
+
+    def test_block_exp_refuses_nonzero_terminal_u(self, tmp_path, capsys):
+        cfg = riccati_1d_degenerate_config()
+        cfg["terminal"] = {"u": [[0.3]], "v": 1.5}
+        cfg["solver"] = {"steps": 200, "method": "block-exp"}
+        line = self.run_failing(tmp_path, capsys, "riccati-solve", cfg, EXIT_CONFIG)
+        assert "terminal.u" in line
         assert not os.listdir(tmp_path / "out")
 
     def test_block_exp_on_general_drift_is_config_error(self, tmp_path, capsys):

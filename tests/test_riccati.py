@@ -250,6 +250,15 @@ class TestBlockExp:
         rk = solve_rk(model.params, coeffs, np.zeros((2, 2)), 0.0, 1.0, steps=400)
         assert np.max(np.abs(be.w - rk.w)) <= 1e-9
 
+    @pytest.mark.parametrize("v", [1.5, -2.0])
+    def test_terminal_v_matches_rk(self, v):
+        model = _heston_model_d2()
+        coeffs = GeneratorCoeffs.build(2, c_zz=0.4 * np.eye(2), c_x=0.2 * np.eye(2), c_y=0.5, c_t=0.1)
+        be = solve_block_exp(model.params, coeffs, 1.0, steps=2000, terminal_v=v)
+        rk = solve_rk(model.params, coeffs, np.zeros((2, 2)), v, 1.0, steps=2000)
+        assert be.terminal_v == v
+        assert np.max(np.abs(be.w - rk.w)) <= 1e-12
+
     def test_singular_a22_raises(self):
         params = AffineParams(alpha=np.array([[1.0]]), b=np.zeros((1, 1)),
                               drift=HFormDrift(np.zeros((1, 1))))

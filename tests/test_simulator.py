@@ -22,9 +22,13 @@ from affinebsde.simulator import (
     _BlockStream,
     _ahead,
     _batch_const,
+    _AffineFlow,
+    _blocks,
     _check_jump_budget,
     _check_path_step_budget,
     _const_batch,
+    _drift_apply_batch,
+    _euler_update,
     _quad_forms,
     bns_functionals,
     heston_functionals,
@@ -201,8 +205,7 @@ class TestPrefetchParity:
     def test_simulate_wishart(self, monkeypatch):
         def run():
             bundles = simulate_wishart(small_wishart(), R0, CorrelationSpec(np.array([-0.4, -0.2])),
-                                       np.array([0.6, 0.3]), 1.0, 3, self.N, seed=9,
-                                       o_sigma=0.3 * np.eye(2), o1=0.02 * np.eye(2), o2=0.05 * np.eye(2))
+                                       np.array([0.6, 0.3]), 1.0, 3, self.N, seed=9)
             return [a for b in bundles for a in (b.r, b.n_log, b.o, b.projection_fraction)]
 
         self.compare(monkeypatch, run)
@@ -292,29 +295,23 @@ class TestReplay:
         params = small_wishart()
         corr = CorrelationSpec(np.array([-0.4, -0.2]))
         eta = np.array([0.6, 0.3])
-        sig_o = 0.3 * np.eye(2)
-        o1 = 0.02 * np.eye(2)
-        o2 = 0.05 * np.eye(2)
-        bundle = next(simulate_wishart(params, R0, corr, eta, 1.0, 25, 4, seed=9,
-                                       o_sigma=sig_o, o1=o1, o2=o2))
+        bundle = next(simulate_wishart(params, R0, corr, eta, 1.0, 25, 4, seed=9))
         dt = 1.0 / 25
         # the increments, drawn again in simulate_wishart's order: dW, dD, dQhat per step
         stream = _BlockStream(9, 0, 4)
         n = np.zeros((4, 2))
-        o = np.zeros((4, 2, 2))
         for k in range(25):
             dw = stream.normal((2, 2), np.sqrt(dt))
             dd = stream.normal((2,), np.sqrt(dt))
-            dqhat = stream.normal((2, 2), np.sqrt(dt))
+            stream.normal((2, 2), np.sqrt(dt))  # dQhat, drawn although O has no term
             r = bundle.r[:, k]
             _, sr, _ = project_and_sqrt_psd_batch(r)
             dq = dw @ corr.rho + corr.orth * dd
             n = n + (r @ eta) * dt + np.einsum("bij,bj->bi", sr, dq)
-            o = o + np.matmul(sig_o, np.matmul(sr, dqhat)) + (o1 + np.matmul(o2, r)) * dt
             # sqrt(R) is re-derived from the stored (already projected) state,
             # so agreement is up to eigensolver round-off, not bitwise
             assert np.allclose(n, bundle.n_log[:, k + 1], rtol=1e-12, atol=1e-13)
-            assert np.allclose(o, bundle.o[:, k + 1], rtol=1e-12, atol=1e-13)
+        assert np.array_equal(bundle.o.view(np.uint64), np.zeros_like(bundle.o).view(np.uint64))
 
     def test_projection_fraction_logged(self):
         params = small_wishart()
@@ -364,6 +361,215 @@ class TestEngineParity:
         assert len(bundles) == 2
         self.assert_bitwise(fn.r_terminal, np.concatenate([b.r[:, -1] for b in bundles]))
         assert fn.projection_fraction == 0.0 and all(b.projection_fraction == 0.0 for b in bundles)
+
+
+def _frozen_euler_paths(params, r0, corr, dt, n_steps, stream, need_qhat, out):
+    """The Heston engine before it owned O: yields (r, sr, dq, dqh); ``out`` gets R at T, clamp count."""
+    d = params.d
+    r, sr, _ = project_and_sqrt_psd_batch(np.broadcast_to(r0, (stream.count, d, d)).copy())
+    shapes = [(d, d), (d,), (d, d)] if need_qhat else [(d, d), (d,)]
+    n_clamped = 0
+    for _ in range(n_steps):
+        dw, dd, *dqh = (stream.normal(shape, np.sqrt(dt)) for shape in shapes)
+        dq = _batch_const(dw, corr.rho) + corr.orth * dd
+        yield r, sr, dq, (dqh[0] if dqh else None)
+        r = _euler_update(r, sr, params, dt, dw)
+        r, sr, shift = project_and_sqrt_psd_batch(r)
+        n_clamped += int(np.count_nonzero(shift > 1e-13))
+    out.update(r=r, n_clamped=n_clamped)
+
+
+def _frozen_jump_ou_paths(spec, r0, dt, n_steps, stream, flow, out):
+    """The jump-OU engine before it owned O: yields (r, sr, dd); ``out`` gets R at T."""
+    d = spec.d
+    const = spec.lam + spec.b_j
+    lam_tot = spec.total_intensity
+    cdf = np.cumsum(spec.m_j.weights) / lam_tot if lam_tot > 0 else None
+    r = np.broadcast_to(r0, (stream.count, d, d)).copy()
+    for _ in range(n_steps):
+        _, sr, _ = project_and_sqrt_psd_batch(r)
+        yield r, sr, stream.normal((d,), np.sqrt(dt))
+        if flow is not None:
+            r = _batch_const(_const_batch(flow.e_dt, r), flow.e_dt.T) + flow.d_dt
+        else:
+            r = r + (const + _drift_apply_batch(spec.lam_op, r)) * dt
+        if lam_tot > 0:
+            ids, taus, marks = stream.jumps(lam_tot * dt, cdf, dt)
+            if ids.size:
+                xis = spec.m_j.xis[marks]
+                if flow is not None:
+                    props = flow.propagators(dt - taus)
+                    xis = np.matmul(np.matmul(props, xis), props.transpose(0, 2, 1))
+                np.add.at(r, ids, xis)
+    out["r"] = r
+
+
+def _frozen_heston_functionals(params, r0, corr, eta, T, n_steps, pis, n_paths, seed,
+                               o_sigma=None, o1=None, o2=None):
+    """heston_functionals' own loop before the shared audit loop, blocks in turn."""
+    d, dt = params.d, T / n_steps
+    pis = np.repeat(pis[:, None, :], n_steps, axis=1)
+    need_o = any(x is not None for x in (o_sigma, o1, o2))
+    sig_o, o1m, o2m = (np.zeros((d, d)) if x is None else x for x in (o_sigma, o1, o2))
+    need_qhat = bool(np.any(sig_o))
+    parts, clamped = [], 0
+    for start, count in _blocks(n_paths):
+        i_dn, i_quad = np.zeros((count, len(pis))), np.zeros((len(pis), count))
+        o, out = np.zeros((count, d, d)), {}
+        stream = _BlockStream(seed, start, count)
+        paths = _frozen_euler_paths(params, r0, corr, dt, n_steps, stream, need_qhat, out)
+        for k, (r, sr, dq, dqh) in enumerate(paths):
+            dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
+            pk = pis[:, k, :]
+            i_dn += dn @ pk.T
+            i_quad += _quad_forms(r, pk) * dt
+            if need_o:
+                o += (o1m + _const_batch(o2m, r)) * dt
+                if need_qhat:
+                    o += _const_batch(sig_o, np.matmul(sr, dqh))
+        parts.append((i_dn, i_quad.T.copy(), o, out["r"]))
+        clamped += out["n_clamped"]
+    return [np.concatenate(x) for x in zip(*parts)] + [clamped / (n_paths * n_steps)]
+
+
+def _frozen_flow(spec, dt):
+    return _AffineFlow(spec.lam_op.h, spec.lam + spec.b_j, dt) if isinstance(spec.lam_op, HFormDrift) else None
+
+
+def _frozen_bns_functionals(spec, r0, eta, T, n_steps, pis, n_paths, seed):
+    """bns_functionals' own loop before the shared audit loop, blocks in turn."""
+    d, dt = spec.d, T / n_steps
+    pis = np.repeat(pis[:, None, :], n_steps, axis=1)
+    flow = _frozen_flow(spec, dt)
+    parts = []
+    for start, count in _blocks(n_paths):
+        i_dn, i_quad = np.zeros((count, len(pis))), np.zeros((len(pis), count))
+        o, out = np.zeros((count, d, d)), {}
+        for k, (r, sr, dd) in enumerate(_frozen_jump_ou_paths(spec, r0, dt, n_steps,
+                                                              _BlockStream(seed, start, count), flow, out)):
+            dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
+            pk = pis[:, k, :]
+            i_dn += dn @ pk.T
+            i_quad += _quad_forms(r, pk) * dt
+            o += r * dt
+        parts.append((i_dn, i_quad.T.copy(), o, out["r"]))
+    return [np.concatenate(x) for x in zip(*parts)] + [0.0]
+
+
+def _frozen_simulate_wishart(params, r0, corr, eta, T, n_steps, n_paths, seed, o_sigma=None, o1=None, o2=None):
+    """simulate_wishart's own loop, O knobs included, before the shared bundle loop."""
+    d, dt = params.d, T / n_steps
+    sig_o, o1, o2 = (np.zeros((d, d)) if x is None else x for x in (o_sigma, o1, o2))
+    out_bundles = []
+    for start, count in _blocks(n_paths):
+        out = {}
+        paths = _frozen_euler_paths(params, r0, corr, dt, n_steps, _BlockStream(seed, start, count), True, out)
+        rs = np.empty((count, n_steps + 1, d, d))
+        ns = np.zeros((count, n_steps + 1, d))
+        os_ = np.zeros((count, n_steps + 1, d, d))
+        for k, (r, sr, dq, dqh) in enumerate(paths):
+            rs[:, k] = r
+            ns[:, k + 1] = ns[:, k] + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
+            os_[:, k + 1] = (os_[:, k] + _const_batch(sig_o, np.matmul(sr, dqh))
+                             + (o1 + _const_batch(o2, r)) * dt)
+        rs[:, n_steps] = out["r"]
+        out_bundles += [rs, ns, os_, out["n_clamped"] / (count * n_steps)]
+    return out_bundles
+
+
+def _frozen_simulate_bns(spec, r0, eta, T, n_steps, n_paths, seed):
+    """simulate_bns' own loop before the shared bundle loop."""
+    d, dt = spec.d, T / n_steps
+    flow = _frozen_flow(spec, dt)
+    out_bundles = []
+    for start, count in _blocks(n_paths):
+        out = {}
+        rs = np.empty((count, n_steps + 1, d, d))
+        ns = np.zeros((count, n_steps + 1, d))
+        os_ = np.zeros((count, n_steps + 1, d, d))
+        for k, (r, sr, dd) in enumerate(_frozen_jump_ou_paths(spec, r0, dt, n_steps,
+                                                              _BlockStream(seed, start, count), flow, out)):
+            rs[:, k] = r
+            ns[:, k + 1] = ns[:, k] + _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
+            os_[:, k + 1] = os_[:, k] + r * dt
+        rs[:, n_steps] = out["r"]
+        out_bundles += [rs, ns, os_, 0.0]
+    return out_bundles
+
+
+def _bns_spec_flow_or_euler(general_drift):
+    h = np.array([[-0.6, 0.05], [0.02, -0.4]])
+    lam_op = HFormDrift(h)
+    if general_drift:
+        eye = np.eye(2)
+        lam_op = GeneralFormDrift(np.einsum("ki,jl->ijkl", h, eye) + np.einsum("ik,lj->ijkl", eye, h))
+    return BnsJumpSpec(lam=np.array([[0.05, 0.0], [0.0, 0.04]]), lam_op=lam_op,
+                       b_j=np.array([[0.03, 0.0], [0.0, 0.02]]),
+                       m_j=ConstantJumps.from_atoms([(np.array([[0.2, 0.05], [0.05, 0.15]]), 2.0)]))
+
+
+class TestSharedLoopParity:
+    """The shared audit and bundle loops keep every bit of the four loops they replace."""
+
+    N = STREAM_BLOCK + 100
+    PIS = np.array([[0.5, 0.2], [-0.3, 0.4], [1.5, -1.0]])
+    CORR = CorrelationSpec(np.array([-0.4, -0.2]))
+    ETA = np.array([0.6, 0.3])
+
+    @staticmethod
+    def assert_bitwise(got, ref):
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    # (new arguments, the old loop's arguments): zero endowment fields were passed as None
+    O_CASES = {
+        "no-o": ({}, {}),
+        "zero-arrays": (dict(o_sigma=np.zeros((2, 2)), o1=np.zeros((2, 2)), o2=np.zeros((2, 2))), {}),
+        "o-drift": (dict(o_sigma=np.zeros((2, 2)), o1=np.zeros((2, 2)), o2=np.eye(2)), dict(o2=np.eye(2))),
+        "o-qhat": (dict(o_sigma=0.3 * np.eye(2), o1=0.02 * np.eye(2), o2=0.05 * np.eye(2)),
+                   dict(o_sigma=0.3 * np.eye(2), o1=0.02 * np.eye(2), o2=0.05 * np.eye(2))),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", list(O_CASES))
+    def test_heston_functionals(self, threads, case):
+        new, old = self.O_CASES[case]
+        # a near-singular start makes the clamp fire on some paths
+        r0, params = np.diag([0.02, 0.3]), small_wishart()
+        fn = heston_functionals(params, r0, self.CORR, self.ETA, 1.0, 3, self.PIS, self.N, seed=13,
+                                threads=threads, **new)
+        ref = _frozen_heston_functionals(params, r0, self.CORR, self.ETA, 1.0, 3, self.PIS, self.N, 13, **old)
+        assert ref[-1] > 0
+        self.assert_bitwise([fn.int_pi_dn, fn.int_pi_r_pi, fn.o_terminal, fn.r_terminal,
+                             fn.projection_fraction], ref)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("general_drift", [False, True], ids=["flow", "euler"])
+    def test_bns_functionals(self, threads, general_drift):
+        spec = _bns_spec_flow_or_euler(general_drift)
+        fn = bns_functionals(spec, R0, self.ETA, 1.0, 3, self.PIS, self.N, seed=17, threads=threads)
+        ref = _frozen_bns_functionals(spec, R0, self.ETA, 1.0, 3, self.PIS, self.N, 17)
+        self.assert_bitwise([fn.int_pi_dn, fn.int_pi_r_pi, fn.o_terminal, fn.r_terminal,
+                             fn.projection_fraction], ref)
+
+    def test_simulate_wishart(self):
+        params, r0 = small_wishart(), np.diag([0.02, 0.3])
+        bundles = list(simulate_wishart(params, r0, self.CORR, self.ETA, 1.0, 3, self.N, seed=9))
+        ref = _frozen_simulate_wishart(params, r0, self.CORR, self.ETA, 1.0, 3, self.N, 9)
+        self.assert_bitwise([a for b in bundles for a in (b.r, b.n_log, b.o, b.projection_fraction)], ref)
+        assert [b.path_offset for b in bundles] == [0, STREAM_BLOCK]
+        for b in bundles:
+            assert np.array_equal(b.o.view(np.uint64), np.zeros_like(b.o).view(np.uint64))
+
+    @pytest.mark.parametrize("general_drift", [False, True], ids=["flow", "euler"])
+    def test_simulate_bns(self, general_drift):
+        spec = _bns_spec_flow_or_euler(general_drift)
+        bundles = list(simulate_bns(spec, R0, self.ETA, 1.0, 3, self.N, seed=23))
+        ref = _frozen_simulate_bns(spec, R0, self.ETA, 1.0, 3, self.N, 23)
+        self.assert_bitwise([a for b in bundles for a in (b.r, b.n_log, b.o, b.projection_fraction)], ref)
 
 
 class TestWishartStatistics:
