@@ -16,7 +16,7 @@ Each engine steps the (R, O) state of one RNG block in one iterator
 (``_EulerPaths``, ``_JumpOuPaths``): it yields ``(r, o, sr, dq)`` before each
 step (the state, sqrt(R) and the price noise dQ, valid until the next step is
 requested) and afterwards exposes ``r`` and ``o`` at T and ``n_clamped`` (0
-for the jump-OU engine, which stays in the cone).  One audit loop
+for the jump-OU engine's exact flow, which stays in the cone).  One audit loop
 (``_audit``: strategy integrals, quadratic variation, terminal R and O, clamp
 count) and one bundle loop (``_bundles``: R, N and O per step) serve both
 engines.  The public ``simulate_wishart`` keeps O at 0.
@@ -30,14 +30,19 @@ which never depends on the simulated state, so one helper thread per block
 fills the next step's draws (``_BlockStream.normals_ahead``, ``AHEAD_DEPTH``
 buffers reused for the whole block) while the block's worker does the step's
 arithmetic; the helper is the block's only caller of its stream and draws in
-the serial order, so the stream order is unchanged.  The weak-error study
-draws in its own serial loop; its d = 2 path ``fill``s one reused buffer per
-step and steps and clamps in place, so it allocates no array memory per step.
+the serial order, so the stream order is unchanged.  The weak-error study and
+the jump-OU engine draw in their own serial loop, each step ``fill``-ing one
+reused buffer.  At d = 2 the weak-error study steps and clamps in place, and
+so does the jump-OU engine's exact flow (one ``Clamp2x2Scratch`` per block,
+whose work rows also hold the flow's temporaries), so neither allocates array
+memory per step apart from the jump draws; ``_audit`` keeps its per-step
+arrays in per-block buffers too.
 Path generation parallelizes over blocks (``threads``); per-block results are
 reduced in block order, which keeps every output bit-identical regardless of
 the thread count.  Products of a path batch with a constant matrix or vector
 (``_const_batch``, ``_batch_const``) are single BLAS calls whose bitwise
-equality with stacked ``matmul`` a test of the suite pins.
+equality with stacked ``matmul`` a test of the suite pins; the in-place flow
+step and quadratic forms are pinned to them the same way.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import numpy as np
 
 from .affine_model import AffineParams, ConstantJumps, HFormDrift, LinearDrift
 from .symcone import (
+    Clamp2x2Scratch,
     as_sym,
     mat_exp,
     project_and_sqrt_psd_batch,
@@ -233,15 +239,18 @@ def _batch_const(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (r.reshape(-1, r.shape[-1]) @ c).reshape(r.shape[:-1] + c.shape[1:])
 
 
-def _quad_forms(r: np.ndarray, pk: np.ndarray) -> np.ndarray:
-    """(K, B) array of pk_k' r_b pk_k for a C-contiguous r, bitwise einsum "bij,ki,kj->bk"."""
-    rc = r.reshape(len(r), -1).T.copy()
-    q, t = np.zeros((len(pk), len(r))), np.empty((len(pk), len(r)))
-    for n, (i, j) in enumerate(np.ndindex(pk.shape[1], pk.shape[1])):
-        np.multiply(rc[n], pk[:, i, None], out=t)
-        t *= pk[:, j, None]
-        q += t
-    return q
+def _quad_form(rc: np.ndarray, p: np.ndarray, out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """p' r_b p for each matrix r_b of a batch, into ``out`` (B,); ``t`` (B,) is scratch.
+
+    ``rc`` (d^2, B) holds the entries of the batch, one row per entry in
+    row-major order.  The terms r_ij p_i p_j are summed from 0 in that order,
+    so for p = pk[k] the result is bitwise column k of einsum "bij,ki,kj->bk".
+    """
+    for n, (i, j) in enumerate(np.ndindex(len(p), len(p))):
+        np.multiply(rc[n], p[i], out=t)
+        t *= p[j]
+        np.add(out if n else 0.0, t, out=out)
+    return out
 
 
 def _drift_apply_batch(drift: LinearDrift, r: np.ndarray) -> np.ndarray:
@@ -456,11 +465,32 @@ class _AffineFlow:
         if delta == 0.0:
             return np.zeros_like(self.const)
         ss = np.linspace(0.0, delta, nodes + 1)
-        vals = np.array([mat_exp(self.h * s) @ self.const @ mat_exp(self.h * s).T for s in ss])
+        props = [mat_exp(self.h * s) for s in ss]
+        vals = np.array([e @ self.const @ e.T for e in props])
         w = np.ones(nodes + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         return np.einsum("n,nij->ij", w, vals) * (delta / nodes) / 3.0
+
+    def step(self, r: np.ndarray, work: np.ndarray) -> None:
+        """r <- e^{H dt} r e^{H^T dt} + D(dt) in place for a C-contiguous (B, d, d) batch r.
+
+        Two gemms with the operand shapes of ``_const_batch`` and
+        ``_batch_const``, so r is bitwise ``_batch_const(_const_batch(e, r),
+        e.T) + d_dt``.  ``work`` is a C-contiguous scratch of at least
+        2 B d^2 entries, for the transposed copies.
+        """
+        b, d, _ = r.shape
+        n = b * d * d
+        flat = work.reshape(-1)
+        rt, er = flat[:n].reshape(d, b * d), flat[n: 2 * n].reshape(d, b * d)
+        row = np.dtype((np.void, 8 * d))  # the transposed copies move whole matrix rows
+        np.copyto(rt.view(row), r.view(row)[..., 0].T)  # rt[i, b d + k] = r[b, i, k]
+        np.matmul(self.e_dt, rt, out=er)
+        np.copyto(rt.view(row).reshape(b, d), er.view(row).T)  # rt is e r in (B, d, d) order
+        np.matmul(rt.reshape(b * d, d), self.e_dt.T, out=r.reshape(b * d, d))
+        for (i, j), v in np.ndenumerate(self.d_dt):
+            r[:, i, j] += v
 
     def propagators(self, deltas: np.ndarray) -> np.ndarray:
         """exp(H delta_k) for a batch of sub-interval lengths."""
@@ -477,33 +507,43 @@ class _JumpOuPaths:
 
     O accumulates realized covariance, O += R dt.  The price noise dQ = dD is
     drawn before the step's jumps.  ``flow`` is the exact flow over one step
-    of an H-form drift; without one the drift is an Euler step.  R stays in
-    the cone, so ``n_clamped`` is 0.
+    of an H-form drift; it keeps R in the cone, so only sqrt(R) of the clamp
+    is formed and ``n_clamped`` stays 0.  Without one the drift is an Euler
+    step, which can leave the cone: R is kept as it is, sqrt(R) is that of
+    its PSD clamp, and ``n_clamped`` counts the path-steps whose clamp removed
+    a negative part above 1e-13 (Frobenius), as in ``_EulerPaths``.  The block
+    allocates its state and step buffers once (at d = 2 the clamp's too); the
+    exact-flow step then allocates only its jump draws.
     """
-
-    n_clamped = 0
 
     def __init__(self, spec: BnsJumpSpec, r0: np.ndarray, dt: float, n_steps: int,
                  stream: _BlockStream, flow: Optional[_AffineFlow]):
         self.spec, self.r0, self.dt, self.n_steps = spec, r0, dt, n_steps
         self.stream, self.flow = stream, flow
         self.r = self.o = None
+        self.n_clamped = 0
 
     def __iter__(self):
         spec, dt, stream, flow = self.spec, self.dt, self.stream, self.flow
-        d = spec.d
+        d, count = spec.d, stream.count
         sdt = np.sqrt(dt)
         const = spec.lam + spec.b_j
         lam_tot = spec.total_intensity
         cdf = np.cumsum(spec.m_j.weights) / lam_tot if lam_tot > 0 else None
-        r = np.broadcast_to(self.r0, (stream.count, d, d)).copy()
-        o = np.zeros((stream.count, d, d))
-        for _ in range(self.n_steps):
-            _, sr, _ = project_and_sqrt_psd_batch(r)
-            yield r, o, sr, stream.normal((d,), sdt)
-            o += r * dt
+        clamp = Clamp2x2Scratch((count,), root_only=flow is not None) if d == 2 else None
+        # the flow's transposed copies and R dt live in the clamp's work rows between clamps
+        work = clamp.work if clamp is not None else np.empty((2 * d * d, count))
+        r_dt = work[: d * d].reshape(count, d, d)
+        raw = np.empty(STREAM_BLOCK * d)
+        r = np.broadcast_to(self.r0, (count, d, d)).copy()
+        o = np.zeros((count, d, d))
+        _, sr, _ = project_and_sqrt_psd_batch(r, clamp)
+        for k in range(self.n_steps):
+            (dd,) = stream.used_rows(stream.fill(raw), [(d,)], sdt)
+            yield r, o, sr, dd
+            o += np.multiply(r, dt, out=r_dt)
             if flow is not None:
-                r = _batch_const(_const_batch(flow.e_dt, r), flow.e_dt.T) + flow.d_dt
+                flow.step(r, work)
             else:
                 r = r + (const + _drift_apply_batch(spec.lam_op, r)) * dt
             if lam_tot > 0:
@@ -514,6 +554,11 @@ class _JumpOuPaths:
                         props = flow.propagators(dt - taus)
                         xis = np.matmul(np.matmul(props, xis), props.transpose(0, 2, 1))
                     np.add.at(r, ids, xis)
+            if flow is None:  # the Euler drift may have left the cone
+                _, sr, shift = project_and_sqrt_psd_batch(r, clamp)
+                self.n_clamped += int(np.count_nonzero(shift > 1e-13))
+            elif k + 1 < self.n_steps:
+                _, sr, _ = project_and_sqrt_psd_batch(r, clamp)
         self.r, self.o = r, o
 
 
@@ -552,8 +597,10 @@ class PathFunctionals:
     ``o_terminal`` the auxiliary state at T, ``r_terminal`` the covariance
     state at T; all evaluated on the simulation grid with left endpoints.
     ``projection_fraction`` is the share of used path-steps (n_paths x n_steps)
-    whose PSD clamp removed a negative part above 1e-13 (Frobenius); the
-    jump-OU engine stays in the cone and reports 0.
+    whose PSD clamp removed a negative part above 1e-13 (Frobenius).  The
+    jump-OU engine's exact flow stays in the cone and reports 0; its Euler
+    drift (a drift that is not H-form) keeps R unprojected but counts the
+    path-steps after which R left the cone.
     """
 
     int_pi_dn: np.ndarray
@@ -579,14 +626,23 @@ def _audit(paths_of: Callable[[_BlockStream], Iterator], pis: np.ndarray, eta, d
     n_strat, n_steps = pis.shape[:2]
 
     def worker(stream):
-        i_dn = np.zeros((stream.count, n_strat))
-        i_quad = np.zeros((n_strat, stream.count))
+        count = stream.count
+        i_dn = np.zeros((count, n_strat))
+        i_quad = np.zeros((n_strat, count))
+        d = pis.shape[2]
+        dn, noise = np.empty((2, count, d))
+        rc, (q, t) = np.empty((d * d, count)), np.empty((2, count))
         paths = paths_of(stream)
         for k, (r, _, sr, dq) in enumerate(paths):
-            dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
+            # dn = (r eta) dt + sqrt(R) dQ, as _batch_const(r, eta) * dt + einsum(...)
+            np.matmul(r.reshape(-1, d), eta, out=dn.reshape(-1))
+            dn *= dt
+            dn += np.einsum("bij,bj->bi", sr, dq, out=noise)
             pk = pis[:, k, :]
             i_dn += dn @ pk.T
-            i_quad += _quad_forms(r, pk) * dt
+            np.copyto(rc, r.reshape(count, -1).T)
+            for acc, p in zip(i_quad, pk):
+                acc += np.multiply(_quad_form(rc, p, q, t), dt, out=q)
         return (i_dn, i_quad.T.copy(), paths.o, paths.r, paths.n_clamped)
 
     *parts, n_clamped = zip(*_run_blocks(worker, seed, n_paths, threads))

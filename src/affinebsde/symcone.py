@@ -12,12 +12,14 @@ Conventions used throughout the package:
 * eigendecompositions order eigenvalues descending so repeated runs are
   bit-for-bit reproducible.
 
-All operations are pure; values can be shared freely across threads.
+All operations are pure, except that the 2x2 clamp writes into the caller's
+``Clamp2x2Scratch`` when given one; values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -141,67 +143,129 @@ def mat_exp(a) -> np.ndarray:
 # -- batched kernels used by the Monte Carlo engines ---------------------------
 
 
-def _spectral_combine_2x2(f1, f2, p00, p01, p11, degen, f_degen) -> np.ndarray:
-    """f1 P1 + f2 (I - P1) from the components of P1; f_degen I where degenerate."""
-    out = np.empty(p00.shape + (2, 2))
-    out[..., 0, 0] = f1 * p00 + f2 * (1.0 - p00)
-    off = f1 * p01 - f2 * p01
-    out[..., 0, 1] = off
-    out[..., 1, 0] = off
-    out[..., 1, 1] = f1 * p11 + f2 * (1.0 - p11)
-    if degen.any():
-        fd = f_degen[degen]
-        out[degen, 0, 0] = fd
-        out[degen, 0, 1] = fd * 0.0
-        out[degen, 1, 0] = fd * 0.0
-        out[degen, 1, 1] = fd
-    return out
+# Rows of ``Clamp2x2Scratch.work``; the d = 2 jump-OU engine keeps its flow
+# temporaries (2 d^2 = 8 rows) in the same rows between clamps.
+CLAMP_2X2_WORK_ROWS = 10
 
 
-def _clamp_spectrum_2x2(mats: np.ndarray):
-    """Closed-form eigenvalue clamp and sqrt for stacked 2x2 matrices.
+class Clamp2x2Scratch:
+    """Caller-owned buffers of the closed-form 2x2 clamp for a batch of shape ``batch``.
+
+    ``root`` (``batch`` + (2, 2)) always; ``proj`` (``batch`` + (2, 2)) and
+    ``shift`` (``batch``) unless built ``root_only``, else None.  ``work``
+    (``CLAMP_2X2_WORK_ROWS`` rows of shape ``batch``) and the bool ``degen``
+    are scratch that every clamp into these buffers overwrites.
+    """
+
+    def __init__(self, batch: tuple, root_only: bool = False):
+        self.work = np.empty((CLAMP_2X2_WORK_ROWS,) + batch)
+        self.degen = np.empty(batch, dtype=bool)
+        self.root = np.empty(batch + (2, 2))
+        self.proj = None if root_only else np.empty(batch + (2, 2))
+        self.shift = None if root_only else np.empty(batch)
+
+
+def _spectral_fill_2x2(m, f1, f2, p00, p01, p11, degen, f_degen, x, y) -> None:
+    """m = f1 P1 + f2 (I - P1) from the components of P1; f_degen I where ``degen`` (None: nowhere).
+
+    x and y are scratch rows.
+    """
+    for i, p in ((0, p00), (1, p11)):  # f1 p + f2 (1 - p) on the diagonal
+        np.multiply(f1, p, out=x)
+        np.subtract(1.0, p, out=y)
+        np.multiply(f2, y, out=y)
+        np.add(x, y, out=m[..., i, i])
+    np.multiply(f1, p01, out=x)  # f1 p01 - f2 p01 off it
+    np.multiply(f2, p01, out=y)
+    np.subtract(x, y, out=m[..., 0, 1])
+    np.copyto(m[..., 1, 0], m[..., 0, 1])
+    if degen is not None:
+        zero = np.multiply(f_degen, 0.0, out=x)
+        for i, j, value in ((0, 0, f_degen), (0, 1, zero), (1, 0, zero), (1, 1, f_degen)):
+            np.copyto(m[..., i, j], value, where=degen)
+
+
+def _clamp_spectrum_2x2(mats: np.ndarray, out: Clamp2x2Scratch):
+    """Closed-form eigenvalue clamp and sqrt for stacked 2x2 matrices, into ``out``.
 
     Works on the components a = x00, b = (x01 + x10)/2, c = x11 of the
     symmetric part, so the input need not be symmetrized first; both outputs
-    are exactly symmetric.  Each entry is bitwise the one the matrix expression
-    f1 P1 + f2 (I - P1) gives, signs of zero included.
+    are exactly symmetric.  Each output is f1 P1 + f2 (I - P1), with P1 the
+    spectral projector onto the top eigenvalue and f1, f2 the clamped
+    eigenvalues (projection) or their roots (sqrt); f_degen I where the
+    spectrum is degenerate.  Every entry is one fixed sequence of ``out=``
+    ufuncs, signs of zero included, so the bits do not depend on what the
+    buffers held.  A root-only ``out`` skips the projection and the shift.
+    ``mats`` may not overlap ``out``.  Returns (proj, root, shift) of ``out``.
     """
-    a = mats[..., 0, 0]
-    c = mats[..., 1, 1]
-    b = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
-    mean = 0.5 * (a + c)
-    disc = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
-    l1 = mean + disc
-    l2 = mean - disc
-    l1c = np.maximum(l1, 0.0)
-    l2c = np.maximum(l2, 0.0)
-    shift = np.sqrt(np.minimum(l1, 0.0) ** 2 + np.minimum(l2, 0.0) ** 2)
+    a, c = mats[..., 0, 0], mats[..., 1, 1]
+    b, mean, disc, l1, l2, p00, p01, p11, x, y = out.work
+    degen = out.degen
+    np.add(mats[..., 0, 1], mats[..., 1, 0], out=b)
+    np.multiply(0.5, b, out=b)
+    np.add(a, c, out=mean)
+    np.multiply(0.5, mean, out=mean)
+    # disc = sqrt(max(0.25 (a - c)^2 + b b, 0)), l1, l2 = mean +- disc
+    np.subtract(a, c, out=disc)
+    np.square(disc, out=disc)
+    np.multiply(0.25, disc, out=disc)
+    np.multiply(b, b, out=x)
+    np.add(disc, x, out=disc)
+    np.maximum(disc, 0.0, out=disc)
+    np.sqrt(disc, out=disc)
+    np.add(mean, disc, out=l1)
+    np.subtract(mean, disc, out=l2)
+    if out.shift is not None:  # sqrt(min(l1, 0)^2 + min(l2, 0)^2)
+        np.minimum(l1, 0.0, out=x)
+        np.square(x, out=x)
+        np.minimum(l2, 0.0, out=y)
+        np.square(y, out=y)
+        np.add(x, y, out=out.shift)
+        np.sqrt(out.shift, out=out.shift)
+    # degenerate where disc <= 1e-14 (1 + |a| + |c| + |b|)
+    np.abs(a, out=x)
+    np.abs(c, out=y)
+    np.add(x, y, out=x)
+    np.abs(b, out=y)
+    np.add(x, y, out=x)
+    np.add(1.0, x, out=x)
+    np.multiply(1e-14, x, out=x)
+    np.less_equal(disc, x, out=degen)
+    # P1 = (R - l2 I)/(2 disc); arbitrary where degenerate, where the result is overwritten
+    safe = np.multiply(2.0, disc, out=x)
+    any_degen = degen.any()
+    if any_degen:
+        np.copyto(safe, 1.0, where=degen)
+    np.subtract(a, l2, out=p00)
+    np.divide(p00, safe, out=p00)
+    np.divide(b, safe, out=p01)
+    np.subtract(c, l2, out=p11)
+    np.divide(p11, safe, out=p11)
+    l1c, l2c = np.maximum(l1, 0.0, out=l1), np.maximum(l2, 0.0, out=l2)
+    md = np.maximum(mean, 0.0, out=mean)
+    where = degen if any_degen else None
+    if out.proj is not None:
+        _spectral_fill_2x2(out.proj, l1c, l2c, p00, p01, p11, where, md, x, y)
+    _spectral_fill_2x2(out.root, np.sqrt(l1c, out=l1c), np.sqrt(l2c, out=l2c), p00, p01, p11, where,
+                       np.sqrt(md, out=md), x, y)
+    return out.proj, out.root, out.shift
 
-    scale = np.abs(a) + np.abs(c) + np.abs(b)
-    degen = disc <= 1e-14 * (1.0 + scale)
-    safe = np.where(degen, 1.0, 2.0 * disc)
 
-    # spectral projector P1 = (R - l2 I)/(2 disc) onto the top eigenvalue;
-    # arbitrary when degenerate, where the result is overwritten by a multiple of I
-    p00 = (a - l2) / safe
-    p01 = b / safe
-    p11 = (c - l2) / safe
-    md = np.maximum(mean, 0.0)
-    proj = _spectral_combine_2x2(l1c, l2c, p00, p01, p11, degen, md)
-    root = _spectral_combine_2x2(np.sqrt(l1c), np.sqrt(l2c), p00, p01, p11, degen, np.sqrt(md))
-    return proj, root, shift
-
-
-def project_and_sqrt_psd_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def project_and_sqrt_psd_batch(mats: np.ndarray, out: Optional[Clamp2x2Scratch] = None
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project onto the PSD cone and take the PSD square root in one pass.
 
     Returns (projected, sqrt, shift) where shift is the Frobenius norm of the
     clamped negative part, per matrix; a closed-form spectral path handles
-    d = 2, batched LAPACK eigh handles general d.
+    d = 2, batched LAPACK eigh handles general d.  At d = 2 the results are
+    written into the buffers ``out`` (a root-only one gives None for the
+    projection and the shift); without ``out`` each call allocates its own.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.shape[-1] == 2:
-        return _clamp_spectrum_2x2(mats)
+        return _clamp_spectrum_2x2(mats, Clamp2x2Scratch(mats.shape[:-2]) if out is None else out)
+    if out is not None:
+        raise ValueError("caller-owned clamp buffers are for 2x2 matrices only")
     w, v = np.linalg.eigh(symmetrize(mats))
     wc = np.clip(w, 0.0, None)
     shift = np.linalg.norm(np.minimum(w, 0.0), axis=-1)

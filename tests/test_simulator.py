@@ -29,7 +29,7 @@ from affinebsde.simulator import (
     _const_batch,
     _drift_apply_batch,
     _euler_update,
-    _quad_forms,
+    _quad_form,
     bns_functionals,
     heston_functionals,
     mean_stderr,
@@ -37,7 +37,7 @@ from affinebsde.simulator import (
     simulate_wishart,
     wishart_weak_errors,
 )
-from affinebsde.symcone import project_and_sqrt_psd_batch
+from affinebsde.symcone import mat_exp, project_and_sqrt_psd_batch
 from conftest import rand_pd, rand_psd
 
 
@@ -99,7 +99,24 @@ class TestConstantProducts:
             self.assert_bitwise(_batch_const(r, v), np.matmul(r, v))
         r = contiguous
         for pk in (pis[:, 1, :], pis[:1, 1, :]):  # one step of a strategy grid, K = 9 and 1
-            self.assert_bitwise(_quad_forms(r, pk).T, np.einsum("bij,ki,kj->bk", r, pk, pk))
+            ref = np.einsum("bij,ki,kj->bk", r, pk, pk)
+            # stale contents in the buffers must not reach the result
+            q, t = np.full((2, b), np.nan)
+            rc = r.reshape(b, -1).T.copy()
+            got = np.stack([_quad_form(rc, p, q, t).copy() for p in pk], axis=1)
+            self.assert_bitwise(got, ref)
+
+    @pytest.mark.parametrize("b", [1, 7, 16384])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_flow_step_in_place(self, d, b):
+        rng = np.random.default_rng(10 * d + b)
+        h = rng.standard_normal((d, d)) - 2.0 * np.eye(d)
+        flow = _AffineFlow(h, rand_psd(rng, d), 0.3)
+        r = rng.standard_normal((b, d, d))
+        ref = _batch_const(_const_batch(flow.e_dt, r), flow.e_dt.T) + flow.d_dt
+        work = np.full((2 * d * d, b), np.nan)
+        flow.step(r, work)
+        self.assert_bitwise(r, ref)
 
 
 class TestAhead:
@@ -363,6 +380,17 @@ class TestEngineParity:
         assert fn.projection_fraction == 0.0 and all(b.projection_fraction == 0.0 for b in bundles)
 
 
+def _frozen_quad_forms(r, pk):
+    """The (K, B) quadratic forms the audit loop formed before it went one strategy row at a time."""
+    rc = r.reshape(len(r), -1).T.copy()
+    q, t = np.zeros((len(pk), len(r))), np.empty((len(pk), len(r)))
+    for n, (i, j) in enumerate(np.ndindex(pk.shape[1], pk.shape[1])):
+        np.multiply(rc[n], pk[:, i, None], out=t)
+        t *= pk[:, j, None]
+        q += t
+    return q
+
+
 def _frozen_euler_paths(params, r0, corr, dt, n_steps, stream, need_qhat, out):
     """The Heston engine before it owned O: yields (r, sr, dq, dqh); ``out`` gets R at T, clamp count."""
     d = params.d
@@ -422,7 +450,7 @@ def _frozen_heston_functionals(params, r0, corr, eta, T, n_steps, pis, n_paths, 
             dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dq)
             pk = pis[:, k, :]
             i_dn += dn @ pk.T
-            i_quad += _quad_forms(r, pk) * dt
+            i_quad += _frozen_quad_forms(r, pk) * dt
             if need_o:
                 o += (o1m + _const_batch(o2m, r)) * dt
                 if need_qhat:
@@ -450,7 +478,7 @@ def _frozen_bns_functionals(spec, r0, eta, T, n_steps, pis, n_paths, seed):
             dn = _batch_const(r, eta) * dt + np.einsum("bij,bj->bi", sr, dd)
             pk = pis[:, k, :]
             i_dn += dn @ pk.T
-            i_quad += _quad_forms(r, pk) * dt
+            i_quad += _frozen_quad_forms(r, pk) * dt
             o += r * dt
         parts.append((i_dn, i_quad.T.copy(), o, out["r"]))
     return [np.concatenate(x) for x in zip(*parts)] + [0.0]
@@ -570,6 +598,83 @@ class TestSharedLoopParity:
         bundles = list(simulate_bns(spec, R0, self.ETA, 1.0, 3, self.N, seed=23))
         ref = _frozen_simulate_bns(spec, R0, self.ETA, 1.0, 3, self.N, 23)
         self.assert_bitwise([a for b in bundles for a in (b.r, b.n_log, b.o, b.projection_fraction)], ref)
+
+
+def _frozen_drift_integral(h, const, delta):
+    """_AffineFlow._drift_integral when it formed each Simpson node's exponential twice."""
+    nodes = 20
+    ss = np.linspace(0.0, delta, nodes + 1)
+    vals = np.array([mat_exp(h * s) @ const @ mat_exp(h * s).T for s in ss])
+    w = np.ones(nodes + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return np.einsum("n,nij->ij", w, vals) * (delta / nodes) / 3.0
+
+
+@pytest.mark.parametrize("engine", ["heston", "bns"])
+def test_audits_clamp_once_per_step_through_the_module_global(monkeypatch, engine):
+    from affinebsde import simulator
+
+    # bench/tracing.py wraps the module global and reads the batch from
+    # the first positional argument; a call that bypassed either would
+    # silently drop out of the symcone.project_and_sqrt_psd_batch counts
+    clamp, batches = simulator.project_and_sqrt_psd_batch, []
+
+    def spy(*args, **kwargs):
+        batches.append(args[0].shape)
+        return clamp(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "project_and_sqrt_psd_batch", spy)
+    n_steps, n_paths, pis = 3, STREAM_BLOCK + 100, np.zeros((2, 2))
+    if engine == "heston":  # R0 and the state after each step
+        heston_functionals(small_wishart(), R0, CorrelationSpec(np.zeros(2)), np.zeros(2), 1.0, n_steps,
+                           pis, n_paths, seed=1, threads=2)
+        calls = n_steps + 1
+    else:  # the state before each step
+        bns_functionals(_bns_spec_flow_or_euler(False), R0, np.zeros(2), 1.0, n_steps, pis, n_paths,
+                        seed=1, threads=2)
+        calls = n_steps
+    assert sorted(batches) == sorted([(count, 2, 2) for count in (STREAM_BLOCK, 100)] * calls)
+
+
+class TestJumpOuEngine:
+    """The jump-OU engine's clamp count and flow set-up."""
+
+    @staticmethod
+    def cone_leaving_spec():
+        # R0 = 0.3 I: one Euler drift step of length 1 gives -9 R0 + 0.06 I plus jumps
+        eye = np.eye(2)
+        h = -5.0 * eye
+        betas = np.einsum("ki,jl->ijkl", h, eye) + np.einsum("ik,lj->ijkl", eye, h)
+        return BnsJumpSpec(lam=0.05 * eye, lam_op=GeneralFormDrift(betas), b_j=0.01 * eye,
+                           m_j=ConstantJumps.from_atoms([(0.1 * eye, 1.0)]))
+
+    def test_euler_drift_counts_the_clamps_it_needs(self):
+        spec, r0 = self.cone_leaving_spec(), 0.3 * np.eye(2)
+        fn = bns_functionals(spec, r0, np.zeros(2), 1.0, 1, np.zeros((1, 2)), 1000, seed=0)
+        assert np.linalg.eigvalsh(fn.r_terminal).min() < -2.0
+        assert fn.projection_fraction > 0.0
+        bundle = next(simulate_bns(spec, r0, np.zeros(2), 1.0, 1, 1000, seed=0))
+        assert bundle.projection_fraction == fn.projection_fraction
+        # the exact flow of the same drift stays in the cone
+        flow_spec = BnsJumpSpec(lam=spec.lam, lam_op=HFormDrift(-5.0 * np.eye(2)), b_j=spec.b_j, m_j=spec.m_j)
+        fn = bns_functionals(flow_spec, r0, np.zeros(2), 1.0, 1, np.zeros((1, 2)), 1000, seed=0)
+        assert np.linalg.eigvalsh(fn.r_terminal).min() > 0.0
+        assert fn.projection_fraction == 0.0
+
+    @pytest.mark.parametrize("h", [np.array([[-0.6, 0.05], [0.02, -0.4]]), np.array([[-1.0, 3.0], [0.0, -1.0]]),
+                                   np.array([[-0.3, 0.1, 0.0], [0.2, -0.5, 0.1], [0.0, 0.4, -0.2]])],
+                             ids=["d2", "d2-defective", "d3"])
+    def test_drift_integral_one_exponential_per_node(self, monkeypatch, h):
+        from affinebsde import simulator
+
+        exp, calls = simulator.mat_exp, []
+        monkeypatch.setattr(simulator, "mat_exp", lambda a: calls.append(1) or exp(a))
+        const = rand_psd(np.random.default_rng(len(h)), len(h))
+        flow = _AffineFlow(h, const, 0.37)
+        assert len(calls) == 1 + 21  # e^{H dt}, then one per Simpson node
+        ref = _frozen_drift_integral(h, const, 0.37)
+        assert np.array_equal(flow.d_dt.view(np.uint64), ref.view(np.uint64))
 
 
 class TestWishartStatistics:

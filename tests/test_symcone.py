@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affinebsde.symcone import (
+    Clamp2x2Scratch,
     ConeClass,
     DimensionMismatchError,
     IndefiniteMatrixError,
@@ -250,3 +251,113 @@ class TestDegenerate2x2Clamp:
         proj, root, _ = project_and_sqrt_psd_batch(mats)
         assert not np.any(proj[:, 0, 1]) and not np.any(root[:, 0, 1])
         self.check_against_dense(mats)
+
+
+def _frozen_spectral_combine_2x2(f1, f2, p00, p01, p11, degen, f_degen):
+    out = np.empty(p00.shape + (2, 2))
+    out[..., 0, 0] = f1 * p00 + f2 * (1.0 - p00)
+    off = f1 * p01 - f2 * p01
+    out[..., 0, 1] = off
+    out[..., 1, 0] = off
+    out[..., 1, 1] = f1 * p11 + f2 * (1.0 - p11)
+    if degen.any():
+        fd = f_degen[degen]
+        out[degen, 0, 0] = fd
+        out[degen, 0, 1] = fd * 0.0
+        out[degen, 1, 0] = fd * 0.0
+        out[degen, 1, 1] = fd
+    return out
+
+
+def _frozen_clamp_spectrum_2x2(mats):
+    """The allocating 2x2 clamp the buffered one replaced, kept as its oracle."""
+    a = mats[..., 0, 0]
+    c = mats[..., 1, 1]
+    b = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
+    mean = 0.5 * (a + c)
+    disc = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
+    l1 = mean + disc
+    l2 = mean - disc
+    l1c = np.maximum(l1, 0.0)
+    l2c = np.maximum(l2, 0.0)
+    shift = np.sqrt(np.minimum(l1, 0.0) ** 2 + np.minimum(l2, 0.0) ** 2)
+    scale = np.abs(a) + np.abs(c) + np.abs(b)
+    degen = disc <= 1e-14 * (1.0 + scale)
+    safe = np.where(degen, 1.0, 2.0 * disc)
+    p00 = (a - l2) / safe
+    p01 = b / safe
+    p11 = (c - l2) / safe
+    md = np.maximum(mean, 0.0)
+    proj = _frozen_spectral_combine_2x2(l1c, l2c, p00, p01, p11, degen, md)
+    root = _frozen_spectral_combine_2x2(np.sqrt(l1c), np.sqrt(l2c), p00, p01, p11, degen, np.sqrt(md))
+    return proj, root, shift
+
+
+_SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300, -1e-300, 5e-324, 1e300, -1e300]
+_entries = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(_SPECIALS),
+)
+
+
+@st.composite
+def _clamp_matrix(draw):
+    kind = draw(st.sampled_from(["any", "symmetric", "degenerate", "negative"]))
+    x00, x01, x10, x11 = (draw(_entries) for _ in range(4))  # "any" is not symmetric in general
+    if kind == "symmetric":
+        x10 = x01
+    elif kind == "degenerate":  # a multiple of I, up to the signs of the zeros
+        x01, x10, x11 = draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0])), x00
+    elif kind == "negative":  # one or two negative eigenvalues
+        x00, x11 = draw(st.floats(-1.0, 0.1)), draw(st.floats(-1.0, 0.1))
+        x01 = draw(st.floats(-1.0, 1.0))
+        x10 = draw(st.sampled_from([x01, -x01, 0.5 * x01]))
+    return [[x00, x01], [x10, x11]]
+
+
+class TestBufferedClamp2x2:
+    """The clamp into caller-owned buffers keeps every bit of the allocating one it replaced."""
+
+    @staticmethod
+    def assert_bitwise(got, ref):
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("buffers", ["fresh", "dirty"])
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_clamp_matrix(), min_size=1, max_size=40))
+    def test_matches_frozen_clamp(self, buffers, mats):
+        mats = np.array(mats, dtype=float)
+        n = len(mats)
+        full, root_only = Clamp2x2Scratch((n,)), Clamp2x2Scratch((n,), root_only=True)
+        if buffers == "dirty":  # stale contents must not reach the result
+            for scratch in (full, root_only):
+                for buf in (scratch.work, scratch.root, scratch.proj, scratch.shift):
+                    if buf is not None:
+                        buf.fill(np.nan)
+                scratch.degen.fill(True)
+        with np.errstate(all="ignore"):
+            ref = _frozen_clamp_spectrum_2x2(mats)
+            got = project_and_sqrt_psd_batch(mats, full)
+            got_root = project_and_sqrt_psd_batch(mats, root_only)
+            allocated = project_and_sqrt_psd_batch(mats)
+        assert all(g is b for g, b in zip(got, (full.proj, full.root, full.shift), strict=True))
+        for g, a, r in zip(got, allocated, ref, strict=True):
+            self.assert_bitwise(g, r)
+            self.assert_bitwise(a, r)
+        assert got_root[0] is None and got_root[2] is None
+        assert got_root[1] is root_only.root
+        self.assert_bitwise(got_root[1], got[1])
+
+    def test_batch_shape_is_kept(self, rng):
+        mats = rng.standard_normal((3, 4, 2, 2))
+        proj, root, shift = project_and_sqrt_psd_batch(mats)
+        assert proj.shape == root.shape == (3, 4, 2, 2) and shift.shape == (3, 4)
+        ref = _frozen_clamp_spectrum_2x2(mats)
+        for g, r in zip((proj, root, shift), ref, strict=True):
+            self.assert_bitwise(g, r)
+
+    def test_buffers_are_for_2x2_only(self, rng):
+        with pytest.raises(ValueError, match="2x2"):
+            project_and_sqrt_psd_batch(rand_psd(rng, 3)[None], Clamp2x2Scratch((1,)))
