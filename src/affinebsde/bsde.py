@@ -158,6 +158,11 @@ def drift_match_residual(sol: BsdeSolutionEval, t: float, x) -> float:
     own grid; t is snapped to the nearest interior grid point.  Raises if t is
     too close to the grid ends for a centered stencil.
     """
+    return _drift_match_terms(sol, t, x)[0]
+
+
+def _drift_match_terms(sol: BsdeSolutionEval, t: float, x) -> tuple[float, float]:
+    """(|r|, f): ``drift_match_residual`` at (t, x) and the generator value f in it."""
     grid = sol.riccati.grid
     n = len(grid) - 1
     idx = int(round((t - grid[0]) / (grid[-1] - grid[0]) * n))
@@ -188,7 +193,7 @@ def drift_match_residual(sol: BsdeSolutionEval, t: float, x) -> float:
         r += float(np.dot(full_tr - chi_tr, sol.params.mu.kernel_weights(xa)))
     a = sol.coeffs.a
     r += float(np.trace(a @ (sol.coeffs.o1 + sol.coeffs.o2 @ xa)))
-    return abs(float(r))
+    return abs(float(r)), f
 
 
 def drift_match_stats(
@@ -207,9 +212,7 @@ def drift_match_stats(
         t = float(grid[idx])
         g = rng.standard_normal((d, d))
         x = symmetrize(g @ g.T) * (1.0 / d) + 0.05 * np.eye(d)
-        vals = eval_solution(sol, t, x, np.zeros((d, d)))
-        f = eval_generator(sol.coeffs, sol.params, x, vals.y, vals.z, vals.zhat, vals.k)
-        r = drift_match_residual(sol, t, x)
+        r, f = _drift_match_terms(sol, t, x)
         worst_abs = max(worst_abs, r)
         worst_rel = max(worst_rel, r / (1.0 + abs(f)))
     return {"max_abs_residual": worst_abs, "max_rel_residual": worst_rel, "n_samples": n_samples}

@@ -1,25 +1,27 @@
 """Batch front end: parse a JSON run configuration, dispatch, write artifacts.
 
-Commands
+Commands, with the model kinds each takes (any other exits 2)
 --------
-riccati-solve   solve the backward Riccati system for a raw affine model
-portfolio       solve a utility problem (value, strategy, optional price/hedge)
-price           indifference prices: variance swaps (exponential) or
-                change-of-numeraire values (power)
-verify          Monte Carlo / residual audits: transform | martingale | drift-match
-simulate        dump simulated paths to CSV
+riccati-solve   solve the backward Riccati system for a raw-affine model
+portfolio       solve a utility problem (value, strategy, optional price/hedge): heston | bns
+price           indifference prices: variance swaps (exponential; heston | bns) or
+                change-of-numeraire values (power; heston)
+verify          Monte Carlo / residual audits: transform (any kind) |
+                martingale | drift-match (heston | bns)
+simulate        dump simulated paths to CSV: heston | bns
 
 Flags: --config PATH, --out DIR, --seed N, --paths N, --steps N, --threads N,
 --format {csv,json}; a given --seed/--paths/--steps replaces its configuration
 value and gets the same check, and --threads (RNG blocks simulated at once,
 default 1) must be >= 1.  Exit codes: 0 pass, 2 configuration error (this
 includes a model that fails ``validate_admissibility``, which every command
-runs once, in ``parse_model``, and a nonzero ``terminal.u`` under the
-block-exp method, whose closed form has Gamma(T) = 0), 3 numerical failure
-(blow-up, singular block exponential, route cross-check, non-finite
-theta/varpi, non-finite shipped values, failed linear algebra), 4
-verification FAIL.  Errors are mapped to exit codes once, in ``main``, with
-one stderr line per error and no traceback.
+runs once, in ``parse_model``, a model kind or an endowment the command does
+not take, and a nonzero ``terminal.u`` under the block-exp method, whose
+closed form has Gamma(T) = 0), 3 numerical failure (blow-up, singular block
+exponential, route cross-check, non-finite theta/varpi, non-finite shipped
+values, failed linear algebra), 4 verification FAIL.  Errors are mapped to
+exit codes once, in ``main``, with one stderr line per error and no
+traceback.
 
 Configuration schema (version 1)
 --------------------------------
@@ -36,8 +38,10 @@ produce byte-identical payloads.
   raw-affine: alpha, b, drift: {h} | {betas}, [m_atoms: [{xi, weight}]],
               [mu_atoms: [{xi, u}]], [trunc_radius]
 ``utility``: {"kind": "power" | "exponential", "gamma": g}
-``endowment``: {a, sigma, o1, o2, [strike]} or
-               {"variance_swap": {"asset": i, "strike": K}}
+``endowment``: the form of the utility problem (any other exits 2): heston
+               power {a, sigma, o1, o2}, no strike; exponential {"variance_swap":
+               {"asset": i, "strike": K}}, no swap at i = 0 (then K = 0); bns
+               power none, and power ``price`` reads ``numeraire`` instead
 ``numeraire``: {o1, o2, o3} (power change-of-numeraire legs)
 ``generator``: constant generator coefficients for riccati-solve
                (c_zz, c_zsqrtx, c_x, c_y, c_t, c_hzhz, c_hzz, c_hzsqrtx,
@@ -164,6 +168,8 @@ class _Parser:
         self.cfg = cfg
         self.errors: list[str] = []
         self.warnings: list[str] = []
+        if cfg.get("schema_version") != SCHEMA_VERSION:
+            self.fail(f"schema_version must be {SCHEMA_VERSION}, got {cfg.get('schema_version')!r}")
 
     def fail(self, msg: str) -> None:
         self.errors.append(msg)
@@ -185,6 +191,12 @@ class _Parser:
             self.fail(f"'{name}' must be an object")
             return None
         return src[key]
+
+    def only(self, section: dict, keys, path: str) -> None:
+        """Record an error for the keys of ``section`` outside ``keys``: nothing would read them."""
+        unknown = sorted(set(section) - set(keys))
+        if unknown:
+            self.fail(f"'{path}' takes only {sorted(keys)}, not {unknown}")
 
     def number(self, section, key, path, default=None, positive=False):
         if key not in section:
@@ -266,8 +278,8 @@ def load_config(path: str) -> dict:
         return json.load(fh)
 
 
-def parse_model(p: _Parser):
-    """The configured model; raises ConfigError when none can be built or it is not admissible.
+def parse_model(p: _Parser, kinds: tuple):
+    """The configured model of one of ``kinds``; ConfigError unless it is one, can be built and is admissible.
 
     Every command reads its model here, so each runs ``validate_admissibility``
     once: on the raw-affine parameters, the Heston ``params`` or the BNS
@@ -277,8 +289,8 @@ def parse_model(p: _Parser):
     if cfg is None:
         _finish_parse(p)
     kind = cfg.get("kind")
-    if kind not in ("heston", "bns", "raw-affine"):
-        p.fail("'model.kind' must be heston | bns | raw-affine")
+    if kind not in kinds:
+        p.fail(f"'model.kind' must be {' | '.join(kinds)} for this command, got {kind!r}")
         _finish_parse(p)
     try:
         if kind == "heston":
@@ -365,41 +377,33 @@ def _constant_jumps(p: _Parser, cfg: dict, key: str, d: int) -> ConstantJumps:
 
 def parse_generator(p: _Parser, d: int) -> GeneratorCoeffs:
     cfg = p.section("generator") or {}
-    kw = {}
-    for key in ("c_zz", "c_zsqrtx", "c_x", "c_hzhz", "c_hzz", "c_hzsqrtx", "a", "sigma", "o1", "o2"):
-        if key in cfg:
-            kw[key] = p.matrix(cfg, key, "generator", d=d)
-    for key in ("c_y", "c_t"):
-        if key in cfg:
-            kw[key] = p.number(cfg, key, "generator")
-    unknown = set(cfg) - {"c_zz", "c_zsqrtx", "c_x", "c_hzhz", "c_hzz", "c_hzsqrtx",
-                          "a", "sigma", "o1", "o2", "c_y", "c_t"}
-    if unknown:
-        p.fail(f"unknown generator keys: {sorted(unknown)}")
+    matrices = ("c_zz", "c_zsqrtx", "c_x", "c_hzhz", "c_hzz", "c_hzsqrtx", "a", "sigma", "o1", "o2")
+    kw = {key: p.matrix(cfg, key, "generator", d=d) for key in matrices if key in cfg}
+    kw.update({key: p.number(cfg, key, "generator") for key in ("c_y", "c_t") if key in cfg})
+    p.only(cfg, matrices + ("c_y", "c_t"), "generator")
     return GeneratorCoeffs.build(d, **kw)
 
 
-def parse_endowment(p: _Parser, d: int, horizon: float):
+def parse_endowment(p: _Parser, d: int) -> dict:
+    """The endowment arguments of ``make_preset``: none, a variance swap or a general endowment."""
     cfg = p.section("endowment")
     if not cfg:
-        return EndowmentSpec.zero(d), 0, 0.0
+        return {}
     if "variance_swap" in cfg:
+        p.only(cfg, ("variance_swap",), "endowment")
         vs = p.section("variance_swap", cfg, "endowment") or {}
-        asset = p.integer(vs, "asset", "endowment.variance_swap", default=0)
-        strike = p.number(vs, "strike", "endowment.variance_swap", default=0.0)
-        if asset > d:
-            p.fail("'endowment.variance_swap.asset' out of range")
-        _finish_parse(p)  # the swap weight divides by the horizon
-        return EndowmentSpec.variance_swap(asset, d, horizon, strike), asset, strike
+        p.only(vs, ("asset", "strike"), "endowment.variance_swap")
+        return {"swap_asset": p.integer(vs, "asset", "endowment.variance_swap", default=0),
+                "strike": p.number(vs, "strike", "endowment.variance_swap", default=0.0)}
+    p.only(cfg, ("a", "sigma", "o1", "o2", "strike"), "endowment")
     z = np.zeros((d, d))
-    endow = EndowmentSpec(
+    return {"endow": EndowmentSpec(
         a=p.matrix(cfg, "a", "endowment", d=d, default=z),
         sigma=p.matrix(cfg, "sigma", "endowment", d=d, default=z),
         o1=p.matrix(cfg, "o1", "endowment", d=d, default=z),
         o2=p.matrix(cfg, "o2", "endowment", d=d, default=z),
         strike=p.number(cfg, "strike", "endowment", default=0.0),
-    )
-    return endow, 0, endow.strike
+    )}
 
 
 def _finish_parse(p: _Parser):
@@ -408,12 +412,6 @@ def _finish_parse(p: _Parser):
     p.warnings.clear()
     if p.errors:
         raise ConfigError(p.errors)
-
-
-def _check_schema(p: _Parser):
-    v = p.cfg.get("schema_version")
-    if v != SCHEMA_VERSION:
-        p.fail(f"schema_version must be {SCHEMA_VERSION}, got {v!r}")
 
 
 @contextlib.contextmanager
@@ -471,14 +469,9 @@ def _sampling_opts(p: _Parser, section: str, args, paths: int, steps: int) -> tu
     )
 
 
-def cmd_riccati_solve(cfg: dict, args) -> int:
-    p = _Parser(cfg)
-    _check_schema(p)
-    model = parse_model(p)
-    horizon = p.number(cfg, "horizon", "", positive=True)
-    if not isinstance(model, AffineParams):
-        p.fail("riccati-solve requires model.kind = raw-affine")
-        _finish_parse(p)
+def cmd_riccati_solve(p: _Parser, args) -> int:
+    model = parse_model(p, ("raw-affine",))
+    horizon = p.number(p.cfg, "horizon", "", positive=True)
     coeffs = parse_generator(p, model.d)
     term = p.section("terminal") or {}
     u = p.matrix(term, "u", "terminal", d=model.d, symmetric=True, default=np.zeros((model.d, model.d)))
@@ -512,7 +505,7 @@ def cmd_riccati_solve(cfg: dict, args) -> int:
         summary["w"] = sol.w
         summary["gammas"] = sol.gammas
     else:
-        sol.to_csv(os.path.join(args.out, "riccati_solution.csv"))
+        write_csv(os.path.join(args.out, "riccati_solution.csv"), *sol.to_csv())
     write_json(os.path.join(args.out, "riccati_summary.json"), summary)
     print(f"riccati-solve: {solver['method']} on [0, {horizon:g}], "
           f"gamma(0) trace = {np.trace(sol.gammas[0]):.6g}")
@@ -533,27 +526,15 @@ def _parse_utility(p: _Parser):
     return kind, gamma
 
 
-def _parse_problem(p: _Parser):
-    """(model, horizon, utility kind, gamma) of a utility problem."""
-    model = parse_model(p)
+def _build_preset(p: _Parser, args, kind, gamma):
+    """Parse the model, horizon, endowment and solver sections, finish parsing, solve the problem."""
+    model = parse_model(p, ("heston", "bns"))
     horizon = p.number(p.cfg, "horizon", "", positive=True)
-    kind, gamma = _parse_utility(p)
-    return model, horizon, kind, gamma
-
-
-def _build_preset(p: _Parser, args, model, horizon, kind, gamma):
-    """Parse the endowment and solver sections, finish parsing, solve the problem."""
-    if isinstance(model, AffineParams):
-        p.fail("portfolio commands need model.kind heston or bns")
-        _finish_parse(p)
-    endow, swap_asset, strike = parse_endowment(p, model.d, horizon)
+    endowment = parse_endowment(p, model.d)
     solver = _solver_opts(p, args)
     _finish_parse(p)
     with _solver_hypotheses():
-        return make_preset(
-            model, kind, gamma, horizon, steps=solver["steps"],
-            endow=endow if not swap_asset else None, swap_asset=swap_asset, strike=strike,
-        )
+        return make_preset(model, kind, gamma, horizon, steps=solver["steps"], **endowment)
 
 
 def _write_hedge(out_dir: str, solve) -> None:
@@ -566,13 +547,12 @@ def _write_hedge(out_dir: str, solve) -> None:
               np.column_stack([grid, hs]))
 
 
-def cmd_portfolio(cfg: dict, args) -> int:
-    p = _Parser(cfg)
-    _check_schema(p)
-    xs = p.numbers(cfg, "x_values", [0.5, 1.0, 2.0])
-    solve = _build_preset(p, args, *_parse_problem(p)).solve
-    if solve.kind.endswith("power") and min(xs) < 0:
-        raise ConfigError(["'x_values' must be >= 0 for power utility"])
+def cmd_portfolio(p: _Parser, args) -> int:
+    xs = p.numbers(p.cfg, "x_values", [0.5, 1.0, 2.0])
+    kind, gamma = _parse_utility(p)
+    if kind == "power" and min(xs) < 0:
+        p.fail("'x_values' must be >= 0 for power utility")
+    solve = _build_preset(p, args, kind, gamma).solve
     values = {format(x, ".17g"): solve.value_at(x) for x in xs}
     _require_finite("value_at", values.values())
     _require_finite("price", [solve.price])
@@ -599,26 +579,21 @@ def cmd_portfolio(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_price(cfg: dict, args) -> int:
-    p = _Parser(cfg)
-    _check_schema(p)
-    problem = _parse_problem(p)
-    model, horizon, kind, gamma = problem
+def cmd_price(p: _Parser, args) -> int:
+    kind, gamma = _parse_utility(p)
     if kind == "power":
-        if "numeraire" not in cfg:
-            p.fail("power-utility pricing needs a 'numeraire' section (o1, o2, o3)")
-            _finish_parse(p)
-        numeraire = p.section("numeraire")
+        model = parse_model(p, ("heston",))
+        horizon = p.number(p.cfg, "horizon", "", positive=True)
+        if p.section("endowment"):
+            p.fail("power-utility pricing reads 'numeraire' and takes no 'endowment'")
+        numeraire = p.section("numeraire", required=True)
         if numeraire is None:
-            _finish_parse(p)
-        if not isinstance(model, HestonModel):
-            p.fail("numeraire values require the heston model")
             _finish_parse(p)
         d = model.d
         o1 = p.matrix(numeraire, "o1", "numeraire", d=d)
         o2 = p.matrix(numeraire, "o2", "numeraire", d=d)
         o3 = p.matrix(numeraire, "o3", "numeraire", d=d)
-        x = p.numbers(cfg, "x_values", [1.0])[0]
+        x = p.numbers(p.cfg, "x_values", [1.0])[0]
         solver = _solver_opts(p, args)
         _finish_parse(p)
         with _solver_hypotheses():
@@ -629,7 +604,7 @@ def cmd_price(cfg: dict, args) -> int:
                    {"kind": "numeraire", "x": x, "price": value})
         print(f"price: numeraire value p({x:g}) = {value:.10g}")
         return EXIT_OK
-    solve = _build_preset(p, args, *problem).solve
+    solve = _build_preset(p, args, kind, gamma).solve
     price = 0.0 if solve.price is None else solve.price
     _require_finite("price", [price])
     payload = {"kind": "variance_swap", "price": price}
@@ -639,8 +614,8 @@ def cmd_price(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _verify_transform(args, p: _Parser) -> tuple[dict, bool]:
-    model = parse_model(p)
+def _verify_transform(args, p: _Parser) -> tuple[dict, list]:
+    model = parse_model(p, ("heston", "bns", "raw-affine"))
     horizon = p.number(p.cfg, "horizon", "", positive=True)
     ver = p.section("verification")
     n_paths, seed, n_steps = _sampling_opts(p, "verification", args, paths=100000, steps=500)
@@ -676,20 +651,20 @@ def _verify_transform(args, p: _Parser) -> tuple[dict, bool]:
     vals = np.exp(-np.einsum("ij,bij->b", u, fn.r_terminal))
     mc, se = mean_stderr(vals)
     _require_finite("transform check", [exact, mc, se])
-    ok = abs(float(mc) - exact) <= 3.0 * float(se)
     report = {
         "which": "transform", "exact": exact, "mc": float(mc), "stderr": float(se),
         "abs_error": abs(float(mc) - exact), "paths": n_paths, "steps": n_steps, "seed": seed,
-        "pass": bool(ok),
+        "pass": bool(abs(float(mc) - exact) <= 3.0 * float(se)),
     }
-    return report, ok
+    return report, [f"  exact {report['exact']:.8g}  mc {report['mc']:.8g} "
+                    f"(se {report['stderr']:.3g}, err {report['abs_error']:.3g})"]
 
 
-def _verify_martingale(args, p: _Parser) -> tuple[dict, bool]:
+def _verify_martingale(args, p: _Parser) -> tuple[dict, list]:
     ver = p.section("verification")
     n_paths, seed, n_steps = _sampling_opts(p, "verification", args, paths=100000, steps=500)
     n_pert = p.integer(ver, "n_perturbed", "verification", default=8)
-    preset = _build_preset(p, args, *_parse_problem(p))
+    preset = _build_preset(p, args, *_parse_utility(p))
     strategies = [preset.opt_strategy_grid(n_steps)]
     strategies += preset.perturbed_strategies(n_steps)[:n_pert]
     with _solver_hypotheses():
@@ -707,52 +682,42 @@ def _verify_martingale(args, p: _Parser) -> tuple[dict, bool]:
         else:
             ok = ok and verdict in ("MARTINGALE", "SUPERMARTINGALE_OK")
     report = {"which": "martingale", "paths": n_paths, "steps": n_steps, "seed": seed,
-              "results": rows, "pass": bool(ok)}
-    return report, ok
+              "results": rows, "pass": ok}
+    return report, [f"  {row['strategy']:<12} ratio {row['ratio']:.6f} "
+                    f"(se {row['stderr']:.2g})  {row['verdict']}" for row in rows]
 
 
-def _verify_drift_match(args, p: _Parser) -> tuple[dict, bool]:
+def _verify_drift_match(args, p: _Parser) -> tuple[dict, list]:
     ver = p.section("verification")
     n_samples = p.integer(ver, "samples", "verification", default=50, minimum=1)
     seed = _flag_or_config(p, args, "seed", ver, "verification", default=0, minimum=0)
-    preset = _build_preset(p, args, *_parse_problem(p))
+    preset = _build_preset(p, args, *_parse_utility(p))
     stats = bsde.drift_match_stats(preset.bsde_eval(), n_samples=n_samples, seed=seed)
-    ok = stats["max_rel_residual"] <= 1e-6
     report = {"which": "drift-match", "samples": n_samples, "seed": seed,
               "max_abs_residual": stats["max_abs_residual"],
-              "max_rel_residual": stats["max_rel_residual"], "pass": bool(ok)}
-    return report, ok
+              "max_rel_residual": stats["max_rel_residual"],
+              "pass": bool(stats["max_rel_residual"] <= 1e-6)}
+    return report, [f"  max residual {report['max_abs_residual']:.3g} "
+                    f"(relative {report['max_rel_residual']:.3g})"]
 
 
-def cmd_verify(cfg: dict, args) -> int:
-    p = _Parser(cfg)
-    _check_schema(p)
+_VERIFY = {"transform": _verify_transform, "martingale": _verify_martingale,
+           "drift-match": _verify_drift_match}
+
+
+def cmd_verify(p: _Parser, args) -> int:
     ver = p.section("verification")
     if ver is None:
         _finish_parse(p)
     which = ver.get("which")
-    if which not in ("transform", "martingale", "drift-match"):
+    if which not in tuple(_VERIFY):  # a tuple: a list in 'which' is unhashable
         p.fail("'verification.which' must be transform | martingale | drift-match")
         _finish_parse(p)
-    if which == "transform":
-        report, ok = _verify_transform(args, p)
-    elif which == "martingale":
-        report, ok = _verify_martingale(args, p)
-    else:
-        report, ok = _verify_drift_match(args, p)
+    report, lines = _VERIFY[which](args, p)
     write_json(os.path.join(args.out, "verify.json"), report)
-    print(f"verify[{which}]: {'PASS' if ok else 'FAIL'}")
-    if which == "transform":
-        print(f"  exact {report['exact']:.8g}  mc {report['mc']:.8g} "
-              f"(se {report['stderr']:.3g}, err {report['abs_error']:.3g})")
-    elif which == "martingale":
-        for row in report["results"]:
-            print(f"  {row['strategy']:<12} ratio {row['ratio']:.6f} "
-                  f"(se {row['stderr']:.2g})  {row['verdict']}")
-    else:
-        print(f"  max residual {report['max_abs_residual']:.3g} "
-              f"(relative {report['max_rel_residual']:.3g})")
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    print(f"verify[{which}]: {'PASS' if report['pass'] else 'FAIL'}")
+    print("\n".join(lines))
+    return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
 
 def _path_rows(bundle: simulator.PathBundle, iu) -> np.ndarray:
@@ -767,22 +732,18 @@ def _path_rows(bundle: simulator.PathBundle, iu) -> np.ndarray:
     ])
 
 
-def cmd_simulate(cfg: dict, args) -> int:
-    p = _Parser(cfg)
-    _check_schema(p)
-    model = parse_model(p)
-    horizon = p.number(cfg, "horizon", "", positive=True)
+def cmd_simulate(p: _Parser, args) -> int:
+    model = parse_model(p, ("heston", "bns"))
+    horizon = p.number(p.cfg, "horizon", "", positive=True)
     n_paths, seed, n_steps = _sampling_opts(p, "simulate", args, paths=8, steps=100)
     _finish_parse(p)
 
     if isinstance(model, HestonModel):
         stream = simulator.simulate_wishart(model.params, model.r0, model.corr, model.eta_eff,
                                             horizon, n_steps, n_paths, seed)
-    elif isinstance(model, BnsModel):
+    else:
         stream = simulator.simulate_bns(model.spec, model.r0, model.eta_eff,
                                         horizon, n_steps, n_paths, seed)
-    else:
-        raise ConfigError(["simulate requires model.kind heston or bns"])
     d = model.d
     iu = np.triu_indices(d)
     header = (["path", "t"] + [f"r_{i}{j}" for i, j in zip(*iu)] + [f"n_{i}" for i in range(d)]
@@ -796,11 +757,14 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 
 def main(argv=None) -> int:
+    # looked up per call: a tracer may have rebound the module's cmd_* names
+    dispatch = {"riccati-solve": cmd_riccati_solve, "portfolio": cmd_portfolio, "price": cmd_price,
+                "verify": cmd_verify, "simulate": cmd_simulate}
     parser = argparse.ArgumentParser(
         prog="affinebsde",
         description="Riccati/BSDE solvers and Monte Carlo verification for affine volatility models",
     )
-    parser.add_argument("command", choices=["riccati-solve", "portfolio", "price", "verify", "simulate"])
+    parser.add_argument("command", choices=dispatch)
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None)
@@ -820,19 +784,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     os.makedirs(args.out, exist_ok=True)
 
-    dispatch = {
-        "riccati-solve": cmd_riccati_solve,
-        "portfolio": cmd_portfolio,
-        "price": cmd_price,
-        "verify": cmd_verify,
-        "simulate": cmd_simulate,
-    }
     try:
         if args.threads < 1:
             raise ConfigError(["'--threads' must be >= 1"])
         # a non-finite result is reported once, through the exit code, not as numpy warnings
         with np.errstate(all="ignore"):
-            return dispatch[args.command](cfg, args)
+            return dispatch[args.command](_Parser(cfg), args)
     except ConfigError as exc:
         for e in exc.errors:
             print(f"configuration error: {e}", file=sys.stderr)

@@ -140,12 +140,14 @@ class EndowmentSpec:
 
     @classmethod
     def variance_swap(cls, asset: int, d: int, horizon: float, strike: float) -> "EndowmentSpec":
-        """asset is 1-based; asset = 0 means no swap."""
+        """asset is 1-based; asset = 0 means no swap, which takes no strike (ValueError)."""
         z = np.zeros((d, d))
         if asset == 0:
+            if strike:
+                raise ValueError("a variance-swap strike needs an asset (asset 0 means no swap)")
             return cls(a=z, sigma=z, o1=z, o2=z, strike=0.0)
         if not 1 <= asset <= d:
-            raise ValueError("asset index out of range")
+            raise ValueError(f"variance-swap asset {asset} out of range 1..{d}")
         a = np.zeros((d, d))
         a[asset - 1, asset - 1] = 1.0 / horizon
         return cls(a=a, sigma=z, o1=z, o2=np.eye(d), strike=strike)
@@ -277,8 +279,6 @@ def _bns_solve(params: AffineParams, coeffs: GeneratorCoeffs, terminal_v: float,
     quadratic term.  The c_y/g_y-free varpi is a plain integral given Gamma,
     evaluated by the cumulative Simpson chain on the grid.
     """
-    if steps % 2:
-        steps += 1
     zero = np.zeros((params.d, params.d))
     if isinstance(params.drift, HFormDrift):
         # B*(u) = u H + H^T u
@@ -319,9 +319,12 @@ def heston_power_solve(
 
     V(x) = (x^gamma / gamma) exp(Tr(Gamma(0) r0) + w(0)),
     pi(t) = (eta + 2 Gamma(t) S' rho) / (1 - gamma)  (wealth fractions).
+    The payoff factor has no strike: a nonzero ``endow.strike`` raises ValueError.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("power utility needs gamma in (0, 1)")
+    if endow.strike:
+        raise ValueError("power utility takes no endowment strike: its payoff factor is exp(Tr(a O_T))")
     if cone_classify(model.params.alpha) is not ConeClass.PD:
         raise ValueError("the closed-form route requires alpha positive definite")
     coeffs = heston_power_coeffs(model, gamma, endow)
@@ -821,10 +824,16 @@ def make_preset(
 ) -> UtilityPreset:
     """Solve a utility problem and bind it to its model for audits (shipped presets and the CLI).
 
-    ``endow`` (zero when None) is the power-utility endowment of the Heston
-    model; the exponential kinds price a variance swap on ``swap_asset``.
+    Each problem takes one endowment form, and a term it would drop raises
+    ValueError: Heston power utility takes ``endow`` (zero when None), the
+    exponential kinds a variance swap on ``swap_asset`` against ``strike``,
+    BNS power utility neither.
     """
     power = utility_kind == "power"
+    if power and (swap_asset or strike):
+        raise ValueError("power utility takes no variance swap")
+    if endow is not None and not (power and isinstance(model, HestonModel)):
+        raise ValueError("only Heston power utility takes a general endowment {a, sigma, o1, o2}")
     if isinstance(model, HestonModel):
         if power:
             endow = endow or EndowmentSpec.zero(model.d)

@@ -266,16 +266,11 @@ class RiccatiSolution:
     def max_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.gammas)[:, -1]
 
-    def to_csv(self, path) -> None:
-        """Columns: t, gamma upper triangle (row-major), w."""
-        d = self.d
-        iu = np.triu_indices(d)
-        header = ["t"] + [f"gamma_{i}{j}" for i, j in zip(*iu)] + ["w"]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for k, t in enumerate(self.grid):
-                row = [t] + list(self.gammas[k][iu]) + [self.w[k]]
-                fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
+    def to_csv(self) -> tuple[list, np.ndarray]:
+        """(header, rows) of the solution table: t, Gamma upper triangle (row-major), w."""
+        iu = np.triu_indices(self.d)
+        return (["t"] + [f"gamma_{i}{j}" for i, j in zip(*iu)] + ["w"],
+                np.column_stack([self.grid, self.gammas[:, iu[0], iu[1]], self.w]))
 
 
 # -- RK solvers ---------------------------------------------------------------------
@@ -647,8 +642,6 @@ def solve_block_exp(
         raise ValueError("closed form requires no linear-jump atoms")
     if coeffs.has_jump_matrix_terms or coeffs.g_y is not None:
         raise ValueError("closed form supports only the g_t jump coefficient")
-    if steps % 2:
-        steps += 1
 
     d = params.d
     s = params.sigma

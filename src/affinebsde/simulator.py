@@ -100,10 +100,6 @@ class _BlockStream:
         self.rng = _block_rng(seed, start)
         self.count = count
 
-    def normal(self, shape, scale: float) -> np.ndarray:
-        """scale * N(0, 1) draws of per-path ``shape``, used paths only."""
-        return self.rng.standard_normal((STREAM_BLOCK,) + tuple(shape))[: self.count] * scale
-
     def fill(self, buf: np.ndarray) -> np.ndarray:
         """One step's N(0, 1) draws over the whole block, into the flat ``buf``.
 
@@ -117,7 +113,8 @@ class _BlockStream:
         """The used paths' rows of each per-path shape in a ``fill``-ed buffer, scaled in place.
 
         The shapes lie in turn in ``raw``, each over the whole block; the
-        arrays are views of ``raw``, bitwise ``normal(shape, scale)``.
+        arrays are views of ``raw``, bitwise the used rows of
+        ``scale * standard_normal((STREAM_BLOCK,) + shape)`` drawn in turn.
         """
         step, lo = [], 0
         for shape in shapes:
@@ -509,9 +506,9 @@ class _JumpOuPaths:
     drawn before the step's jumps.  ``flow`` is the exact flow over one step
     of an H-form drift; it keeps R in the cone, so only sqrt(R) of the clamp
     is formed and ``n_clamped`` stays 0.  Without one the drift is an Euler
-    step, which can leave the cone: R is kept as it is, sqrt(R) is that of
-    its PSD clamp, and ``n_clamped`` counts the path-steps whose clamp removed
-    a negative part above 1e-13 (Frobenius), as in ``_EulerPaths``.  The block
+    step, which can leave the cone: as in ``_EulerPaths``, R after the drift
+    and the jumps is replaced by its PSD clamp, and ``n_clamped`` counts the
+    path-steps whose clamp removed a negative part above 1e-13 (Frobenius).  The block
     allocates its state and step buffers once (at d = 2 the clamp's too); the
     exact-flow step then allocates only its jump draws.
     """
@@ -555,7 +552,7 @@ class _JumpOuPaths:
                         xis = np.matmul(np.matmul(props, xis), props.transpose(0, 2, 1))
                     np.add.at(r, ids, xis)
             if flow is None:  # the Euler drift may have left the cone
-                _, sr, shift = project_and_sqrt_psd_batch(r, clamp)
+                r, sr, shift = project_and_sqrt_psd_batch(r, clamp)
                 self.n_clamped += int(np.count_nonzero(shift > 1e-13))
             elif k + 1 < self.n_steps:
                 _, sr, _ = project_and_sqrt_psd_batch(r, clamp)
@@ -821,13 +818,14 @@ def wishart_weak_errors(
 
     def worker_general(stream):
         count = stream.count
+        raw = np.empty(STREAM_BLOCK * d * d)
         states = {}
         for s in steps_list:
             r = np.broadcast_to(r0, (count, d, d)).copy()
             states[s] = project_and_sqrt_psd_batch(r)[:2]
         acc = {s: np.zeros((count, d, d)) for s in steps_list}
         for k in range(n_fine):
-            dw = stream.normal((d, d), sdt)
+            (dw,) = stream.used_rows(stream.fill(raw), [(d, d)], sdt)
             for s in steps_list:
                 acc[s] += dw
                 if (k + 1) % strides[s] == 0:

@@ -12,6 +12,7 @@ from affinebsde.bsde import (
     orient_ratio,
 )
 from affinebsde.portfolio import (
+    SHIPPED_PRESETS,
     EndowmentSpec,
     HestonModel,
     heston1d_exp_riccati_inputs,
@@ -210,6 +211,69 @@ class TestDriftMatch:
             drift_match_residual(ev, 0.0, np.eye(2))
         with pytest.raises(ValueError):
             drift_match_residual(ev, 1.0, np.eye(2))
+
+
+def _frozen_drift_match_residual(sol, t, x):
+    """drift_match_residual when it evaluated the solution and the generator through the public functions."""
+    grid = sol.riccati.grid
+    idx = int(round((t - grid[0]) / (grid[-1] - grid[0]) * (len(grid) - 1)))
+    tk, xa = float(grid[idx]), np.asarray(x, dtype=float)
+    gam = sol.riccati.gammas[idx]
+    dt2 = grid[idx + 1] - grid[idx - 1]
+    dgam = (sol.riccati.gammas[idx + 1] - sol.riccati.gammas[idx - 1]) / dt2
+    dw = (sol.riccati.w[idx + 1] - sol.riccati.w[idx - 1]) / dt2
+    vals = eval_solution(sol, tk, xa, np.zeros((sol.params.d, sol.params.d)))
+    f = eval_generator(sol.coeffs, sol.params, xa, vals.y, vals.z, vals.zhat, vals.k)
+    r = f + trace_inner(dgam, xa) + dw
+    r += trace_inner(gam, sol.params.b + sol.params.drift.apply(xa))
+    if sol.params.m.n:
+        chi_tr = sol.params.chi_traces(gam, sol.params.m)
+        full_tr = np.einsum("ij,nij->n", gam, sol.params.m.xis)
+        r += float(np.dot(sol.params.m.weights, chi_tr))
+        r += float(np.dot(sol.params.m.weights, full_tr - chi_tr))
+    if sol.params.mu.n:
+        full_tr = np.einsum("ij,nij->n", gam, sol.params.mu.xis)
+        chi_tr = sol.params.chi_traces(gam, sol.params.mu)
+        r += float(np.dot(full_tr - chi_tr, sol.params.mu.kernel_weights(xa)))
+    r += float(np.trace(sol.coeffs.a @ (sol.coeffs.o1 + sol.coeffs.o2 @ xa)))
+    return abs(float(r))
+
+
+def _frozen_drift_match_maxima(sol, n_samples, seed):
+    """(max |r|, max |r| / (1 + |f|)) of drift_match_stats when it evaluated each sample twice."""
+    rng = np.random.default_rng(seed)
+    grid, d = sol.riccati.grid, sol.params.d
+    worst_abs = worst_rel = 0.0
+    for _ in range(n_samples):
+        t = float(grid[int(rng.integers(1, len(grid) - 1))])
+        g = rng.standard_normal((d, d))
+        x = symmetrize(g @ g.T) * (1.0 / d) + 0.05 * np.eye(d)
+        vals = eval_solution(sol, t, x, np.zeros((d, d)))
+        f = eval_generator(sol.coeffs, sol.params, x, vals.y, vals.z, vals.zhat, vals.k)
+        r = _frozen_drift_match_residual(sol, t, x)
+        worst_abs, worst_rel = max(worst_abs, r), max(worst_rel, r / (1.0 + abs(f)))
+    return worst_abs, worst_rel
+
+
+class TestDriftMatchOnePass:
+    """drift_match_stats forms each sample's residual and generator value in one pass."""
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_PRESETS))
+    def test_maxima_match_frozen_evaluation(self, name):
+        ev = SHIPPED_PRESETS[name](steps=200).bsde_eval()
+        stats = drift_match_stats(ev, n_samples=20, seed=3)
+        ref = _frozen_drift_match_maxima(ev, 20, 3)
+        got = (stats["max_abs_residual"], stats["max_rel_residual"])
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(ref).view(np.uint64))
+
+    def test_one_evaluation_per_sample(self, monkeypatch):
+        from affinebsde import bsde
+
+        # one root in eval_solution and one in eval_generator; each sample used to take both twice
+        ev, sqrt, calls = SHIPPED_PRESETS["heston-power-d2"](steps=200).bsde_eval(), bsde.psd_sqrt, []
+        monkeypatch.setattr(bsde, "psd_sqrt", lambda x: calls.append(1) or sqrt(x))
+        drift_match_stats(ev, n_samples=7)
+        assert len(calls) == 2 * 7
 
 
 class TestKBound:

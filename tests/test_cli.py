@@ -21,11 +21,13 @@ from affinebsde.cli import (
     _Parser,
     dump_json,
     main,
+    parse_generator,
     parse_model,
     write_csv,
 )
 from affinebsde.affine_model import validate_admissibility
-from affinebsde.portfolio import HestonModel
+from affinebsde.portfolio import HestonModel, _heston_model_d2, heston_exp_coeffs
+from affinebsde.riccati import solve_rk
 from affinebsde.simulator import STREAM_BLOCK, simulate_bns, simulate_wishart
 
 
@@ -163,6 +165,34 @@ class TestRiccatiSolveCommand:
             w0[method] = summary["w0"]
         assert w0["block-exp"] == pytest.approx(w0["rk4"], abs=1e-12)
 
+    def test_csv_export_shape(self, tmp_path):
+        model = _heston_model_d2()
+        coeffs = heston_exp_coeffs(model, 0.7, np.zeros((2, 2)))
+        sol = solve_rk(model.params, coeffs, np.zeros((2, 2)), 0.0, 1.0, steps=10)
+        path = tmp_path / "sol.csv"
+        write_csv(path, *sol.to_csv())
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,gamma_00,gamma_01,gamma_11,w"
+        assert len(lines) == 12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_solution_csv_matches_frozen_writer(self, tmp_path, d):
+        cfg = riccati_1d_degenerate_config() if d == 1 else raw_affine_config(
+            heston_config()["model"] if d == 2 else heston_d3_config()["model"])
+        assert main(["riccati-solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_OK
+        model = parse_model(_Parser(cfg), ("raw-affine",))
+        sol = solve_rk(model, parse_generator(_Parser(cfg), d), np.zeros((d, d)), 0.0, cfg["horizon"],
+                       steps=cfg["solver"]["steps"])
+        frozen_solution_csv(tmp_path / "reference.csv", sol)
+        got = (tmp_path / "riccati_solution.csv").read_bytes()
+        assert got == (tmp_path / "reference.csv").read_bytes()
+        assert got.count(b"\n") == 1 + cfg["solver"]["steps"] + 1
+
+    def test_unknown_generator_key_is_config_error(self, tmp_path, capsys):
+        cfg = with_section(riccati_1d_degenerate_config(), "generator", c_q=[[1.0]])
+        assert main(["riccati-solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "'generator' takes only" in capsys.readouterr().err
+
     def test_invalid_config_lists_all_errors(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema_version": 99, "model": {"kind": "nope"}})
         rc = main(["riccati-solve", "--config", cfg, "--out", str(tmp_path)])
@@ -199,6 +229,15 @@ class TestPortfolioCommand:
         assert main(["portfolio", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         rows = (tmp_path / "strategy.csv").read_text().splitlines()
         assert len(rows) == 1 + 300 + 1  # header + N + 1 grid points
+
+    def test_odd_step_count_runs(self, tmp_path):
+        # the Heston power solve used to exit 2 on an odd count: its routes returned 102 and 101 steps
+        argv = ["--out", str(tmp_path), "--steps", "101"]
+        assert main(["portfolio", "--config", str(CONFIGS / "heston_power_portfolio.json")] + argv) == EXIT_OK
+        assert len((tmp_path / "strategy.csv").read_text().splitlines()) == 1 + 102
+        # at 101 steps the centered differences leave a residual above 1e-6, so a FAIL is a verdict too
+        rc = main(["verify", "--config", str(CONFIGS / "heston_power_verify_drift_match.json")] + argv)
+        assert rc in (EXIT_OK, EXIT_VERIFY_FAIL)
 
     def test_bns_exp_with_swap_writes_price_and_hedge_free(self, tmp_path):
         cfg_dict = {
@@ -353,9 +392,34 @@ def heston_d3_config():
     }
 
 
+def raw_affine_config(model):
+    """A riccati-solve configuration on the affine parameters of a Heston model section."""
+    eye = np.eye(len(model["alpha"]))
+    return {
+        "schema_version": 1,
+        "model": {"kind": "raw-affine", "alpha": model["alpha"], "b": model["b"],
+                  "drift": {"h": model["drift_h"]}},
+        "horizon": 1.0,
+        "generator": {"c_zz": (0.3 * eye).tolist(), "c_zsqrtx": (-0.2 * eye).tolist(),
+                      "c_x": (0.4 * eye).tolist(), "a": (0.1 * eye).tolist(), "o2": eye.tolist()},
+        "solver": {"steps": 40},
+    }
+
+
+def frozen_solution_csv(path, sol):
+    """riccati_solution.csv as ``RiccatiSolution.to_csv`` wrote it itself, kept as the reference."""
+    iu = np.triu_indices(sol.d)
+    header = ["t"] + [f"gamma_{i}{j}" for i, j in zip(*iu)] + ["w"]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for k, t in enumerate(sol.grid):
+            row = [t] + list(sol.gammas[k][iu]) + [sol.w[k]]
+            fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
+
+
 def reference_paths_csv(path, cfg, n_paths, n_steps, seed):
     """paths.csv as simulate wrote it when it kept every path-step as a row list."""
-    model = parse_model(_Parser(cfg))
+    model = parse_model(_Parser(cfg), ("heston", "bns"))
     if isinstance(model, HestonModel):
         stream = simulate_wishart(model.params, model.r0, model.corr, model.eta_eff,
                                   cfg["horizon"], n_steps, n_paths, seed)
@@ -499,6 +563,59 @@ def with_value(cfg, path, value):
         node = node[part]
     node[key] = value
     return cfg
+
+
+def config_of_kind(kind, **sections):
+    """A configuration with a model of ``kind`` (or an unknown kind) and the given sections."""
+    models = {"heston": heston_config()["model"], "bns": bns_config()["model"],
+              "raw-affine": riccati_1d_degenerate_config()["model"]}
+    return dict({"schema_version": 1, "horizon": 1.0, "model": models.get(kind, {"kind": kind})}, **sections)
+
+
+POWER = {"kind": "power", "gamma": 0.35}
+EXPONENTIAL = {"kind": "exponential", "gamma": 0.7}
+# (command, sections, the model kinds the command takes with them)
+KIND_CASES = [
+    ("riccati-solve", {}, {"raw-affine"}),
+    ("portfolio", {"utility": POWER}, {"heston", "bns"}),
+    ("price", {"utility": POWER, "numeraire": numeraire_config()["numeraire"]}, {"heston"}),
+    ("price", {"utility": EXPONENTIAL}, {"heston", "bns"}),
+    ("verify", {"utility": POWER, "verification": {"which": "martingale"}}, {"heston", "bns"}),
+    ("verify", {"utility": POWER, "verification": {"which": "drift-match"}}, {"heston", "bns"}),
+    ("verify", {"verification": {"which": "transform"}}, {"heston", "bns", "raw-affine"}),
+    ("simulate", {}, {"heston", "bns"}),
+]
+KIND_REFUSALS = [(command, sections, kind) for command, sections, takes in KIND_CASES
+                 for kind in ("heston", "bns", "raw-affine", "nope") if kind not in takes]
+
+# Before these were refused, each exited 0 with the value of the same problem
+# without its endowment section.
+DROPPED_ENDOWMENTS = {
+    "heston-power-variance-swap": ("portfolio", heston_config(
+        endowment={"variance_swap": {"asset": 1, "strike": 0.2}}), "no variance swap"),
+    "heston-power-strike": ("portfolio", heston_config(
+        endowment={"a": [[-0.25, 0.0], [0.0, -0.15]], "strike": 3.0}), "no endowment strike"),
+    "exponential-general-endowment": ("portfolio", swap_config(endowment={
+        "a": [[0.1, 0.0], [0.0, 0.1]], "sigma": [[0.2, 0.0], [0.0, 0.2]],
+        "o1": [[0.01, 0.0], [0.0, 0.01]], "o2": [[0.02, 0.0], [0.0, 0.02]]}), "general endowment"),
+    "exponential-swap-asset-0-strike": ("portfolio", swap_config(
+        endowment={"variance_swap": {"asset": 0, "strike": 0.2}}), "strike needs an asset"),
+    "bns-power-endowment": ("portfolio", bns_config(
+        utility={"kind": "power", "gamma": 0.3}, endowment={"a": [[0.1, 0.0], [0.0, 0.1]]}),
+        "general endowment"),
+    "bns-power-variance-swap": ("portfolio", bns_config(utility={"kind": "power", "gamma": 0.3}),
+                                "no variance swap"),
+    "price-power-endowment": ("price", dict(numeraire_config(), endowment={"a": [[0.1, 0.0], [0.0, 0.1]]}),
+                              "takes no 'endowment'"),
+    # keys that no endowment form reads
+    "swap-with-general-keys": ("portfolio", swap_config(endowment={
+        "variance_swap": {"asset": 1, "strike": 0.2}, "a": [[5.0, 0.0], [0.0, 5.0]]}),
+        "'endowment' takes only ['variance_swap'], not ['a']"),
+    "swap-strike-misspelt": ("portfolio", swap_config(endowment={"variance_swap": {"asset": 1, "Strike": 0.9}}),
+                             "'endowment.variance_swap' takes only ['asset', 'strike'], not ['Strike']"),
+    "general-key-misspelt": ("portfolio", heston_config(endowment={"A": [[-0.25, 0.0], [0.0, -0.15]]}),
+                             "not ['A']"),
+}
 
 
 # one base configuration per command, each reading the sections its command parses
@@ -773,6 +890,21 @@ class TestExitCodes:
         line = self.run_failing(tmp_path, capsys, command, [heston_config()], EXIT_CONFIG)
         assert "must be a JSON object" in line
 
+    @pytest.mark.parametrize("command, sections, kind", KIND_REFUSALS, ids=[
+        "-".join(filter(None, [c, s.get("verification", {}).get("which") or s.get("utility", {}).get("kind"), k]))
+        for c, s, k in KIND_REFUSALS])
+    def test_command_refuses_model_kind(self, tmp_path, capsys, command, sections, kind):
+        line = self.run_failing(tmp_path, capsys, command, config_of_kind(kind, **sections), EXIT_CONFIG)
+        assert "'model.kind' must be" in line and repr(kind) in line
+        assert not os.listdir(tmp_path / "out")
+
+    @pytest.mark.parametrize("case", sorted(DROPPED_ENDOWMENTS))
+    def test_endowment_the_problem_would_drop_is_refused(self, tmp_path, capsys, case):
+        command, cfg, message = DROPPED_ENDOWMENTS[case]
+        line = self.run_failing(tmp_path, capsys, command, cfg, EXIT_CONFIG)
+        assert message in line
+        assert not os.listdir(tmp_path / "out")
+
     @pytest.mark.parametrize("command, make_cfg, section", NON_OBJECT_CASES,
                              ids=[f"{c}-{s}" for c, _, s in NON_OBJECT_CASES])
     def test_non_object_section_is_config_error(self, tmp_path, capsys, command, make_cfg, section):
@@ -798,7 +930,7 @@ class TestBenchmarkInputsAreAdmissible:
     @pytest.mark.parametrize("name", sorted(SHIPPED_COMMANDS))
     def test_shipped_config(self, name):
         cfg = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
-        parse_model(_Parser(cfg))  # raises ConfigError, naming the failed check, otherwise
+        parse_model(_Parser(cfg), ("heston", "bns", "raw-affine"))  # raises ConfigError, naming the failed check, otherwise
 
     @pytest.fixture(scope="class")
     def workloads(self):
@@ -816,7 +948,7 @@ class TestBenchmarkInputsAreAdmissible:
     @pytest.mark.parametrize("seed", range(4))
     def test_generated_configs_have_exactly_inward_drift(self, workloads, seed):
         for tag, (cfg, _) in workloads.generated_configs(seed, 10).items():
-            report = validate_admissibility(parse_model(_Parser(cfg)))  # raw-affine parameters
+            report = validate_admissibility(parse_model(_Parser(cfg), ("raw-affine",)))
             assert report.passed, f"{tag}: {report}"
             assert report.checks["inward_drift"].detail.endswith("min = 0.0"), tag
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from affinebsde.portfolio import (
+    ROUTE_GAP_TOL,
     BnsModel,
     EndowmentSpec,
     HestonModel,
@@ -72,6 +73,13 @@ class TestHestonPower:
         res = heston_power_solve(model, 0.35, EndowmentSpec.zero(2), 1.0, steps=200)
         for c in (0.5, 2.0, 7.3):
             assert res.value_at(c * 1.7) == pytest.approx(c**0.35 * res.value_at(1.7), rel=1e-12)
+
+    def test_odd_step_count_keeps_the_route_cross_check(self):
+        # block-exp used to round 101 up to 102 steps, and the RK cross-check then
+        # compared arrays of 102 and 103 knots
+        res = heston_power_solve(_heston_model_d2(), 0.35, EndowmentSpec.zero(2), 1.0, steps=101)
+        assert len(res.riccati.grid) == 102
+        assert res.diagnostics["route_gap"] <= ROUTE_GAP_TOL
 
     def test_strategy_formula_consistency(self):
         model = _heston_model_d2()
@@ -333,6 +341,10 @@ class TestPresetsStateTheProblemOnce:
     """A preset reads the coefficients, parameters and endowment its solver used."""
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_PRESETS))
+    def test_preset_solves_on_exactly_its_steps(self, name):
+        assert len(SHIPPED_PRESETS[name](steps=101).solve.riccati.grid) == 102
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_PRESETS))
     def test_preset_holds_the_solved_problem(self, name):
         preset = SHIPPED_PRESETS[name](steps=200)
         assert preset.coeffs is preset.solve.coeffs
@@ -357,7 +369,7 @@ class TestPresetsStateTheProblemOnce:
         eta = model.eta_eff
         base = bns_exp_solve(model, gamma, T, swap_asset=0, steps=200)
         for solve, asset in ((preset.solve, 1), (base, 0)):
-            endow = EndowmentSpec.variance_swap(asset, model.d, T, 0.15)
+            endow = EndowmentSpec.variance_swap(asset, model.d, T, 0.15 if asset else 0.0)
             const = np.outer(eta, eta) / (2.0 * gamma) + endow.a
             self.assert_linear_closed_form(solve, model.spec.lam_op.h, const, 200)
 

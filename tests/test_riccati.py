@@ -286,16 +286,6 @@ class TestBlockExp:
         ref = solve_rk(params, coeffs, np.zeros((1, 1)), 0.0, 0.25, steps=500)
         assert np.max(np.abs(short.gammas - ref.gammas)) <= 1e-8
 
-    def test_csv_export_shape(self, tmp_path):
-        model = _heston_model_d2()
-        coeffs = heston_exp_coeffs(model, 0.7, np.zeros((2, 2)))
-        sol = solve_rk(model.params, coeffs, np.zeros((2, 2)), 0.0, 1.0, steps=10)
-        path = tmp_path / "sol.csv"
-        sol.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,gamma_00,gamma_01,gamma_11,w"
-        assert len(lines) == 12
-
 
 class TestAssumptions:
     def test_heston_power_czz_positive(self):

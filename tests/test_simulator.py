@@ -55,6 +55,15 @@ def small_wishart(general_drift=False):
 R0 = np.array([[0.32, 0.04], [0.04, 0.26]])
 
 
+def _normal(stream, shape, scale):
+    """scale * N(0, 1) draws of per-path ``shape`` over the whole block, used paths only.
+
+    The allocating draw ``_BlockStream.normal`` made before ``fill``/``used_rows``
+    became the only draw; kept as the reference of the parity tests.
+    """
+    return stream.rng.standard_normal((STREAM_BLOCK,) + tuple(shape))[: stream.count] * scale
+
+
 class TestCorrelationSpec:
     def test_valid(self):
         c = CorrelationSpec(np.array([-0.6, 0.5]))
@@ -166,7 +175,7 @@ class TestAhead:
         steps = _BlockStream(5, STREAM_BLOCK, count).normals_ahead(shapes, 0.3, 2 * AHEAD_DEPTH + 1)
         for step in steps:
             for got, shape in zip(step, shapes, strict=True):
-                ref = serial.normal(shape, 0.3)
+                ref = _normal(serial, shape, 0.3)
                 assert got.shape == ref.shape
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
@@ -318,9 +327,9 @@ class TestReplay:
         stream = _BlockStream(9, 0, 4)
         n = np.zeros((4, 2))
         for k in range(25):
-            dw = stream.normal((2, 2), np.sqrt(dt))
-            dd = stream.normal((2,), np.sqrt(dt))
-            stream.normal((2, 2), np.sqrt(dt))  # dQhat, drawn although O has no term
+            dw = _normal(stream, (2, 2), np.sqrt(dt))
+            dd = _normal(stream, (2,), np.sqrt(dt))
+            _normal(stream, (2, 2), np.sqrt(dt))  # dQhat, drawn although O has no term
             r = bundle.r[:, k]
             _, sr, _ = project_and_sqrt_psd_batch(r)
             dq = dw @ corr.rho + corr.orth * dd
@@ -398,7 +407,7 @@ def _frozen_euler_paths(params, r0, corr, dt, n_steps, stream, need_qhat, out):
     shapes = [(d, d), (d,), (d, d)] if need_qhat else [(d, d), (d,)]
     n_clamped = 0
     for _ in range(n_steps):
-        dw, dd, *dqh = (stream.normal(shape, np.sqrt(dt)) for shape in shapes)
+        dw, dd, *dqh = (_normal(stream, shape, np.sqrt(dt)) for shape in shapes)
         dq = _batch_const(dw, corr.rho) + corr.orth * dd
         yield r, sr, dq, (dqh[0] if dqh else None)
         r = _euler_update(r, sr, params, dt, dw)
@@ -408,15 +417,20 @@ def _frozen_euler_paths(params, r0, corr, dt, n_steps, stream, need_qhat, out):
 
 
 def _frozen_jump_ou_paths(spec, r0, dt, n_steps, stream, flow, out):
-    """The jump-OU engine before it owned O: yields (r, sr, dd); ``out`` gets R at T."""
+    """The jump-OU engine before it owned O: yields (r, sr, dd); ``out`` gets R at T.
+
+    Without a flow, R after the Euler drift and the jumps is replaced by its
+    PSD clamp, as ``_EulerPaths`` does (the loop this copies kept it
+    indefinite).
+    """
     d = spec.d
     const = spec.lam + spec.b_j
     lam_tot = spec.total_intensity
     cdf = np.cumsum(spec.m_j.weights) / lam_tot if lam_tot > 0 else None
     r = np.broadcast_to(r0, (stream.count, d, d)).copy()
+    _, sr, _ = project_and_sqrt_psd_batch(r)
     for _ in range(n_steps):
-        _, sr, _ = project_and_sqrt_psd_batch(r)
-        yield r, sr, stream.normal((d,), np.sqrt(dt))
+        yield r, sr, _normal(stream, (d,), np.sqrt(dt))
         if flow is not None:
             r = _batch_const(_const_batch(flow.e_dt, r), flow.e_dt.T) + flow.d_dt
         else:
@@ -429,6 +443,9 @@ def _frozen_jump_ou_paths(spec, r0, dt, n_steps, stream, flow, out):
                     props = flow.propagators(dt - taus)
                     xis = np.matmul(np.matmul(props, xis), props.transpose(0, 2, 1))
                 np.add.at(r, ids, xis)
+        proj, sr, _ = project_and_sqrt_psd_batch(r)
+        if flow is None:
+            r = proj
     out["r"] = r
 
 
@@ -650,11 +667,15 @@ class TestJumpOuEngine:
                            m_j=ConstantJumps.from_atoms([(0.1 * eye, 1.0)]))
 
     def test_euler_drift_counts_the_clamps_it_needs(self):
-        spec, r0 = self.cone_leaving_spec(), 0.3 * np.eye(2)
-        fn = bns_functionals(spec, r0, np.zeros(2), 1.0, 1, np.zeros((1, 2)), 1000, seed=0)
-        assert np.linalg.eigvalsh(fn.r_terminal).min() < -2.0
+        # with R kept indefinite, these minima were -0.435 (negative quadratic
+        # variation and realized covariance); R is now its PSD clamp after each step
+        spec, r0, pis = self.cone_leaving_spec(), 0.3 * np.eye(2), np.array([[1.0, 0.0]])
+        fn = bns_functionals(spec, r0, np.zeros(2), 1.0, 2, pis, 1000, seed=0)
+        assert np.linalg.eigvalsh(fn.r_terminal).min() >= 0.0
+        assert fn.int_pi_r_pi.min() >= 0.0
+        assert np.linalg.eigvalsh(fn.o_terminal).min() >= 0.0
         assert fn.projection_fraction > 0.0
-        bundle = next(simulate_bns(spec, r0, np.zeros(2), 1.0, 1, 1000, seed=0))
+        bundle = next(simulate_bns(spec, r0, np.zeros(2), 1.0, 2, 1000, seed=0))
         assert bundle.projection_fraction == fn.projection_fraction
         # the exact flow of the same drift stays in the cone
         flow_spec = BnsJumpSpec(lam=spec.lam, lam_op=HFormDrift(-5.0 * np.eye(2)), b_j=spec.b_j, m_j=spec.m_j)
@@ -829,7 +850,7 @@ def _frozen_worker_2x2(params, r0, ua, T, steps_list, sdt):
             states[s] = _frozen_proj_sqrt_components_2x2(a0, bb0, c0)
         acc = {s: np.zeros((count, 4)) for s in steps_list}
         for k in range(n_fine):
-            dw = stream.normal((2, 2), sdt).reshape(count, 4)
+            dw = _normal(stream, (2, 2), sdt).reshape(count, 4)
             for s in steps_list:
                 acc[s] += dw
                 if (k + 1) % strides[s] == 0:
@@ -930,6 +951,52 @@ class TestWeakErrorInPlaceParity:
         for block, ref_block in zip(blocks, ref, strict=True):
             for s in levels:
                 self.assert_bitwise(block[s], ref_block[s])
+
+
+def _frozen_worker_general(params, r0, ua, T, steps_list, sdt):
+    """The general weak-error block worker when it drew each step with ``_BlockStream.normal``."""
+    d, n_fine = params.d, steps_list[-1]
+    strides = {s: n_fine // s for s in steps_list}
+
+    def worker(stream):
+        count = stream.count
+        states = {}
+        for s in steps_list:
+            r = np.broadcast_to(r0, (count, d, d)).copy()
+            states[s] = project_and_sqrt_psd_batch(r)[:2]
+        acc = {s: np.zeros((count, d, d)) for s in steps_list}
+        for k in range(n_fine):
+            dw = _normal(stream, (d, d), sdt)
+            for s in steps_list:
+                acc[s] += dw
+                if (k + 1) % strides[s] == 0:
+                    r, sr = states[s]
+                    r = _euler_update(r, sr, params, T / s, acc[s])
+                    states[s] = project_and_sqrt_psd_batch(r)[:2]
+                    acc[s][:] = 0.0
+        return {s: np.exp(-np.einsum("ij,bij->b", ua, states[s][0])) for s in steps_list}
+
+    return worker
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("d", [2, 3], ids=["d2-general-drift", "d3"])
+def test_general_weak_error_worker_matches_frozen_draws(threads, d):
+    from affinebsde.simulator import _run_blocks
+
+    if d == 2:
+        params, r0 = small_wishart(general_drift=True), R0
+    else:
+        sig = np.array([[0.2, 0.02, 0.0], [0.02, 0.18, 0.01], [0.0, 0.01, 0.15]])
+        params, r0 = wishart_params(sig, 4.0, -0.5 * np.eye(3)), np.diag([0.3, 0.25, 0.2])
+    u, T, levels, n_paths, seed = 0.5 * np.eye(d), 1.0, [2, 4], STREAM_BLOCK + 100, 5
+    res = wishart_weak_errors(params, r0, u, T, levels, n_paths, seed, 1.0, threads=threads)
+    ref = _run_blocks(_frozen_worker_general(params, r0, u, T, levels, np.sqrt(T / levels[-1])), seed,
+                      n_paths, threads)
+    for s in levels:
+        m, se = mean_stderr(np.concatenate([block[s] for block in ref]))
+        for key, value in (("mean", m), ("stderr", se)):
+            assert np.float64(res[s][key]).view(np.uint64) == np.float64(value).view(np.uint64)
 
 
 def bns_spec_d2():
