@@ -387,12 +387,6 @@ class AdmissibilityReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks.values())
 
-    def __str__(self) -> str:
-        lines = [f"admissibility (tol {self.tol:g})"]
-        for name, c in self.checks.items():
-            lines.append(f"  [{'ok' if c.passed else 'FAIL'}] {name}: {c.detail}")
-        return "\n".join(lines)
-
 
 def validate_admissibility(params: AffineParams, tol: float = 1e-9) -> AdmissibilityReport:
     """Check the conditions of an admissible parameter set, exactly where they allow.

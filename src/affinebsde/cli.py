@@ -51,8 +51,8 @@ produce byte-identical payloads.
 ``terminal``: {"u": matrix, "v": float}
 ``solver``: {"steps", "method": "rk4" | "rk45" | "block-exp", "blowup_norm"}
 ``verification``: {"which": "transform" | "martingale" | "drift-match",
-                   "paths", "seed", "steps", "u": matrix, "n_perturbed",
-                   "samples"}
+                   "paths" (>= 2: a standard error needs two), "seed", "steps",
+                   "u": matrix, "n_perturbed", "samples"}
 ``simulate``: {"paths", "steps", "seed"}
 ``x_values``: list of wealth levels for value-function samples
 """
@@ -459,11 +459,12 @@ def _solver_opts(p: _Parser, args) -> dict:
     }
 
 
-def _sampling_opts(p: _Parser, section: str, args, paths: int, steps: int) -> tuple[int, int, int]:
+def _sampling_opts(p: _Parser, section: str, args, paths: int, steps: int,
+                   min_paths: int = 1) -> tuple[int, int, int]:
     """(paths, seed, steps) of a Monte Carlo section; the command-line flags win."""
     cfg = p.section(section) or {}
     return (
-        _flag_or_config(p, args, "paths", cfg, section, default=paths, minimum=1),
+        _flag_or_config(p, args, "paths", cfg, section, default=paths, minimum=min_paths),
         _flag_or_config(p, args, "seed", cfg, section, default=0, minimum=0),
         _flag_or_config(p, args, "steps", cfg, section, default=steps, minimum=1),
     )
@@ -618,7 +619,7 @@ def _verify_transform(args, p: _Parser) -> tuple[dict, list]:
     model = parse_model(p, ("heston", "bns", "raw-affine"))
     horizon = p.number(p.cfg, "horizon", "", positive=True)
     ver = p.section("verification")
-    n_paths, seed, n_steps = _sampling_opts(p, "verification", args, paths=100000, steps=500)
+    n_paths, seed, n_steps = _sampling_opts(p, "verification", args, paths=100000, steps=500, min_paths=2)
     if isinstance(model, AffineParams):
         params, r0 = model, p.matrix(p.section("model"), "r0", "model", d=model.d, symmetric=True)
         # the paths are those of heston_functionals or, with m_atoms, of the jump-OU engine
@@ -662,7 +663,7 @@ def _verify_transform(args, p: _Parser) -> tuple[dict, list]:
 
 def _verify_martingale(args, p: _Parser) -> tuple[dict, list]:
     ver = p.section("verification")
-    n_paths, seed, n_steps = _sampling_opts(p, "verification", args, paths=100000, steps=500)
+    n_paths, seed, n_steps = _sampling_opts(p, "verification", args, paths=100000, steps=500, min_paths=2)
     n_pert = p.integer(ver, "n_perturbed", "verification", default=8)
     preset = _build_preset(p, args, *_parse_utility(p))
     strategies = [preset.opt_strategy_grid(n_steps)]

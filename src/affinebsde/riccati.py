@@ -145,11 +145,15 @@ def script_C(params: AffineParams, coeffs: GeneratorCoeffs) -> np.ndarray:
 
 
 def _theta_consts(params: AffineParams, coeffs: GeneratorCoeffs):
-    """The u-free factors of theta: S^T c_zz S, L, C and s^T a^T."""
+    """The u-free factors of theta: S^T c_zz S, L, C, s^T a^T, the mu atoms inside
+    the truncation ball, g_M's values when it is None and whether the m atoms add terms."""
     s = params.sigma
     q = s.T @ coeffs.c_zz @ s
     sta = coeffs.sigma.T @ coeffs.a.T
-    return q, script_L(params, coeffs), script_C(params, coeffs), sta
+    inside = params.mu.norms <= params.trunc_radius
+    m_terms = bool(params.m.n) and coeffs.has_jump_matrix_terms
+    return (q, script_L(params, coeffs), script_C(params, coeffs), sta, inside, np.zeros(params.mu.n),
+            m_terms)
 
 
 def theta_eval(params: AffineParams, coeffs: GeneratorCoeffs, u) -> np.ndarray:
@@ -159,7 +163,7 @@ def theta_eval(params: AffineParams, coeffs: GeneratorCoeffs, u) -> np.ndarray:
 
 def _theta(params, coeffs, ua, consts):
     """theta(ua) given the factors ``_theta_consts(params, coeffs)``."""
-    q, ll, cc, sta = consts
+    q, ll, cc, sta, inside, gm, m_terms = consts
     s = params.sigma
     out = 4.0 * ua @ q @ ua
     out = out + ll @ ua + ua @ ll.T
@@ -168,14 +172,13 @@ def _theta(params, coeffs, ua, consts):
 
     if params.mu.n:
         k = np.einsum("ij,nij->n", ua, params.mu.xis)
-        chi_tr = params.chi_traces(ua, params.mu)
-        gm = np.zeros_like(k)
+        chi_tr = np.where(inside, k, 0.0)  # params.chi_traces(ua, params.mu), its mask hoisted
         if coeffs.g_M is not None:
             gm = np.array([coeffs.g_M(kk) for kk in k])
-        coef = (k - chi_tr + gm) / params.mu.denominators
+        coef = (k - chi_tr + gm) / params.mu.denominators  # gm = +0.0 turns a -0.0 into +0.0
         out = out + np.einsum("n,nij->ij", coef, params.mu.us)
 
-    if params.m.n and coeffs.has_jump_matrix_terms:
+    if m_terms:
         ks = np.einsum("ij,nij->n", ua, params.m.xis)
         for i in range(params.m.n):
             w, kk = params.m.weights[i], ks[i]
@@ -203,9 +206,13 @@ def _theta(params, coeffs, ua, consts):
 
 def varpi_eval(params: AffineParams, coeffs: GeneratorCoeffs, u, v: float) -> float:
     """Right-hand side varpi(u, v) of the scalar companion ODE."""
-    ua = as_sym(u)
+    return _varpi(params, coeffs, as_sym(u), v, float(np.trace(coeffs.a @ coeffs.o1)))
+
+
+def _varpi(params, coeffs, ua, v, tr_ao1):
+    """varpi(ua, v) given the u-free Tr(a o1)."""
     val = coeffs.c_y * v + coeffs.c_t
-    val += float(np.trace(coeffs.a @ coeffs.o1))
+    val += tr_ao1
     val += float(np.sum(ua * params.b))
     if params.m.n:
         ks = np.einsum("ij,nij->n", ua, params.m.xis)
@@ -236,10 +243,6 @@ class RiccatiSolution:
     @property
     def d(self) -> int:
         return self.gammas.shape[-1]
-
-    @property
-    def horizon(self) -> float:
-        return float(self.grid[-1])
 
     def _locate(self, t):
         """Knot index j and weight lam of t (a time or an array of times) in [t_j, t_j+1]."""
@@ -285,9 +288,10 @@ def _compile_backward_rhs(params: AffineParams, coeffs: GeneratorCoeffs):
     fast = not coeffs.has_jump_matrix_terms and coeffs.g_t is None and params.mu.n == 0
     if not fast:
         consts = _theta_consts(params, coeffs)
+        tr_ao1 = float(np.trace(coeffs.a @ coeffs.o1))
 
         def rhs(g, w):
-            return _theta(params, coeffs, g, consts), varpi_eval(params, coeffs, g, w)
+            return _theta(params, coeffs, g, consts), _varpi(params, coeffs, g, w, tr_ao1)
 
         return rhs, False
 
@@ -686,15 +690,6 @@ class AssumptionReport:
     checks: dict
     k_grid: np.ndarray
     tol: float
-
-    def passed(self, *names: str) -> bool:
-        return all(self.checks[n].passed for n in names)
-
-    def __str__(self) -> str:
-        lines = ["assumption report"]
-        for name, c in self.checks.items():
-            lines.append(f"  [{'ok' if c.passed else 'FAIL'}] {name} {c.notes}")
-        return "\n".join(lines)
 
 
 def _cone_ok(mat, cone: str, tol: float) -> bool:

@@ -14,6 +14,9 @@ Conventions used throughout the package:
 
 All operations are pure, except that the 2x2 clamp writes into the caller's
 ``Clamp2x2Scratch`` when given one; values can be shared freely across threads.
+
+scipy serves only :func:`mat_exp` and is imported on its first call, so a
+process that never exponentiates a matrix never loads it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import enum
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_CONE_TOL = 1e-10
 
@@ -131,7 +133,11 @@ def mat_exp(a) -> np.ndarray:
     selected from 1-norm bounds (theta_3=1.495585217958292e-2, ...,
     theta_13=4.25; above theta_13 the input is scaled by 2^-s).  Relative
     Frobenius accuracy is ~1e-13 or better for well-conditioned inputs.
+    scipy.linalg is imported on the first call (about 0.2 s), not with the
+    package; the import lock makes a first call from two threads at once safe.
     """
+    import scipy.linalg
+
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")

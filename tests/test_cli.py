@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import json
 import os
@@ -736,6 +735,30 @@ class TestExitCodes:
         assert f"'{bad}' must be >=" in line
         assert not os.listdir(tmp_path / "out")
 
+    @pytest.mark.parametrize("config, flags, line", [
+        pytest.param("heston_verify_transform.json", ["--paths", "1", "--steps", "2"], "'--paths' must be >= 2",
+                     id="transform-flag"),
+        pytest.param("bns_exp_verify_martingale.json", ["--paths", "1"], "'--paths' must be >= 2",
+                     id="martingale-flag"),
+        pytest.param("heston_verify_transform.json", [], "'verification.paths' must be >= 2",
+                     id="transform-config"),
+    ])
+    def test_one_verification_path_is_config_error(self, tmp_path, capsys, config, flags, line):
+        # a standard error needs two paths; one path used to run the whole
+        # simulation and then exit 3 on a NaN stderr, after numpy's warning
+        cfg = json.loads((CONFIGS / config).read_text(encoding="utf-8"))
+        if not flags:
+            cfg["verification"]["paths"] = 1
+        assert self.run_failing(tmp_path, capsys, "verify", cfg, EXIT_CONFIG, *flags) == \
+            f"configuration error: {line}"
+        assert not os.listdir(tmp_path / "out")
+
+    def test_simulate_takes_one_path(self, tmp_path, capsys):
+        rc = main(["simulate", "--config", str(CONFIGS / "heston_power_portfolio.json"), "--out", str(tmp_path),
+                   "--paths", "1", "--steps", "2"])
+        assert rc == EXIT_OK and capsys.readouterr().err == ""
+        assert (tmp_path / "paths.csv").read_text().count("\n") == 1 + 3
+
     @pytest.mark.parametrize("diffusion, mu_atoms, message", [
         # the jump-OU paths have no diffusion, so they would check alpha = 0 (a false FAIL)
         (True, [], "'model.alpha' together with 'model.m_atoms'"),
@@ -932,22 +955,9 @@ class TestBenchmarkInputsAreAdmissible:
         cfg = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
         parse_model(_Parser(cfg), ("heston", "bns", "raw-affine"))  # raises ConfigError, naming the failed check, otherwise
 
-    @pytest.fixture(scope="class")
-    def workloads(self):
-        """bench/workloads.py, loaded by path: bench/ is not a package."""
-        spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                      CONFIGS.parent / "bench" / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # its dataclasses look their module up
-        try:
-            spec.loader.exec_module(module)
-            yield module
-        finally:
-            del sys.modules[spec.name]
-
     @pytest.mark.parametrize("seed", range(4))
-    def test_generated_configs_have_exactly_inward_drift(self, workloads, seed):
-        for tag, (cfg, _) in workloads.generated_configs(seed, 10).items():
+    def test_generated_configs_have_exactly_inward_drift(self, bench_workloads, seed):
+        for tag, (cfg, _) in bench_workloads.generated_configs(seed, 10).items():
             report = validate_admissibility(parse_model(_Parser(cfg), ("raw-affine",)))
             assert report.passed, f"{tag}: {report}"
             assert report.checks["inward_drift"].detail.endswith("min = 0.0"), tag
@@ -1018,3 +1028,58 @@ def test_module_entry_point_writes_nothing_to_stderr():
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: affinebsde")
     assert proc.stderr == ""
+
+
+# Runs in a fresh interpreter: the commands of argv lists (argv[1], JSON) in
+# order, each followed by whether scipy is loaded; then, if it is, whether
+# mat_exp and scipy.linalg.expm agree bit for bit.  The last stdout line is JSON.
+SCIPY_CHILD = """
+import contextlib, io, json, sys
+import numpy as np
+import affinebsde, affinebsde.cli
+loaded = [("import", "scipy" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = affinebsde.cli.main(argv)
+    loaded.append((" ".join(argv[:3]), rc, "scipy" in sys.modules))
+same = None
+if "scipy" in sys.modules:
+    import scipy.linalg
+    from affinebsde.symcone import mat_exp
+    a = np.random.default_rng(5).standard_normal((4, 4))
+    same = all(np.array_equal(mat_exp(x).view(np.uint64), scipy.linalg.expm(x).view(np.uint64))
+               for x in (a, 0.01 * a, 30.0 * a, np.zeros((3, 3))))
+print(json.dumps({"loaded": loaded, "same": same}))
+"""
+
+
+def test_scipy_is_imported_by_the_first_matrix_exponential_only(tmp_path, bench_workloads):
+    """Commands that never call mat_exp never load scipy, which costs about 0.2 s of every start."""
+    cfg, _ = bench_workloads.generated_configs(0, 200)["d2"]
+    generated = {}
+    for method in ("rk4", "rk45"):
+        cfg["solver"]["method"] = method
+        generated[method] = write_config(tmp_path, cfg, f"d2-{method}.json")
+    out = str(tmp_path / "out")
+    free = [
+        ["riccati-solve", "--config", str(CONFIGS / "riccati_degenerate_1d.json")],
+        ["riccati-solve", "--config", generated["rk4"]],
+        ["riccati-solve", "--config", generated["rk45"]],
+        ["price", "--config", str(CONFIGS / "heston_exp_swap_price.json")],
+        ["verify", "--config", str(CONFIGS / "heston_verify_transform.json"), "--paths", "64", "--steps", "20"],
+        ["simulate", "--config", str(CONFIGS / "heston_power_portfolio.json")],
+    ]
+    runs = [argv + ["--out", out] for argv in free]
+    runs.append(["portfolio", "--config", str(CONFIGS / "heston_power_portfolio.json"), "--out", out])
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_CHILD, json.dumps(runs)], capture_output=True,
+                          text=True, env=env, timeout=300, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    loaded = result["loaded"]
+    assert loaded[0] == ["import", False]
+    for label, rc, scipy_loaded in loaded[1:-1]:
+        assert (rc, scipy_loaded) == (EXIT_OK, False), label
+    assert loaded[-1][1:] == [EXIT_OK, True]  # portfolio exponentiates the Heston power block
+    assert result["same"] is True

@@ -8,7 +8,9 @@ so a reordered sum or a fused multiply-add shows up as a failure.
 import numpy as np
 import pytest
 
+from affinebsde import riccati
 from affinebsde.affine_model import AffineParams, ConstantJumps, HFormDrift, LinearJumps
+from affinebsde.cli import _Parser, parse_generator, parse_model
 from affinebsde.portfolio import (
     bns_exp_coeffs,
     heston_power_coeffs,
@@ -214,6 +216,38 @@ def test_compiled_general_rhs_matches_theta_eval(rng):
         th, om = rhs(u, 0.3)
         assert_bitwise(th, theta_eval(params, coeffs, u))
         assert_bitwise(om, varpi_eval(params, coeffs, u, 0.3))
+
+
+def rk_pin_cases(workloads, rng):
+    """Models on the general right-hand side: the benchmark's d3-jumps config, a library
+    model with every jump coefficient (g_M, g_y and g_t among them) set, and a d = 3
+    model with a nonzero Tr(a o1)."""
+    cfg, _ = workloads.generated_configs(0, 10)["d3-jumps"]
+    p = _Parser(cfg)
+    params = parse_model(p, ("raw-affine",))
+    jump_params, jump_coeffs, terminal_u = quasi_monotone_jump_instance()
+    return {"d3-jumps": (params, parse_generator(p, params.d), np.zeros((3, 3)), 0.0),
+            "jump-instance": (jump_params, jump_coeffs, terminal_u, -0.2),
+            "d3-a-o1": d3_linear_jump_config(rng) + (0.1 * np.eye(3), 0.4)}
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("case", ["d3-jumps", "jump-instance", "d3-a-o1"])
+def test_general_rk_solve_matches_theta_eval_at_every_knot(bench_workloads, rng, monkeypatch, case, method):
+    """The compiled right-hand side is theta_eval/varpi_eval at every knot, and so is the solve."""
+    params, coeffs, u, v = rk_pin_cases(bench_workloads, rng)[case]
+    sol = solve_rk(params, coeffs, u, v, 1.0, steps=120, method=method)
+    rhs, fast = _compile_backward_rhs(params, coeffs)
+    assert not fast
+    for g, w in zip(sol.gammas, sol.w):
+        th, om = rhs(g, w)
+        assert_bitwise(th, theta_eval(params, coeffs, g))
+        assert_bitwise(om, varpi_eval(params, coeffs, g, w))
+    monkeypatch.setattr(riccati, "_compile_backward_rhs", lambda params, coeffs: (
+        lambda g, w: (theta_eval(params, coeffs, g), varpi_eval(params, coeffs, g, w)), False))
+    ref = solve_rk(params, coeffs, u, v, 1.0, steps=120, method=method)
+    for name in ("grid", "gammas", "w"):
+        assert_bitwise(getattr(sol, name), getattr(ref, name))
 
 
 # -- A_22 singularity check -----------------------------------------------------------
