@@ -28,15 +28,19 @@ Configuration schema (version 1)
 Top level: ``schema_version`` (int, required), ``model``, ``horizon`` (float),
 and per-command sections.  Matrices are row-major nested arrays; symmetric
 slots are symmetrized on input with a warning when the asymmetry exceeds
-1e-12.  All floating-point output is printed with 17 significant digits and
-JSON keys are emitted in sorted order, so identical configurations and seeds
-produce byte-identical payloads.
+1e-12.  Every number must be finite.  ``model``, ``generator``, ``terminal``,
+``solver``, ``utility`` and ``endowment`` take only the keys listed below.  All
+floating-point output is printed with 17 significant digits and JSON keys are
+emitted in sorted order, so identical configurations and seeds produce
+byte-identical payloads.
 
 ``model``: {"kind": "heston" | "bns" | "raw-affine", ...}
   heston:     alpha, b, drift_h, eta, rho, r0, [ordinary_exponential]
-  bns:        lambda0, drift_h, b_jump, atoms: [{xi, weight}], eta, r0
+  bns:        lambda0, drift_h, b_jump, atoms: [{xi, weight}], eta, r0,
+              [ordinary_exponential]
   raw-affine: alpha, b, drift: {h} | {betas}, [m_atoms: [{xi, weight}]],
-              [mu_atoms: [{xi, u}]], [trunc_radius]
+              [mu_atoms: [{xi, u}]], [trunc_radius], [r0 (verify transform)]
+  ordinary_exponential is a JSON boolean (default false).
 ``utility``: {"kind": "power" | "exponential", "gamma": g}
 ``endowment``: the form of the utility problem (any other exits 2): heston
                power {a, sigma, o1, o2}, no strike; exponential {"variance_swap":
@@ -47,7 +51,8 @@ produce byte-identical payloads.
                (c_zz, c_zsqrtx, c_x, c_y, c_t, c_hzhz, c_hzz, c_hzsqrtx,
                a, sigma, o1, o2), each a number or matrix; the jump
                coefficients g_* are callables and are not representable in
-               configuration files.
+               configuration files.  riccati_summary.json reports A1 -- A7 as
+               ``assumptions``: {name: bool}; see ``validate_assumptions``.
 ``terminal``: {"u": matrix, "v": float}
 ``solver``: {"steps", "method": "rk4" | "rk45" | "block-exp", "blowup_norm"}
 ``verification``: {"which": "transform" | "martingale" | "drift-match",
@@ -253,6 +258,8 @@ class _Parser:
         if d is not None and arr.shape[0] != d:
             self.fail(f"'{path}.{key}' must be {d}x{d}")
             return np.zeros((d, d))
+        if not self.finite(arr, f"{path}.{key}"):
+            return np.zeros_like(arr)
         if symmetric:
             asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
             if asym > 1e-12:
@@ -268,7 +275,24 @@ class _Parser:
         if d is not None and arr.shape != (d,):
             self.fail(f"'{path}.{key}' must have length {d}")
             return np.zeros(d)
+        if not self.finite(arr, f"{path}.{key}"):
+            return np.zeros_like(arr)
         return arr
+
+    def finite(self, arr, name: str) -> bool:
+        """Whether ``arr`` is finite; NaN or an infinity (Python's json reads both) records an error."""
+        if not np.all(np.isfinite(arr)):
+            self.fail(f"'{name}' must be finite")
+            return False
+        return True
+
+    def boolean(self, section, key, path, default=False) -> bool:
+        """A JSON true or false; any other value, such as the string "false", is an error."""
+        v = section.get(key, default)
+        if not isinstance(v, bool):
+            self.fail(f"'{path}.{key}' must be true or false, got {v!r}")
+            return default
+        return v
 
 
 def load_config(path: str) -> dict:
@@ -276,6 +300,13 @@ def load_config(path: str) -> dict:
 
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+_MODEL_KEYS = {
+    "heston": ("alpha", "b", "drift_h", "eta", "rho", "r0", "ordinary_exponential"),
+    "bns": ("lambda0", "drift_h", "b_jump", "atoms", "eta", "r0", "ordinary_exponential"),
+    "raw-affine": ("alpha", "b", "drift", "m_atoms", "mu_atoms", "trunc_radius", "r0"),
+}
 
 
 def parse_model(p: _Parser, kinds: tuple):
@@ -292,6 +323,7 @@ def parse_model(p: _Parser, kinds: tuple):
     if kind not in kinds:
         p.fail(f"'model.kind' must be {' | '.join(kinds)} for this command, got {kind!r}")
         _finish_parse(p)
+    p.only(cfg, ("kind",) + _MODEL_KEYS[kind], "model")
     try:
         if kind == "heston":
             alpha = p.matrix(cfg, "alpha", "model", symmetric=True)
@@ -306,7 +338,7 @@ def parse_model(p: _Parser, kinds: tuple):
                 eta=p.vector(cfg, "eta", "model", d=d),
                 corr=CorrelationSpec(p.vector(cfg, "rho", "model", d=d)),
                 r0=p.matrix(cfg, "r0", "model", d=d, symmetric=True),
-                ordinary_exponential=bool(cfg.get("ordinary_exponential", False)),
+                ordinary_exponential=p.boolean(cfg, "ordinary_exponential", "model"),
             )
         elif kind == "bns":
             lam = p.matrix(cfg, "lambda0", "model", symmetric=True)
@@ -322,7 +354,7 @@ def parse_model(p: _Parser, kinds: tuple):
                 spec=spec,
                 eta=p.vector(cfg, "eta", "model", d=d),
                 r0=p.matrix(cfg, "r0", "model", d=d, symmetric=True),
-                ordinary_exponential=bool(cfg.get("ordinary_exponential", False)),
+                ordinary_exponential=p.boolean(cfg, "ordinary_exponential", "model"),
             )
             params = spec.affine_params()
         else:
@@ -332,7 +364,8 @@ def parse_model(p: _Parser, kinds: tuple):
             if "h" in drift_cfg:
                 drift = HFormDrift(p.matrix(drift_cfg, "h", "model.drift", d=d))
             elif "betas" in drift_cfg:
-                drift = GeneralFormDrift(np.array(drift_cfg["betas"], dtype=float))
+                betas = np.array(drift_cfg["betas"], dtype=float)
+                drift = GeneralFormDrift(betas if p.finite(betas, "model.drift.betas") else np.zeros_like(betas))
             else:
                 p.fail("'model.drift' needs 'h' or 'betas'")
                 drift = HFormDrift(np.zeros((d, d)))
@@ -451,6 +484,7 @@ def _flag_or_config(p: _Parser, args, key: str, section, path: str, default: int
 
 def _solver_opts(p: _Parser, args) -> dict:
     solver = p.section("solver") or {}
+    p.only(solver, ("steps", "method", "blowup_norm"), "solver")
     return {
         "steps": _flag_or_config(p, args, "steps", solver, "solver", default=2000, minimum=1),
         "method": solver.get("method", "rk4"),
@@ -475,6 +509,7 @@ def cmd_riccati_solve(p: _Parser, args) -> int:
     horizon = p.number(p.cfg, "horizon", "", positive=True)
     coeffs = parse_generator(p, model.d)
     term = p.section("terminal") or {}
+    p.only(term, ("u", "v"), "terminal")
     u = p.matrix(term, "u", "terminal", d=model.d, symmetric=True, default=np.zeros((model.d, model.d)))
     v = p.number(term, "v", "terminal", default=0.0)
     solver = _solver_opts(p, args)
@@ -496,8 +531,7 @@ def cmd_riccati_solve(p: _Parser, args) -> int:
         print(f"blow-up detected at t={exc.time:.6g}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    report = validate_assumptions(model, coeffs)
-    summary["assumptions"] = {name: bool(c.passed) for name, c in report.checks.items()}
+    summary["assumptions"] = validate_assumptions(model, coeffs)
     summary["terminal_v"] = v
     summary["gamma0"] = sol.gammas[0]
     summary["w0"] = float(sol.w[0])
@@ -517,6 +551,7 @@ def _parse_utility(p: _Parser):
     cfg = p.section("utility", required=True)
     if cfg is None:
         return None, 0.0
+    p.only(cfg, ("kind", "gamma"), "utility")
     kind = cfg.get("kind")
     if kind not in ("power", "exponential"):
         p.fail("'utility.kind' must be power | exponential")

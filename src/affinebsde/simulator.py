@@ -709,7 +709,9 @@ def _proj_sqrt_components_2x2(a, bb, c, out, work, degen):
     its square root, into the rows of ``out`` and returns it.  ``work``
     (``CLAMP_2X2_ROWS`` rows) and the bool ``degen`` are scratch; no buffer may
     overlap a, bb or c.  Each entry is one fixed sequence of ufuncs, so the
-    bits do not depend on the buffers.
+    bits do not depend on the buffers.  out= is never a first operand whose NaN
+    sign may differ from the second's: on one element numpy then returns the
+    second's NaN, where the allocating expression returns the first's.
     """
     mean, disc, l1, l2, s1, s2, a_l2, l1_a, c_l2, l1_c, x = work
     pa, pb, pc, qa, qb, qc = out
@@ -719,8 +721,8 @@ def _proj_sqrt_components_2x2(a, bb, c, out, work, degen):
     np.square(disc, out=disc)
     np.multiply(0.25, disc, out=disc)
     np.multiply(bb, bb, out=x)
-    np.add(disc, x, out=disc)
-    np.sqrt(disc, out=disc)
+    np.add(disc, x, out=x)
+    np.sqrt(x, out=disc)
     np.add(mean, disc, out=l1)
     np.subtract(mean, disc, out=l2)
     # R - l2 I and l1 I - R, shared by the projection and the root
@@ -750,15 +752,15 @@ def _proj_sqrt_components_2x2(a, bb, c, out, work, degen):
     for lo, hi, ra, rb, rc in ((l1p, l2p, pa, pb, pc), (s1, s2, qa, qb, qc)):
         np.multiply(lo, a_l2, out=ra)
         np.multiply(hi, l1_a, out=x)
-        np.add(ra, x, out=ra)
-        np.multiply(ra, inv, out=ra)
+        np.add(ra, x, out=x)
+        np.multiply(x, inv, out=ra)
         np.subtract(lo, hi, out=x)
-        np.multiply(bb, x, out=rb)
-        np.multiply(rb, inv, out=rb)
+        np.multiply(bb, x, out=x)
+        np.multiply(x, inv, out=rb)
         np.multiply(lo, c_l2, out=rc)
         np.multiply(hi, l1_c, out=x)
-        np.add(rc, x, out=rc)
-        np.multiply(rc, inv, out=rc)
+        np.add(rc, x, out=x)
+        np.multiply(x, inv, out=rc)
     if any_degen:
         md = np.maximum(mean, 0.0, out=mean)
         smd = np.sqrt(md, out=x)

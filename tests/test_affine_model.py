@@ -211,6 +211,28 @@ class TestSolveTransform:
         assert sol.phi == 0.0
         assert np.allclose(sol.psi, 0.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_wishart_closed_form(self, rng, d):
+        # E exp(-Tr(u X_t)) = det(I + 2 V_t u)^(-beta/2) exp(-Tr(u (I + 2 V_t u)^-1 e^{tH} x e^{tH'}))
+        # for b = beta alpha, with V_t = int_0^t e^{sH} alpha e^{sH'} ds read off one
+        # block exponential (Van Loan 1978); an oracle independent of the RK4 solve.
+        import scipy.linalg
+
+        t, eye = 1.3, np.eye(d)
+        for _ in range(3):
+            alpha = rand_pd(rng, d, 0.5)
+            h = -0.4 * eye + 0.3 * rng.standard_normal((d, d))
+            beta = d - 1 + rng.uniform(0.0, 2.0)
+            u, x = rand_psd(rng, d, 0.8), rand_pd(rng, d)
+            params = AffineParams(alpha=alpha, b=beta * alpha, drift=HFormDrift(h))
+            flow = scipy.linalg.expm(t * np.block([[-h, alpha], [np.zeros((d, d)), h.T]]))
+            v_t = flow[d:, d:].T @ flow[:d, d:]
+            m = eye + 2.0 * v_t @ u
+            e = flow[d:, d:].T  # e^{tH}
+            exact = np.linalg.det(m) ** (-beta / 2.0) * np.exp(-np.trace(u @ np.linalg.solve(m, e @ x @ e.T)))
+            got = solve_transform(params, u, t, steps=2000).laplace(x)
+            assert abs(got - exact) <= 1e-10 * exact
+
     def test_blow_up_raises(self):
         # R(u) ~ -2u alpha u stays bounded; force explosion with a huge linear drift
         params = AffineParams(alpha=np.zeros((1, 1)), b=np.zeros((1, 1)),

@@ -617,6 +617,37 @@ DROPPED_ENDOWMENTS = {
 }
 
 
+# Before these were refused, each exited 0 (or exited 2 or 3 on a later,
+# misleading error): a string "false" read as true, NaN and Infinity passed
+# through json into the model, and a misspelt key was dropped.
+PARSER_REFUSALS = {
+    "heston-ordinary-exponential-string": ("portfolio", with_value(
+        heston_config(), "model.ordinary_exponential", "false"),
+        "'model.ordinary_exponential' must be true or false, got 'false'"),
+    "bns-ordinary-exponential-int": ("portfolio", with_value(
+        bns_config(), "model.ordinary_exponential", 0),
+        "'model.ordinary_exponential' must be true or false, got 0"),
+    "generator-matrix-nan": ("riccati-solve", with_value(
+        riccati_1d_degenerate_config(), "generator.c_x", [[float("nan")]]), "'generator.c_x' must be finite"),
+    "alpha-infinity": ("portfolio", with_value(
+        heston_config(), "model.alpha", [[float("inf"), 0.012], [0.012, 0.0333]]), "'model.alpha' must be finite"),
+    "eta-nan": ("portfolio", with_value(heston_config(), "model.eta", [float("nan"), 0.1]),
+                "'model.eta' must be finite"),
+    "betas-nan": ("riccati-solve", with_value(riccati_1d_degenerate_config(), "model.drift",
+                                              {"betas": [[[[float("nan")]]]]}), "'model.drift.betas' must be finite"),
+    "solver-key": ("riccati-solve", with_section(riccati_1d_degenerate_config(), "solver", stepz=10),
+                   "'solver' takes only ['blowup_norm', 'method', 'steps'], not ['stepz']"),
+    "terminal-key": ("riccati-solve", with_section(riccati_1d_degenerate_config(), "terminal", vv=3),
+                     "'terminal' takes only ['u', 'v'], not ['vv']"),
+    "utility-key": ("price", with_section(swap_config(), "utility", gama=0.5),
+                    "'utility' takes only ['gamma', 'kind'], not ['gama']"),
+    "heston-model-key": ("simulate", with_section(heston_config(), "model", rho_=[0.1, 0.1]), "not ['rho_']"),
+    "bns-model-key": ("portfolio", with_section(bns_config(), "model", rho=[0.1, 0.1]), "not ['rho']"),
+    "raw-affine-model-key": ("riccati-solve", with_section(riccati_1d_degenerate_config(), "model", h=[[0.5]]),
+                             "not ['h']"),
+}
+
+
 # one base configuration per command, each reading the sections its command parses
 NON_OBJECT_CASES = [
     ("riccati-solve", riccati_1d_degenerate_config, "model"),
@@ -927,6 +958,23 @@ class TestExitCodes:
         line = self.run_failing(tmp_path, capsys, command, cfg, EXIT_CONFIG)
         assert message in line
         assert not os.listdir(tmp_path / "out")
+
+    @pytest.mark.parametrize("case", sorted(PARSER_REFUSALS))
+    def test_parser_refuses_what_it_used_to_pass(self, tmp_path, capsys, case):
+        command, cfg, message = PARSER_REFUSALS[case]
+        line = self.run_failing(tmp_path, capsys, command, cfg, EXIT_CONFIG)
+        assert message in line
+        assert not os.listdir(tmp_path / "out")
+
+    @pytest.mark.parametrize("make_cfg", [heston_config, bns_config], ids=["heston", "bns"])
+    def test_ordinary_exponential_takes_a_boolean(self, tmp_path, make_cfg):
+        payloads = []
+        for flag in (False, True):
+            out = tmp_path / str(flag)
+            cfg = with_value(make_cfg(), "model.ordinary_exponential", flag)
+            assert main(["portfolio", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+            payloads.append((out / "portfolio.json").read_text())
+        assert payloads[0] != payloads[1]  # the flag shifts eta by 1/2
 
     @pytest.mark.parametrize("command, make_cfg, section", NON_OBJECT_CASES,
                              ids=[f"{c}-{s}" for c, _, s in NON_OBJECT_CASES])

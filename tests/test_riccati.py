@@ -22,6 +22,7 @@ from affinebsde.portfolio import (
     _heston_model_d2,
 )
 from affinebsde.riccati import (
+    JUMP_COEFFS,
     BlockExpSingularError,
     GeneratorCoeffs,
     RiccatiBlowUpError,
@@ -306,8 +307,8 @@ class TestAssumptions:
             EndowmentSpec.zero(2),
         )
         report = validate_assumptions(model.params, coeffs)
-        assert report.checks["A2m"].detail["c_zz"]  # c_zz is PD, hence in S^+
-        assert not report.checks["A2p"].passed  # and therefore not in S^-
+        assert report["A5m"]  # c_zz is PD, hence in S^+
+        assert not report["A2p"]  # and therefore not in S^-
 
     def test_heston_power_zero_market_a2m(self):
         model = _heston_model_d2()
@@ -317,26 +318,47 @@ class TestAssumptions:
             EndowmentSpec.zero(2),
         )
         report = validate_assumptions(model.params, coeffs)
-        assert report.checks["A2m"].passed
+        assert report["A2m"]
 
     def test_heston_exp_czz_negative(self):
         model = _heston_model_d2()
         coeffs = heston_exp_coeffs(model, 0.7, np.zeros((2, 2)))
         report = validate_assumptions(model.params, coeffs)
-        assert report.checks["A2p"].passed  # c_zz ND and script C PSD
+        assert report["A2p"]  # c_zz ND and script C PSD
 
     def test_zero_coefficients_pass_cones(self):
         d = 2
         params = AffineParams(alpha=np.eye(d), b=2.0 * np.eye(d), drift=HFormDrift(np.zeros((d, d))))
         coeffs = GeneratorCoeffs.build(d)
         report = validate_assumptions(params, coeffs)
-        assert report.checks["A2p"].passed and report.checks["A2m"].passed
+        assert report["A2p"] and report["A2m"]
 
-    def test_compliant_jump_instance_passes_all(self):
+    def test_full_report_of_an_a2p_and_an_a2m_generator(self):
+        d = 2
+        params = AffineParams(alpha=np.eye(d), b=2.0 * np.eye(d),
+                              drift=HFormDrift(np.array([[-0.5, 0.1], [0.0, -0.3]])))
+        vacuous = dict.fromkeys(("A3p", "A3m", "A4p", "A4m", "A6p", "A6m", "A7"), True)
+        a2p = GeneratorCoeffs.build(d, c_zz=-0.3 * np.eye(d), c_x=np.array([[0.4, 0.1], [0.1, 0.2]]))
+        assert validate_assumptions(params, a2p) == {
+            "A1": True, "A2p": True, "A2m": False, "A5p": True, "A5m": False, **vacuous}
+        # the mirror, under a general-form drift: A1 fails; then a PD c_x keeps A2m
+        # out while c_zz stays in S^+
+        general = AffineParams(alpha=np.eye(d), b=2.0 * np.eye(d),
+                               drift=GeneralFormDrift(np.zeros((d, d, d, d))))
+        a2m = GeneratorCoeffs.build(d, c_zz=0.3 * np.eye(d), c_x=-0.2 * np.eye(d))
+        assert validate_assumptions(general, a2m) == {
+            "A1": False, "A2p": False, "A2m": True, "A5p": False, "A5m": True, **vacuous}
+        assert validate_assumptions(general, dataclasses.replace(a2m, c_x=0.2 * np.eye(d))) == {
+            "A1": False, "A2p": False, "A2m": False, "A5p": False, "A5m": True, **vacuous}
+
+    def test_jump_coefficients_are_refused(self):
         params, coeffs, _ = quasi_monotone_jump_instance()
-        report = validate_assumptions(params, coeffs)
-        for name in ("A1", "A2p", "A3p", "A4p", "A5p", "A6p", "A7"):
-            assert report.checks[name].passed, f"{name}: {report.checks[name].detail}"
+        with pytest.raises(ValueError, match="not decidable"):
+            validate_assumptions(params, coeffs)
+        d = params.d
+        only_g_t = GeneratorCoeffs.build(d, g_t=lambda y: 0.1 * y)
+        with pytest.raises(ValueError, match=r"\['g_t'\]"):
+            validate_assumptions(params, only_g_t)
 
 
 class TestQuasiMonotone:
@@ -384,8 +406,8 @@ class TestConePreservationAndGrowth:
             g_zsqrtx=lambda y: -0.03 * np.tanh(y) * eye,
             g_y=lambda y: -0.01 * np.tanh(y),
         )
-        report = validate_assumptions(params, coeffs)
-        assert report.checks["A2m"].passed and report.checks["A3m"].passed
+        twin = dataclasses.replace(coeffs, **dict.fromkeys(JUMP_COEFFS))  # same c_zz and c_x
+        assert validate_assumptions(params, twin)["A2m"]
         sol = solve_rk(params, coeffs, -0.2 * eye, 0.0, 1.0, steps=600)
         assert np.max(sol.max_eigenvalues()) < 1e-12
 
@@ -410,7 +432,7 @@ class TestConeInvariance:
         params = AffineParams(alpha=alpha, b=alpha, drift=HFormDrift(h))
         coeffs = GeneratorCoeffs.build(2, c_zz=-sign * symmetrize(g_czz @ g_czz.T),
                                        c_x=sign * symmetrize(g_c @ g_c.T), c_zsqrtx=c_zsqrtx, c_y=c_y)
-        assert validate_assumptions(params, coeffs, which=[tag]).checks[tag].passed
+        assert validate_assumptions(params, coeffs)[tag]
         sol = solve_rk(params, coeffs, sign * symmetrize(g_u @ g_u.T), 0.0, 1.0, steps=100)
         outside = -np.linalg.eigvalsh(sign * sol.gammas)[:, 0]  # distance out of the cone
         assert np.all(outside <= 1e-10 * (1.0 + np.linalg.norm(sol.gammas, axis=(1, 2))))
